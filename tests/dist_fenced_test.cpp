@@ -4,6 +4,8 @@
 // here we pin down the simulator itself.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "core/trainer.hpp"
@@ -13,6 +15,7 @@
 #include "distributed/fenced.hpp"
 #include "metrics/evaluator.hpp"
 #include "objectives/logistic.hpp"
+#include "trace_pin.hpp"
 
 namespace isasgd::distributed {
 namespace {
@@ -149,6 +152,110 @@ TEST(FencedPs, RegistryDispatchesFencedScheduleThroughTrainer) {
   const solvers::Trace direct = run_param_server_fenced(
       fx.data, fx.loss, opt, spec, /*use_importance=*/true, ev.as_fn());
   EXPECT_EQ(via_trainer.final_model, direct.final_model);
+}
+
+// Each row fixes one fenced configuration's exact output (trace_pin.hpp).
+// These bits are also what the process backend must reproduce, so a row
+// that moves breaks real-vs-simulated parity too.
+TEST(FencedPins, EveryEngineShapeReproducesItsPinnedBits) {
+  const Fixture fx;
+  const data::InMemorySource whole(fx.data);
+  const data::InMemorySource chunked(fx.data, /*shard_rows=*/64);  // 7 shards
+  ASSERT_EQ(chunked.shard_count(), 7u);
+  const ClusterSpec spec = fenced_spec();
+  ClusterSpec crash = spec;
+  crash.fault.crash_node = 1;
+  crash.fault.crash_epoch = 2;
+  crash.fault.crash_fraction = 0.25;
+  crash.fault.rejoin_epoch = 4;
+  crash.recovery.policy = RecoveryPolicy::kReshard;
+  auto opt = base_options();
+  opt.epochs = 3;
+  auto crash_opt = base_options();
+  crash_opt.epochs = 5;
+  auto ar_opt = opt;
+  ar_opt.batch_size = 8;
+
+  struct Row {
+    const char* name;
+    std::function<std::string()> run;
+    const char* pin;
+  };
+  const Row rows[] = {
+      {"ps.is in-memory",
+       [&] { return pin::registry_run(whole, fx.loss, "dist.ps.is_asgd", spec,
+                                      opt); },
+       "model=047f392511cc54a7 0x0p+0/0x1.62e42fefa39fcp-1 "
+       "0x1.482dc2e62c093p-6/0x1.0a18b75d79f4dp-1 "
+       "0x1.482d7f40dd286p-5/0x1.b628e37b96ebbp-2 "
+       "0x1.ec41d08a0f9d3p-5/0x1.7b2dfb45ab641p-2 | messages=1200 bytes=85692 "
+       "staleness=0x0p+0 sim=0x1.ec41d08a0f9d3p-5 phi=0x1.84a4ed9fc94a9p-3 "
+       "strategy=2 crashes=0 rejoins=0"},
+      {"ps.uniform in-memory",
+       [&] { return pin::registry_run(whole, fx.loss, "dist.ps.asgd", spec,
+                                      opt); },
+       "model=0cfcffb86919f3aa 0x0p+0/0x1.62e42fefa39fcp-1 "
+       "0x1.48275057da7c8p-6/0x1.07a451ef8e056p-1 "
+       "0x1.4829d2fa47e1dp-5/0x1.b4722edd77e23p-2 "
+       "0x1.ec41c302996f8p-5/0x1.7c8776f33bc46p-2 | messages=1200 bytes=85668 "
+       "staleness=0x0p+0 sim=0x1.ec41c302996f8p-5 phi=0x1.13bcbfd9834e7p-4 "
+       "strategy=1 crashes=0 rejoins=0"},
+      {"ps.is chunked",
+       [&] { return pin::registry_run(chunked, fx.loss, "dist.ps.is_asgd",
+                                      spec, opt); },
+       "model=b84f509fff4a72df 0x0p+0/0x1.62e42fefa39eep-1 "
+       "0x1.48273548ee22p-6/0x1.0655b54465143p-1 "
+       "0x1.48278675b3323p-5/0x1.b53eedf2f16b3p-2 "
+       "0x1.ec3d601748c59p-5/0x1.7a2f24abe27b6p-2 | messages=1200 bytes=83676 "
+       "staleness=0x0p+0 sim=0x1.ec3d601748c59p-5 phi=0x1.7a921ea65fca1p-1 "
+       "strategy=2 crashes=0 rejoins=0"},
+      {"ps.uniform chunked",
+       [&] { return pin::registry_run(chunked, fx.loss, "dist.ps.asgd", spec,
+                                      opt); },
+       "model=33403d5589b85717 0x0p+0/0x1.62e42fefa39eep-1 "
+       "0x1.482eb66c7b371p-6/0x1.0772e9ebe013ap-1 "
+       "0x1.482f07994047cp-5/0x1.b6b5559fc104ap-2 "
+       "0x1.ec4257d4ad612p-5/0x1.80bea40b391f2p-2 | messages=1200 bytes=85932 "
+       "staleness=0x0p+0 sim=0x1.ec4257d4ad612p-5 phi=0x1.6500e36d33ed8p-1 "
+       "strategy=1 crashes=0 rejoins=0"},
+      {"ps.is crash+rejoin reshard",
+       [&] { return pin::registry_run(whole, fx.loss, "dist.ps.is_asgd", crash,
+                                      crash_opt); },
+       "model=9ab5acaea3f65c98 0x0p+0/0x1.62e42fefa39fcp-1 "
+       "0x1.482dc2e62c093p-6/0x1.0a18b75d79f4dp-1 "
+       "0x1.1f291fe25d287p-5/0x1.cd15cadc9f63ap-2 "
+       "0x1.c33dc91c0fc2fp-5/0x1.899d1e3de3576p-2 "
+       "0x1.33a9796e5286ep-4/0x1.5ef67f919366fp-2 "
+       "0x1.85b45555c99abp-4/0x1.42bce2ce5b448p-2 | messages=1900 "
+       "bytes=135888 staleness=0x0p+0 sim=0x1.85b45555c99abp-4 "
+       "phi=0x1.84a4ed9fc94a9p-3 strategy=2 crashes=1 rejoins=1"},
+      {"allreduce.uniform",
+       [&] { return pin::registry_run(whole, fx.loss, "dist.allreduce.sgd",
+                                      spec, ar_opt); },
+       "model=218e13200441ca7d 0x0p+0/0x1.62e42fefa39fcp-1 "
+       "0x1.bf67aeb52ef0bp-9/0x1.5d630060ad036p-1 "
+       "0x1.bf6851eaa00e1p-8/0x1.575c4cfcf5ca4p-1 "
+       "0x1.4f8e550f4869bp-7/0x1.51ed07d794168p-1 | rounds=51 "
+       "bytes=0x1.aaaaaaaaaaaaap+9 sim=0x1.4f8e550f4869bp-7 "
+       "comm=0x1.ffb91728ba716p-1"},
+      {"allreduce.is",
+       [&] {
+         AllreduceReport report;
+         const solvers::Trace t = run_allreduce_fenced(
+             fx.data, fx.loss, ar_opt, spec, /*use_importance=*/true,
+             fx.evaluator.as_fn(), &report);
+         return pin::of(t, report);
+       },
+       "model=922334dcd85b021f 0x0p+0/0x1.62e42fefa39fcp-1 "
+       "0x1.bf64cbf92ef2p-9/0x1.5d174be014aa6p-1 "
+       "0x1.bf64ee5546c27p-8/0x1.571b3a8fa17c5p-1 "
+       "0x1.4f8cbd09ada04p-7/0x1.51b37dfb5c5a3p-1 | rounds=51 "
+       "bytes=0x1.aaaaaaaaaaaaap+9 sim=0x1.4f8cbd09ada04p-7 "
+       "comm=0x1.ffbb856778d38p-1"},
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(row.run(), row.pin) << row.name;
+  }
 }
 
 }  // namespace

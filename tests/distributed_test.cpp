@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "distributed/param_server.hpp"
 #include "metrics/evaluator.hpp"
 #include "objectives/logistic.hpp"
+#include "trace_pin.hpp"
 
 namespace isasgd::distributed {
 namespace {
@@ -745,6 +747,116 @@ TEST(Allreduce, AsyncSparsePushBeatsDenseAllreduceOnSparseHighDim) {
   (void)run_allreduce_sgd(f.data, f.loss, base_options(2), spec, false,
                           f.evaluator.as_fn(), &ar);
   EXPECT_LT(ps.simulated_seconds * 5, ar.simulated_seconds);
+}
+
+// ---------- Pinned event-clock runs ----------
+//
+// Each row fixes one engine configuration's exact output (trace_pin.hpp).
+// The simulated clock is host-independent, so these strings hold on every
+// machine; an intentional change to the engines' arithmetic must re-record
+// the affected rows and say which.
+
+TEST(EventClockPins, EveryEngineShapeReproducesItsPinnedBits) {
+  const Fixture f(600, 200, 8);
+  const data::InMemorySource whole(f.data);
+  const data::InMemorySource chunked(f.data, /*shard_rows=*/75);  // 8 shards
+  ASSERT_EQ(chunked.shard_count(), 8u);
+  ClusterSpec spec;
+  spec.nodes = 3;
+  ClusterSpec crash = spec;
+  crash.fault.crash_node = 2;
+  crash.fault.crash_epoch = 2;
+  crash.fault.crash_fraction = 0.5;
+  crash.fault.rejoin_epoch = 4;
+  crash.recovery.policy = RecoveryPolicy::kReshard;
+  auto opt = base_options(3);
+  opt.keep_final_model = true;
+  auto crash_opt = opt;
+  crash_opt.epochs = 4;
+  auto ar_opt = opt;
+  ar_opt.batch_size = 4;
+
+  struct Row {
+    const char* name;
+    std::function<std::string()> run;
+    const char* pin;
+  };
+  const Row rows[] = {
+      {"ps.is in-memory",
+       [&] { return pin::registry_run(whole, f.loss, "dist.ps.is_asgd", spec,
+                                      opt); },
+       "model=8d91535545a0a8de 0x0p+0/0x1.62e42fefa39fdp-1 "
+       "0x1.44b56182433fp-8/0x1.f229876bfcb0cp-2 "
+       "0x1.44b3d816ff608p-7/0x1.8c92032520ca4p-2 "
+       "0x1.e70f478a71f73p-7/0x1.53e0d405521cap-2 | messages=1800 "
+       "bytes=171708 staleness=0x1.d70a3d70a3d71p+2 sim=0x1.e70f478a71f73p-7 "
+       "phi=0x1.1b7df45d90bap-3 strategy=2 crashes=0 rejoins=0"},
+      {"ps.uniform in-memory",
+       [&] { return pin::registry_run(whole, f.loss, "dist.ps.asgd", spec,
+                                      opt); },
+       "model=5c37e507b40a5fae 0x0p+0/0x1.62e42fefa39fdp-1 "
+       "0x1.44b3ef485c40fp-8/0x1.f85b5e854606cp-2 "
+       "0x1.44b52718e78fap-7/0x1.8dca076fd6f2dp-2 "
+       "0x1.e70d434925c34p-7/0x1.522509ca8a3c5p-2 | messages=1800 "
+       "bytes=172380 staleness=0x1.d6af37c048d16p+2 sim=0x1.e70d434925c34p-7 "
+       "phi=0x1.d3a2aedae3db3p-5 strategy=1 crashes=0 rejoins=0"},
+      {"ps.is 8-shard",
+       [&] { return pin::registry_run(chunked, f.loss, "dist.ps.is_asgd", spec,
+                                      opt); },
+       "model=05475ae136e0d9df 0x0p+0/0x1.62e42fefa39f1p-1 "
+       "0x1.729a8c94c099ep-8/0x1.f1a818228d772p-2 "
+       "0x1.729f52edc2f8bp-7/0x1.91cfaa42527acp-2 "
+       "0x1.15f6ddc78fd9cp-6/0x1.55b08e6da3d43p-2 | messages=1800 "
+       "bytes=174408 staleness=0x1.b34e81b4e81b5p+2 sim=0x1.15f6ddc78fd9cp-6 "
+       "phi=0x1.833c60245bcd6p-2 strategy=2 crashes=0 rejoins=0"},
+      {"ps.uniform 8-shard",
+       [&] { return pin::registry_run(chunked, f.loss, "dist.ps.asgd", spec,
+                                      opt); },
+       "model=fb875de000a2b67e 0x0p+0/0x1.62e42fefa39f1p-1 "
+       "0x1.729aa8ed87729p-8/0x1.eed706f14bf6ap-2 "
+       "0x1.729bebe8cdb1bp-7/0x1.8db24ef5ad62cp-2 "
+       "0x1.15f3b72f47395p-6/0x1.5546aadf75238p-2 | messages=1800 "
+       "bytes=174492 staleness=0x1.b4a8641fdb975p+2 sim=0x1.15f3b72f47395p-6 "
+       "phi=0x1.bd47cc9af4b6dp-2 strategy=1 crashes=0 rejoins=0"},
+      {"ps.is crash+rejoin reshard",
+       [&] { return pin::registry_run(whole, f.loss, "dist.ps.is_asgd", crash,
+                                      crash_opt); },
+       "model=2dc175937397a91a 0x0p+0/0x1.62e42fefa39fdp-1 "
+       "0x1.44b56182433fp-8/0x1.f229876bfcb0cp-2 "
+       "0x1.44b3d816ff608p-7/0x1.9790008dfcf2p-2 "
+       "0x1.458251d2a642ep-6/0x1.5bca0bc0b5e8cp-2 "
+       "0x1.96aea46bfb3f4p-6/0x1.3324b49d86c1ap-2 | messages=2300 "
+       "bytes=219576 staleness=0x1.90071f9c45743p+2 sim=0x1.96aea46bfb3f4p-6 "
+       "phi=0x1.1b7df45d90bap-3 strategy=2 crashes=1 rejoins=1"},
+      {"allreduce.uniform",
+       [&] { return pin::registry_run(whole, f.loss, "dist.allreduce.sgd",
+                                      spec, ar_opt); },
+       "model=fe3ecd85bf957ca4 0x0p+0/0x1.62e42fefa39fdp-1 "
+       "0x1.4a98b1aed5dd9p-7/0x1.5483454f5dfd3p-1 "
+       "0x1.4a988d2cfc904p-6/0x1.47e52d4483c8fp-1 "
+       "0x1.efe4d6fc1d13ep-6/0x1.3cb7c049f55ep-1 | rounds=150 "
+       "bytes=0x1.0aaaaaaaaaaaap+11 sim=0x1.efe4d6fc1d13ep-6 "
+       "comm=0x1.ffd0875a8c76fp-1"},
+      {"allreduce.is",
+       [&] {
+         metrics::Evaluator ev(f.data, f.loss,
+                               objectives::Regularization::none(), 1);
+         AllreduceReport report;
+         const solvers::Trace t = run_allreduce_sgd(
+             f.data, f.loss, ar_opt, spec, /*use_importance=*/true, ev.as_fn(),
+             &report);
+         return pin::of(t, report);
+       },
+       "model=200246cdccb3f5d4 0x0p+0/0x1.62e42fefa39fdp-1 "
+       "0x1.4a98939e41073p-7/0x1.54d0d20e40dbfp-1 "
+       "0x1.4a98edcfff8a1p-6/0x1.4782bad20b682p-1 "
+       "0x1.efe5a2feea78dp-6/0x1.3bcd09f390c6ap-1 | rounds=150 "
+       "bytes=0x1.0aaaaaaaaaaaap+11 sim=0x1.efe5a2feea78dp-6 "
+       "comm=0x1.ffcfb4cb583fap-1"},
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(row.run(), row.pin) << row.name;
+  }
 }
 
 }  // namespace
