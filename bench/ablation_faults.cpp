@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "data/data_source.hpp"
 #include "data/synthetic.hpp"
 #include "distributed/cluster.hpp"
 #include "distributed/param_server.hpp"
@@ -156,7 +157,8 @@ int main(int argc, char** argv) {
 
   // ---- Baseline: no faults fixes the target ----
   const solvers::Trace baseline = distributed::run_param_server(
-      data, loss, opt, base, /*use_importance=*/true, evaluator.as_fn());
+      data::InMemorySource(data), loss, opt, base, /*use_importance=*/true,
+      evaluator.as_fn());
   const double baseline_objective = baseline.points.back().objective;
   const double target =
       baseline_objective * (1.0 + cli.get_double("margin"));
@@ -191,8 +193,8 @@ int main(int argc, char** argv) {
       spec.recovery.policy = policy;
       distributed::ParamServerReport report;
       const solvers::Trace trace = distributed::run_param_server(
-          data, loss, opt, spec, /*use_importance=*/true, evaluator.as_fn(),
-          &report);
+          data::InMemorySource(data), loss, opt, spec, /*use_importance=*/true,
+          evaluator.as_fn(), &report);
       Cell cell;
       cell.scenario = sc.name;
       cell.policy = distributed::recovery_policy_name(policy);

@@ -1,81 +1,64 @@
 #include "distributed/allreduce.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "partition/partition.hpp"
-#include "sampling/alias_table.hpp"
+#include "distributed/fenced.hpp"
 #include "sim/event_loop.hpp"
-#include "solvers/importance_weights.hpp"
 #include "solvers/schedule.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace isasgd::distributed {
 
-solvers::Trace run_allreduce_sgd(const sparse::CsrMatrix& data,
-                                 const objectives::Objective& objective,
-                                 const solvers::SolverOptions& options,
-                                 const ClusterSpec& spec, bool use_importance,
-                                 const solvers::EvalFn& eval,
-                                 AllreduceReport* report,
-                                 solvers::TrainingObserver* observer) {
+namespace {
+
+/// The all-reduce epoch loop of both schedules. Each round every node draws
+/// its b-sample mini-batch from its NodeWalk (the local Eq. 12 law under
+/// `use_importance`), the k·b gradients are summed, and the model takes one
+/// step. The schedules differ only in the summation order: the event clock
+/// adds every gradient straight into the global accumulator; the fenced
+/// schedule (`rank_order_merge`) sums each node's partial first and merges
+/// the partials in rank order, which is what the real reducer reproduces.
+solvers::Trace run_allreduce(const char* engine, bool rank_order_merge,
+                             const sparse::CsrMatrix& data,
+                             const objectives::Objective& objective,
+                             const solvers::SolverOptions& options,
+                             const ClusterSpec& spec, bool use_importance,
+                             const solvers::EvalFn& eval,
+                             AllreduceReport* report,
+                             solvers::TrainingObserver* observer) {
   spec.validate();
   if (spec.fault.enabled()) {
     throw std::invalid_argument(
-        "run_allreduce_sgd: crash scenarios are implemented for the "
-        "parameter-server engines (the all-reduce schedule has no recovery "
-        "protocol)");
+        std::string(engine) +
+        ": crash scenarios are implemented for the parameter-server engines "
+        "(the all-reduce schedule has no recovery protocol)");
   }
   const std::size_t n = data.rows();
-  const std::size_t k = std::min(spec.nodes, n);
   const std::size_t b = std::max<std::size_t>(1, options.batch_size);
   std::vector<double> w(data.dim(), 0.0);
+  util::Stopwatch sw;
+  fenced::Setup setup = fenced::make_allreduce_setup(
+      data, objective, options, spec.nodes, use_importance);
+  const std::size_t k = setup.k;
   solvers::TraceRecorder recorder(
       use_importance ? "allreduce_is_sgd" : "allreduce_sgd", k,
       options.step_size, eval, observer);
   recorder.mark_simulated_time();
-
-  // ---- Partition across nodes; IS nodes sample their local Eq. 12 law ----
-  util::Stopwatch setup;
-  const std::vector<double> importance =
-      solvers::detail::importance_weights(data, objective, options);
-  partition::PartitionOptions popt = options.partition;
-  if (!use_importance) popt.strategy = partition::Strategy::kShuffle;
-  popt.shuffle_seed = options.seed ^ 0xa11d;
-  const partition::PartitionPlan plan(importance, k, popt);
-
-  struct NodeState {
-    partition::Shard shard;
-    std::vector<double> weight;
-    std::unique_ptr<sampling::AliasTable> sampler;
-    util::Rng rng;
-  };
-  std::vector<NodeState> node(k);
-  for (std::size_t a = 0; a < k; ++a) {
-    node[a].shard = plan.shard(a);
-    const std::size_t local_n = node[a].shard.rows.size();
-    node[a].weight.assign(local_n, 1.0);
-    if (use_importance) {
-      node[a].sampler = std::make_unique<sampling::AliasTable>(
-          node[a].shard.probabilities);
-      for (std::size_t s = 0; s < local_n; ++s) {
-        const double p = node[a].shard.probabilities[s];
-        node[a].weight[s] =
-            p > 0 ? 1.0 / (static_cast<double>(local_n) * p) : 1.0;
-      }
-    }
-    node[a].rng.reseed(util::derive_seed(options.seed, 0xa22d + a));
-  }
-  recorder.add_setup_seconds(setup.seconds());
+  recorder.add_setup_seconds(sw.seconds());
   recorder.record(0, 0.0, w);
 
-  // Aggregate gradient scratch: dense accumulator + touched-index list so a
-  // round costs O(touched) to reset, not O(d).
+  // Dense scratch with touched lists, so a round costs O(touched) to reset,
+  // not O(d): the global accumulator, and (rank-order merge only) the
+  // per-node partial.
   std::vector<double> accum(data.dim(), 0.0);
-  std::vector<std::uint32_t> touched;
+  std::vector<double> partial(rank_order_merge ? data.dim() : 0, 0.0);
+  std::vector<std::uint32_t> touched, ptouched;
+  std::vector<double>& sum = rank_order_merge ? partial : accum;
+  std::vector<std::uint32_t>& sum_touched =
+      rank_order_merge ? ptouched : touched;
   const double allreduce_seconds = spec.ring_allreduce_seconds(data.dim());
   const double per_round_bytes =
       k > 1 ? 2.0 * (static_cast<double>(k) - 1.0) / static_cast<double>(k) *
@@ -97,15 +80,9 @@ solvers::Trace run_allreduce_sgd(const sparse::CsrMatrix& data,
       // penalty).
       clocks.reset();
       for (std::size_t a = 0; a < k; ++a) {
-        NodeState& ns = node[a];
-        const std::size_t local_n = ns.shard.rows.size();
         for (std::size_t s = 0; s < b; ++s) {
-          const std::size_t slot =
-              ns.sampler ? ns.sampler->sample(ns.rng)
-                         : static_cast<std::size_t>(
-                               util::uniform_index(ns.rng, local_n));
-          const std::size_t i = ns.shard.rows[slot];
-          const auto x = data.row(i);
+          const NodeWalk::Sample sample = setup.walks[a].next();
+          const auto x = sample.matrix->row(sample.row);
           const auto idx = x.indices();
           const auto val = x.values();
           double margin = 0;
@@ -113,13 +90,23 @@ solvers::Trace run_allreduce_sgd(const sparse::CsrMatrix& data,
             margin += w[idx[j]] * val[j];
           }
           const double g =
-              objective.gradient_scale(margin, data.label(i)) * ns.weight[slot];
+              objective.gradient_scale(margin,
+                                       sample.matrix->label(sample.row)) *
+              sample.weight;
           for (std::size_t j = 0; j < idx.size(); ++j) {
             const std::size_t c = idx[j];
-            if (accum[c] == 0.0) touched.push_back(idx[j]);
-            accum[c] += g * val[j];
+            if (sum[c] == 0.0) sum_touched.push_back(idx[j]);
+            sum[c] += g * val[j];
           }
           clocks.advance(a, spec.node_compute_seconds(a, idx.size()));
+        }
+        if (rank_order_merge) {
+          for (const std::uint32_t c : ptouched) {
+            if (accum[c] == 0.0) touched.push_back(c);
+            accum[c] += partial[c];
+            partial[c] = 0.0;
+          }
+          ptouched.clear();
         }
       }
       // Ring all-reduce of the dense aggregate, then one model step.
@@ -130,7 +117,7 @@ solvers::Trace run_allreduce_sgd(const sparse::CsrMatrix& data,
       // over the k·b samples; the regularizer enters once per round at full
       // λ (its full-batch ERM contribution), on touched coordinates.
       const double step = lambda / samples_per_round;
-      for (std::uint32_t c : touched) {
+      for (const std::uint32_t c : touched) {
         w[c] -= step * accum[c] + lambda * options.reg.subgradient(w[c]);
         accum[c] = 0.0;
       }
@@ -150,6 +137,33 @@ solvers::Trace run_allreduce_sgd(const sparse::CsrMatrix& data,
   }
   if (options.keep_final_model) recorder.set_final_model(w);
   return std::move(recorder).finish(sim_time);
+}
+
+}  // namespace
+
+solvers::Trace run_allreduce_sgd(const sparse::CsrMatrix& data,
+                                 const objectives::Objective& objective,
+                                 const solvers::SolverOptions& options,
+                                 const ClusterSpec& spec, bool use_importance,
+                                 const solvers::EvalFn& eval,
+                                 AllreduceReport* report,
+                                 solvers::TrainingObserver* observer) {
+  return run_allreduce("run_allreduce_sgd", /*rank_order_merge=*/false, data,
+                       objective, options, spec, use_importance, eval, report,
+                       observer);
+}
+
+solvers::Trace run_allreduce_fenced(const sparse::CsrMatrix& data,
+                                    const objectives::Objective& objective,
+                                    const solvers::SolverOptions& options,
+                                    const ClusterSpec& spec,
+                                    bool use_importance,
+                                    const solvers::EvalFn& eval,
+                                    AllreduceReport* report,
+                                    solvers::TrainingObserver* observer) {
+  return run_allreduce("run_allreduce_fenced", /*rank_order_merge=*/true,
+                       data, objective, options, spec, use_importance, eval,
+                       report, observer);
 }
 
 }  // namespace isasgd::distributed

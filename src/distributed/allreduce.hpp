@@ -51,4 +51,15 @@ struct AllreduceReport {
     AllreduceReport* report = nullptr,
     solvers::TrainingObserver* observer = nullptr);
 
+/// Fenced synchronous all-reduce run (Schedule::kFencedRoundRobin):
+/// identical arithmetic to run_allreduce_sgd except the global accumulator
+/// is built from per-node partials merged in rank order (the reduction
+/// order a real reducer can — and does — reproduce).
+[[nodiscard]] solvers::Trace run_allreduce_fenced(
+    const sparse::CsrMatrix& data, const objectives::Objective& objective,
+    const solvers::SolverOptions& options, const ClusterSpec& spec,
+    bool use_importance, const solvers::EvalFn& eval,
+    AllreduceReport* report = nullptr,
+    solvers::TrainingObserver* observer = nullptr);
+
 }  // namespace isasgd::distributed

@@ -15,12 +15,13 @@
 // (ParamServerReport / AllreduceReport) through
 // TrainingObserver::on_diagnostics. Capabilities carry simulated_time so
 // sweeps know the trace's time axis is simulated seconds, and the
-// parameter-server pair is streaming-capable: on a sharded DataSource the
-// node shards are whole source partitions dealt by the Algorithm-4
-// balancing machinery (run_param_server_sharded), so an out-of-core file
-// can feed the simulated cluster shard-by-shard.
+// parameter-server pair is streaming-capable: both simulated schedules
+// take the DataSource itself, and on a multi-shard source the node shards
+// are whole source partitions dealt by the Algorithm-4 balancing machinery
+// (fenced::make_ps_setup), so an out-of-core file can feed the simulated
+// cluster shard-by-shard.
 // Backend dispatch (ClusterSpec::backend / ::schedule):
-//   kSimulate + kEventClock        the PR-4 discrete-event engines (default)
+//   kSimulate + kEventClock        the discrete-event engines (default)
 //   kSimulate + kFencedRoundRobin  deterministic fenced simulation (fenced.hpp)
 //   kProcess  (fenced only)        real 1-server/k-worker process group
 //                                  (real_runtime.hpp); traces carry host
@@ -63,21 +64,11 @@ class ParamServerSolver : public solvers::Solver {
                                       /*report=*/nullptr, ctx.observer);
     }
     if (spec.schedule == Schedule::kFencedRoundRobin) {
-      if (ctx.sharded()) {
-        return run_param_server_fenced_sharded(
-            ctx.source, ctx.objective, ctx.options, spec, use_importance_,
-            ctx.eval, /*report=*/nullptr, ctx.observer);
-      }
-      return run_param_server_fenced(ctx.data(), ctx.objective, ctx.options,
+      return run_param_server_fenced(ctx.source, ctx.objective, ctx.options,
                                      spec, use_importance_, ctx.eval,
                                      /*report=*/nullptr, ctx.observer);
     }
-    if (ctx.sharded()) {
-      return run_param_server_sharded(ctx.source, ctx.objective, ctx.options,
-                                      spec, use_importance_, ctx.eval,
-                                      /*report=*/nullptr, ctx.observer);
-    }
-    return run_param_server(ctx.data(), ctx.objective, ctx.options, spec,
+    return run_param_server(ctx.source, ctx.objective, ctx.options, spec,
                             use_importance_, ctx.eval, /*report=*/nullptr,
                             ctx.observer);
   }

@@ -1,8 +1,9 @@
 #include "distributed/fenced.hpp"
 
 #include <algorithm>
+#include <optional>
 
-#include "sim/event_loop.hpp"
+#include "distributed/recovery.hpp"
 #include "solvers/importance_weights.hpp"
 #include "solvers/schedule.hpp"
 #include "util/rng.hpp"
@@ -33,38 +34,38 @@ Setup make_ps_setup(const sparse::CsrMatrix& data,
   return setup;
 }
 
-Setup make_ps_setup_sharded(const data::DataSource& source,
-                            const objectives::Objective& objective,
-                            const solvers::SolverOptions& options,
-                            std::size_t nodes, bool use_importance) {
-  Setup setup;
+Setup make_ps_setup(const data::DataSource& source,
+                    const objectives::Objective& objective,
+                    const solvers::SolverOptions& options, std::size_t nodes,
+                    bool use_importance) {
   const std::size_t shards = source.shard_count();
+  if (shards <= 1) {
+    return make_ps_setup(source.materialize(), objective, options, nodes,
+                         use_importance);
+  }
+  Setup setup;
   setup.k = std::min(nodes, shards);
   setup.shard_importance.resize(shards);
   setup.shard_phi.resize(shards);
   const data::RowStats* stats = source.row_stats();
-  if (stats != nullptr && solvers::detail::stats_feed_importance(options)) {
-    // Sidecar-fed setup: importance and Φ per shard from pack-time row
-    // stats, in shard row order — bit-identical to the loaded pass below,
-    // with zero shard loads.
-    for (std::size_t s = 0; s < shards; ++s) {
-      setup.shard_importance[s] = solvers::detail::importance_weights_from_stats(
-          *stats, source.shard_begin(s), source.shard_rows(s), objective,
-          options);
-      double total = 0;
-      for (double v : setup.shard_importance[s]) total += v;
-      setup.shard_phi[s] = total;
-    }
-  } else {
-    for (std::size_t s = 0; s < shards; ++s) {
+  const bool from_stats =
+      stats != nullptr && solvers::detail::stats_feed_importance(options);
+  for (std::size_t s = 0; s < shards; ++s) {
+    if (from_stats) {
+      // Sidecar-fed: importance from pack-time row stats, in shard row
+      // order — bit-identical to the loaded pass, with zero shard loads.
+      setup.shard_importance[s] =
+          solvers::detail::importance_weights_from_stats(
+              *stats, source.shard_begin(s), source.shard_rows(s), objective,
+              options);
+    } else {
       if (s + 1 < shards) source.prefetch(s + 1);
-      const data::ShardPtr shard = source.shard(s);
       setup.shard_importance[s] = solvers::detail::importance_weights(
-          *shard->matrix, objective, options);
-      double total = 0;
-      for (double v : setup.shard_importance[s]) total += v;
-      setup.shard_phi[s] = total;
+          *source.shard(s)->matrix, objective, options);
     }
+    double total = 0;
+    for (const double v : setup.shard_importance[s]) total += v;
+    setup.shard_phi[s] = total;
   }
   partition::PartitionOptions popt = options.partition;
   if (!use_importance) popt.strategy = partition::Strategy::kShuffle;
@@ -104,113 +105,52 @@ Setup make_allreduce_setup(const sparse::CsrMatrix& data,
 
 }  // namespace fenced
 
-namespace {
-
-/// Fenced PS epoch loop shared by the in-memory and sharded entry points:
-/// per round one step per live executor in rank order, applied immediately.
-/// Simulated time is the fully serialized per-step cost — the fenced
-/// protocol serializes every step through the server, so costs add rather
-/// than overlap (this schedule is the determinism anchor, not the
-/// performance model; the event-clock engines remain the latter).
+/// Fenced PS epoch loop: per round one step per live executor in rank
+/// order, applied immediately. Simulated time is the fully serialized
+/// per-step cost — the fenced protocol serializes every step through the
+/// server, so costs add rather than overlap (this schedule is the
+/// determinism anchor, not the performance model; the event-clock engine
+/// remains the latter).
 ///
 /// This loop is also the crash-recovery mirror of the real process backend:
-/// executors (ranks) and walks (sample streams) are separate axes, tied
-/// together by the same plan_assignment the real controller runs at every
-/// fence. A scripted FaultScenario kills an executor at its round-robin
-/// turn after the scripted number of draws — exactly when the real server,
-/// whose liveness deadline expires at the dead rank's slot, stops applying
-/// its pushes — so a clean crash produces bit-identical models in both
-/// worlds.
-solvers::Trace run_ps_fenced_core(fenced::Setup& setup,
-                                  const objectives::Objective& objective,
-                                  std::size_t dim,
-                                  const solvers::SolverOptions& options,
-                                  const ClusterSpec& spec, bool use_importance,
-                                  const solvers::EvalFn& eval,
-                                  double setup_seconds, bool in_memory,
-                                  ParamServerReport* report,
-                                  solvers::TrainingObserver* observer) {
+/// the CrashRoster kills the scripted executor at its round-robin turn after
+/// the scripted number of draws — exactly when the real server, whose
+/// liveness deadline expires at the dead rank's slot, stops applying its
+/// pushes — so a clean crash produces bit-identical models in both worlds.
+solvers::Trace run_param_server_fenced(const data::DataSource& source,
+                                       const objectives::Objective& objective,
+                                       const solvers::SolverOptions& options,
+                                       const ClusterSpec& spec,
+                                       bool use_importance,
+                                       const solvers::EvalFn& eval,
+                                       ParamServerReport* report,
+                                       solvers::TrainingObserver* observer) {
+  spec.validate();
+  util::Stopwatch sw;
+  fenced::Setup setup = fenced::make_ps_setup(source, objective, options,
+                                              spec.nodes, use_importance);
   const std::size_t k = setup.k;
-  const FaultScenario& scenario = spec.fault;
-  if (scenario.enabled()) {
-    scenario.validate(k);
-    if (!in_memory) {
-      throw std::invalid_argument(
-          "FaultScenario: crash recovery needs in-memory node walks (a "
-          "sharded walk rewinds at begin_epoch, so an adopted walk cannot "
-          "be fast-forwarded to the server's applied-draw count)");
-    }
-  }
-  std::vector<double> w(dim, 0.0);
+  CrashRoster roster(spec.fault, spec.recovery.policy, setup.walk_quotas(),
+                     /*replayable_walks=*/setup.shard_phi.empty());
+  std::vector<double> w(source.dim(), 0.0);
   solvers::TraceRecorder recorder(use_importance ? "ps_is_asgd" : "ps_asgd", k,
                                   options.step_size, eval, observer);
   recorder.mark_simulated_time();
-  recorder.add_setup_seconds(setup_seconds);
+  recorder.add_setup_seconds(sw.seconds());
   recorder.record(0, 0.0, w);
 
   double sim_time = 0;
   std::size_t applied = 0, bytes = 0;
-  std::uint64_t crash_events = 0, rejoin_events = 0;
-  std::vector<char> alive(k, 1);
-  Assignment assign = identity_assignment(k);
-  std::vector<std::size_t> remaining(k, 0);  // per walk, this epoch
-  std::vector<std::size_t> cursor(k, 0);     // per executor, into assign[e]
   for (std::size_t epoch = 1;
        epoch <= options.epochs && !recorder.stop_requested(); ++epoch) {
-    if (scenario.enabled() && epoch == scenario.rejoin_epoch &&
-        !alive[scenario.crash_node]) {
-      alive[scenario.crash_node] = 1;
-      ++rejoin_events;
-      assign = plan_assignment(k, alive, spec.recovery.policy);
-    }
+    roster.begin_epoch(epoch);
     const double lambda = solvers::epoch_step(options, epoch);
-    std::size_t active_draws = 0;
-    for (std::size_t walk = 0; walk < k; ++walk) remaining[walk] = 0;
-    for (std::size_t e = 0; e < k; ++e) {
-      cursor[e] = 0;
-      if (!alive[e]) continue;
-      for (const std::uint32_t walk : assign[e]) {
-        setup.walks[walk].begin_epoch();
-        remaining[walk] = setup.walks[walk].epoch_quota();
-        active_draws += remaining[walk];
-      }
-    }
-    bool crashing = scenario.enabled() && epoch == scenario.crash_epoch &&
-                    alive[scenario.crash_node];
-    std::size_t crash_left = 0;
-    if (crashing) {
-      std::size_t node_quota = 0;
-      for (const std::uint32_t walk : assign[scenario.crash_node]) {
-        node_quota += remaining[walk];
-      }
-      crash_left = static_cast<std::size_t>(scenario.crash_fraction *
-                                            static_cast<double>(node_quota));
-    }
-    while (active_draws > 0) {
+    for (NodeWalk& walk : setup.walks) walk.begin_epoch();
+    while (roster.pending() > 0) {
       for (std::size_t e = 0; e < k; ++e) {
-        if (!alive[e]) continue;
-        while (cursor[e] < assign[e].size() &&
-               remaining[assign[e][cursor[e]]] == 0) {
-          ++cursor[e];
-        }
-        if (cursor[e] == assign[e].size()) continue;  // epoch quota drained
-        if (crashing && e == scenario.crash_node) {
-          if (crash_left == 0) {
-            // The executor dies at its turn; its unfinished epoch work is
-            // lost (the real server never reassigns mid-epoch).
-            alive[e] = 0;
-            ++crash_events;
-            for (const std::uint32_t walk : assign[e]) {
-              active_draws -= remaining[walk];
-              remaining[walk] = 0;
-            }
-            crashing = false;
-            continue;
-          }
-          --crash_left;
-        }
-        const std::uint32_t walk = assign[e][cursor[e]];
-        const NodeWalk::Sample s = setup.walks[walk].next();
+        const std::optional<std::uint32_t> walk = roster.take(e);
+        if (!walk) continue;
+        const NodeWalk::Sample s = setup.walks[*walk].next();
         const auto x = s.matrix->row(s.row);
         const auto idx = x.indices();
         const auto val = x.values();
@@ -222,8 +162,6 @@ solvers::Trace run_ps_fenced_core(fenced::Setup& setup,
             objective.gradient_scale(margin, s.matrix->label(s.row));
         fenced::apply_push(idx, val, gradient_scale, lambda * s.weight,
                            options.reg, w);
-        --remaining[walk];
-        --active_draws;
         const std::size_t nnz = idx.size();
         ++applied;
         bytes += nnz * spec.bytes_per_nnz;
@@ -232,9 +170,7 @@ solvers::Trace run_ps_fenced_core(fenced::Setup& setup,
                     spec.apply_seconds_per_nnz * static_cast<double>(nnz);
       }
     }
-    if (scenario.enabled()) {
-      assign = plan_assignment(k, alive, spec.recovery.policy);
-    }
+    roster.end_epoch();
     recorder.record(epoch, sim_time, w);
   }
 
@@ -246,149 +182,8 @@ solvers::Trace run_ps_fenced_core(fenced::Setup& setup,
     local.simulated_seconds = sim_time;
     local.phi_imbalance = setup.plan->imbalance();
     local.applied_strategy = setup.plan->applied_strategy();
-    local.crash_events = crash_events;
-    local.rejoin_events = rejoin_events;
-    if (report) *report = local;
-    if (observer) observer->on_diagnostics(local);
-  }
-  if (options.keep_final_model) recorder.set_final_model(w);
-  return std::move(recorder).finish(sim_time);
-}
-
-}  // namespace
-
-solvers::Trace run_param_server_fenced(const sparse::CsrMatrix& data,
-                                       const objectives::Objective& objective,
-                                       const solvers::SolverOptions& options,
-                                       const ClusterSpec& spec,
-                                       bool use_importance,
-                                       const solvers::EvalFn& eval,
-                                       ParamServerReport* report,
-                                       solvers::TrainingObserver* observer) {
-  spec.validate();
-  util::Stopwatch sw;
-  fenced::Setup setup =
-      fenced::make_ps_setup(data, objective, options, spec.nodes,
-                            use_importance);
-  return run_ps_fenced_core(setup, objective, data.dim(), options, spec,
-                            use_importance, eval, sw.seconds(),
-                            /*in_memory=*/true, report, observer);
-}
-
-solvers::Trace run_param_server_fenced_sharded(
-    const data::DataSource& source, const objectives::Objective& objective,
-    const solvers::SolverOptions& options, const ClusterSpec& spec,
-    bool use_importance, const solvers::EvalFn& eval,
-    ParamServerReport* report, solvers::TrainingObserver* observer) {
-  spec.validate();
-  util::Stopwatch sw;
-  fenced::Setup setup = fenced::make_ps_setup_sharded(
-      source, objective, options, spec.nodes, use_importance);
-  return run_ps_fenced_core(setup, objective, source.dim(), options, spec,
-                            use_importance, eval, sw.seconds(),
-                            /*in_memory=*/false, report, observer);
-}
-
-solvers::Trace run_allreduce_fenced(const sparse::CsrMatrix& data,
-                                    const objectives::Objective& objective,
-                                    const solvers::SolverOptions& options,
-                                    const ClusterSpec& spec,
-                                    bool use_importance,
-                                    const solvers::EvalFn& eval,
-                                    AllreduceReport* report,
-                                    solvers::TrainingObserver* observer) {
-  spec.validate();
-  if (spec.fault.enabled()) {
-    throw std::invalid_argument(
-        "run_allreduce_fenced: crash scenarios are implemented for the "
-        "parameter-server engines (the all-reduce schedule has no recovery "
-        "protocol)");
-  }
-  const std::size_t n = data.rows();
-  const std::size_t b = std::max<std::size_t>(1, options.batch_size);
-  std::vector<double> w(data.dim(), 0.0);
-  util::Stopwatch sw;
-  fenced::Setup setup = fenced::make_allreduce_setup(
-      data, objective, options, spec.nodes, use_importance);
-  const std::size_t k = setup.k;
-  solvers::TraceRecorder recorder(
-      use_importance ? "allreduce_is_sgd" : "allreduce_sgd", k,
-      options.step_size, eval, observer);
-  recorder.mark_simulated_time();
-  recorder.add_setup_seconds(sw.seconds());
-  recorder.record(0, 0.0, w);
-
-  // Per-node partial + global accumulator, both dense scratch with touched
-  // lists. The partial is computed per node and merged into the global in
-  // rank order — the exact reduction order the real reducer replays.
-  std::vector<double> partial(data.dim(), 0.0), accum(data.dim(), 0.0);
-  std::vector<std::uint32_t> ptouched, touched;
-  const double allreduce_seconds = spec.ring_allreduce_seconds(data.dim());
-  const double per_round_bytes =
-      k > 1 ? 2.0 * (static_cast<double>(k) - 1.0) / static_cast<double>(k) *
-                  static_cast<double>(data.dim()) *
-                  static_cast<double>(spec.bytes_per_dense_coord)
-            : 0.0;
-  const std::size_t rounds_per_epoch = (n + k * b - 1) / (k * b);
-  const double samples_per_round = static_cast<double>(k * b);
-
-  double sim_time = 0, comm_time = 0;
-  std::size_t rounds = 0;
-  sim::NodeClocks clocks(k);
-  for (std::size_t epoch = 1;
-       epoch <= options.epochs && !recorder.stop_requested(); ++epoch) {
-    const double lambda = solvers::epoch_step(options, epoch);
-    for (std::size_t r = 0; r < rounds_per_epoch; ++r, ++rounds) {
-      clocks.reset();
-      for (std::size_t a = 0; a < k; ++a) {
-        // Node a's local partial over its b-sample mini-batch.
-        for (std::size_t s = 0; s < b; ++s) {
-          const NodeWalk::Sample sample = setup.walks[a].next();
-          const auto x = sample.matrix->row(sample.row);
-          const auto idx = x.indices();
-          const auto val = x.values();
-          double margin = 0;
-          for (std::size_t j = 0; j < idx.size(); ++j) {
-            margin += w[idx[j]] * val[j];
-          }
-          const double g =
-              objective.gradient_scale(margin,
-                                       sample.matrix->label(sample.row)) *
-              sample.weight;
-          for (std::size_t j = 0; j < idx.size(); ++j) {
-            const std::size_t c = idx[j];
-            if (partial[c] == 0.0) ptouched.push_back(idx[j]);
-            partial[c] += g * val[j];
-          }
-          clocks.advance(a, spec.node_compute_seconds(a, idx.size()));
-        }
-        // Rank-order merge of the partial into the global accumulator.
-        for (const std::uint32_t c : ptouched) {
-          if (accum[c] == 0.0) touched.push_back(c);
-          accum[c] += partial[c];
-          partial[c] = 0.0;
-        }
-        ptouched.clear();
-      }
-      const double slowest = clocks.barrier();
-      sim_time += slowest + allreduce_seconds;
-      comm_time += allreduce_seconds;
-      const double step = lambda / samples_per_round;
-      for (const std::uint32_t c : touched) {
-        w[c] -= step * accum[c] + lambda * options.reg.subgradient(w[c]);
-        accum[c] = 0.0;
-      }
-      touched.clear();
-    }
-    recorder.record(epoch, sim_time, w);
-  }
-
-  if (report || observer) {
-    AllreduceReport local;
-    local.rounds = rounds;
-    local.bytes_per_node_per_round = per_round_bytes;
-    local.simulated_seconds = sim_time;
-    local.comm_fraction = sim_time > 0 ? comm_time / sim_time : 0;
+    local.crash_events = roster.crash_events();
+    local.rejoin_events = roster.rejoin_events();
     if (report) *report = local;
     if (observer) observer->on_diagnostics(local);
   }

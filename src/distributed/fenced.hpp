@@ -4,7 +4,9 @@
 // The event-clock engines (param_server.cpp / allreduce.cpp) let staleness
 // emerge from the cost model — realistic, but their apply order depends on
 // simulated message timing, which no real execution can reproduce bit for
-// bit. The fenced schedule removes timing from the semantics entirely:
+// bit. The fenced schedule removes timing from the semantics entirely (the
+// fenced all-reduce, run_allreduce_fenced in allreduce.hpp, shares its
+// event-clock twin's loop and differs only in summation order):
 //
 //   parameter server   per round, every node with epoch quota left takes
 //                      exactly one step in rank order (a = 0..k−1): draw a
@@ -40,34 +42,14 @@
 
 namespace isasgd::distributed {
 
-/// Fenced parameter-server run (in-memory). Same contract as
+/// Fenced parameter-server run. Same contract and source shapes as
 /// run_param_server; the trace's time axis is still simulated seconds
 /// (serialized per-step costs), and mean staleness is reported as 0.
 [[nodiscard]] solvers::Trace run_param_server_fenced(
-    const sparse::CsrMatrix& data, const objectives::Objective& objective,
-    const solvers::SolverOptions& options, const ClusterSpec& spec,
-    bool use_importance, const solvers::EvalFn& eval,
-    ParamServerReport* report = nullptr,
-    solvers::TrainingObserver* observer = nullptr);
-
-/// Fenced parameter-server run over a sharded DataSource (shard-major node
-/// walks, like run_param_server_sharded).
-[[nodiscard]] solvers::Trace run_param_server_fenced_sharded(
     const data::DataSource& source, const objectives::Objective& objective,
     const solvers::SolverOptions& options, const ClusterSpec& spec,
     bool use_importance, const solvers::EvalFn& eval,
     ParamServerReport* report = nullptr,
-    solvers::TrainingObserver* observer = nullptr);
-
-/// Fenced synchronous all-reduce run: identical arithmetic to
-/// run_allreduce_sgd except the global accumulator is built from per-node
-/// partials merged in rank order (the reduction order a real reducer can —
-/// and does — reproduce).
-[[nodiscard]] solvers::Trace run_allreduce_fenced(
-    const sparse::CsrMatrix& data, const objectives::Objective& objective,
-    const solvers::SolverOptions& options, const ClusterSpec& spec,
-    bool use_importance, const solvers::EvalFn& eval,
-    AllreduceReport* report = nullptr,
     solvers::TrainingObserver* observer = nullptr);
 
 namespace fenced {
@@ -97,20 +79,32 @@ struct Setup {
   std::vector<double> shard_phi;                      // sharded
   std::unique_ptr<partition::PartitionPlan> plan;
   std::vector<NodeWalk> walks;  // one per node, seeded
+
+  /// Each walk's draws per epoch, in walk order.
+  [[nodiscard]] std::vector<std::size_t> walk_quotas() const {
+    std::vector<std::size_t> quotas;
+    quotas.reserve(walks.size());
+    for (const NodeWalk& walk : walks) quotas.push_back(walk.epoch_quota());
+    return quotas;
+  }
 };
 
-/// Parameter-server setup over an in-memory matrix (seeds 0xc0de+a, shuffle
-/// seed ^0xd157 — the event engine's exact derivations).
+/// Parameter-server setup over an in-memory matrix: the Algorithm-4
+/// row-level partition (seeds 0xc0de+a, shuffle seed ^0xd157).
 [[nodiscard]] Setup make_ps_setup(const sparse::CsrMatrix& data,
                                   const objectives::Objective& objective,
                                   const solvers::SolverOptions& options,
                                   std::size_t nodes, bool use_importance);
 
-/// Parameter-server setup over a sharded source (whole-shard deal).
-[[nodiscard]] Setup make_ps_setup_sharded(
-    const data::DataSource& source, const objectives::Objective& objective,
-    const solvers::SolverOptions& options, std::size_t nodes,
-    bool use_importance);
+/// Parameter-server setup over any source. One shard is the in-memory case
+/// above over source.materialize(). More shards are dealt whole to nodes
+/// by the same balancing machinery with shard Φ totals as the importance
+/// values; per-shard importance comes from the source's row-stats sidecar
+/// when it has one (zero shard loads), else from one sequential pass.
+[[nodiscard]] Setup make_ps_setup(const data::DataSource& source,
+                                  const objectives::Objective& objective,
+                                  const solvers::SolverOptions& options,
+                                  std::size_t nodes, bool use_importance);
 
 /// All-reduce setup (seeds 0xa22d+a, shuffle seed ^0xa11d).
 [[nodiscard]] Setup make_allreduce_setup(

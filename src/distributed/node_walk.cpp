@@ -28,8 +28,8 @@ NodeWalk::NodeWalk(const data::DataSource& source,
     : use_importance_(use_importance),
       source_(&source),
       ordinals_(ordinals),
-      shard_importance_(&shard_importance),
-      shard_phi_(&shard_phi) {
+      shard_importance_(shard_importance),
+      shard_phi_(shard_phi) {
   rng_.reseed(seed);
   for (const std::uint32_t s : ordinals_) {
     quota_ += shard_importance[s].size();
@@ -47,12 +47,12 @@ void NodeWalk::enter_shard() {
   const std::size_t ordinal = ordinals_[pos_];
   resident_ = source_->shard(ordinal);
   if (pos_ + 1 < ordinals_.size()) source_->prefetch(ordinals_[pos_ + 1]);
-  const std::vector<double>& imp = (*shard_importance_)[ordinal];
+  const std::vector<double>& imp = shard_importance_[ordinal];
   const std::size_t local_n = imp.size();
   weight_.assign(local_n, 1.0);
   sampler_.reset();
   if (use_importance_ && local_n > 0) {
-    const double total = (*shard_phi_)[ordinal];
+    const double total = shard_phi_[ordinal];
     std::vector<double> prob(local_n);
     for (std::size_t i = 0; i < local_n; ++i) {
       prob[i] =

@@ -1,16 +1,17 @@
-// NodeWalk: one node's deterministic sample stream, shared verbatim by the
-// fenced-schedule simulator and the real worker processes.
+// NodeWalk: one node's deterministic sample stream, shared verbatim by every
+// distributed engine — the event-clock and fenced simulators and the real
+// worker processes.
 //
 // Bit-identity between the simulated and the real backend (the process
 // backend's correctness anchor — see ClusterSpec::Schedule) reduces to one
 // requirement: for a fixed seed, node a must draw the *same* sample
 // sequence with the *same* importance reweights in both worlds. Rather than
-// maintaining two copies of the sampling state machine and hoping they stay
-// in sync, both engines instantiate this one class: the alias-table
+// maintaining copies of the sampling state machine and hoping they stay in
+// sync, every engine instantiates this one class: the alias-table
 // construction, the RNG consumption pattern, the 1/(N·p) reweighting and
 // the shard-walk order live here and nowhere else.
 //
-// Two shapes, matching the two parameter-server engines:
+// Two shapes, matching the two source shapes fenced::make_ps_setup deals:
 //   - in-memory: the node owns one row-level shard of a PartitionPlan over
 //     a materialised matrix; a sample is a global row of that matrix.
 //   - sharded:   the node owns a list of whole DataSource shard ordinals
@@ -72,6 +73,13 @@ class NodeWalk {
   /// matrix pointer stays valid until the next call.
   [[nodiscard]] Sample next();
 
+  /// The shard the last next() drew from, for callers that hold a sample
+  /// past the next draw (an in-flight push pins its rows this way). Null on
+  /// in-memory walks, whose matrix outlives the walk.
+  [[nodiscard]] const data::ShardPtr& resident() const noexcept {
+    return resident_;
+  }
+
  private:
   void enter_shard();
 
@@ -90,8 +98,9 @@ class NodeWalk {
   // Sharded path.
   const data::DataSource* source_ = nullptr;
   std::span<const std::uint32_t> ordinals_;
-  const std::vector<std::vector<double>>* shard_importance_ = nullptr;
-  const std::vector<double>* shard_phi_ = nullptr;
+  // Spans into the caller's heap buffers, so the owner may be moved.
+  std::span<const std::vector<double>> shard_importance_;
+  std::span<const double> shard_phi_;
   data::ShardPtr resident_;
   std::size_t pos_ = 0;        // index into ordinals_
   std::size_t remaining_ = 0;  // draws left in the resident shard

@@ -1,17 +1,12 @@
 #include "distributed/param_server.hpp"
 
-#include <memory>
-#include <span>
-#include <stdexcept>
+#include <optional>
 #include <vector>
 
+#include "distributed/fenced.hpp"
 #include "distributed/recovery.hpp"
-#include "partition/partition.hpp"
-#include "sampling/alias_table.hpp"
 #include "sim/event_loop.hpp"
-#include "solvers/importance_weights.hpp"
 #include "solvers/schedule.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace isasgd::distributed {
@@ -22,12 +17,13 @@ enum class EventKind { kComputeDone, kApply };
 
 /// One scheduled event's payload. For kComputeDone it describes the gradient
 /// whose computation finishes now; for kApply the same payload lands in the
-/// server model. `shard` is null on the classic in-memory path (row is a
-/// global id into the full matrix) and pins the owning shard on the
-/// shard-major path (row is shard-local).
+/// server model. `shard` pins the sampled rows of a shard-major walk while
+/// the push is in flight (null on in-memory walks), so cache eviction can
+/// never invalidate a pending push.
 struct PsEvent {
   EventKind kind = EventKind::kComputeDone;
   std::size_t node = 0;
+  const sparse::CsrMatrix* matrix = nullptr;
   std::uint32_t row = 0;
   data::ShardPtr shard;
   double gradient_scale = 0;
@@ -35,30 +31,9 @@ struct PsEvent {
   std::size_t computed_after_applies = 0;  // applied-counter at compute start
 };
 
-/// Counters shared by both paths; the epilogue folds them into the report.
-struct PsCounters {
-  std::size_t applied = 0;
-  std::size_t messages = 0;
-  std::size_t bytes_sent = 0;
-  double staleness_sum = 0;
-};
-
-void fill_report(ParamServerReport* report, const PsCounters& c,
-                 double simulated_seconds,
-                 const partition::PartitionPlan& plan) {
-  if (!report) return;
-  report->mean_staleness_updates =
-      c.applied > 0 ? c.staleness_sum / static_cast<double>(c.applied) : 0;
-  report->messages = c.messages;
-  report->bytes_sent = c.bytes_sent;
-  report->simulated_seconds = simulated_seconds;
-  report->phi_imbalance = plan.imbalance();
-  report->applied_strategy = plan.applied_strategy();
-}
-
 }  // namespace
 
-solvers::Trace run_param_server(const sparse::CsrMatrix& data,
+solvers::Trace run_param_server(const data::DataSource& source,
                                 const objectives::Objective& objective,
                                 const solvers::SolverOptions& options,
                                 const ClusterSpec& spec, bool use_importance,
@@ -66,99 +41,43 @@ solvers::Trace run_param_server(const sparse::CsrMatrix& data,
                                 ParamServerReport* report,
                                 solvers::TrainingObserver* observer) {
   spec.validate();
-  const std::size_t n = data.rows();
-  const std::size_t k = std::min(spec.nodes, n);
-  const FaultScenario& scenario = spec.fault;
-  if (scenario.enabled()) scenario.validate(k);
-  std::vector<double> w(data.dim(), 0.0);
+
+  // ---- Partition across nodes (Algorithm 4 lines 2–11) ----
+  util::Stopwatch setup_clock;
+  fenced::Setup setup = fenced::make_ps_setup(source, objective, options,
+                                              spec.nodes, use_importance);
+  const std::size_t k = setup.k;
+  // Walks (sample streams over one shard) and executors (simulated
+  // processes) are separate axes, tied together by the roster's fence-time
+  // plan_assignment — the same re-planning the real controller and the
+  // fenced mirror run. A walk survives its home executor's crash; the
+  // adopting executor continues the stream.
+  CrashRoster roster(spec.fault, spec.recovery.policy, setup.walk_quotas(),
+                     /*replayable_walks=*/setup.shard_phi.empty());
+  std::vector<double> w(source.dim(), 0.0);
   solvers::TraceRecorder recorder(use_importance ? "ps_is_asgd" : "ps_asgd", k,
                                   options.step_size, eval, observer);
   recorder.mark_simulated_time();
-
-  // ---- Partition across nodes (Algorithm 4 lines 2–11) ----
-  util::Stopwatch setup;
-  const std::vector<double> importance =
-      solvers::detail::importance_weights(data, objective, options);
-  partition::PartitionOptions popt = options.partition;
-  if (!use_importance) popt.strategy = partition::Strategy::kShuffle;
-  popt.shuffle_seed = options.seed ^ 0xd157;
-  const partition::PartitionPlan plan(importance, k, popt);
-
-  // Walks (sample streams over one shard) and executors (simulated
-  // processes) are separate axes, tied together by the fence-time
-  // plan_assignment — the same re-planning the real controller and the
-  // fenced mirror run. Walk state (shard, sampler, RNG) survives its home
-  // executor's crash; the adopting executor continues the stream.
-  struct WalkState {
-    partition::Shard shard;
-    std::vector<double> weight;  // 1/(N_a·p_i) per local slot (unit if ASGD)
-    std::unique_ptr<sampling::AliasTable> sampler;  // null → uniform
-    util::Rng rng;
-    std::size_t quota = 0;  // computes remaining this epoch
-  };
-  std::vector<WalkState> walk(k);
-  for (std::size_t a = 0; a < k; ++a) {
-    walk[a].shard = plan.shard(a);
-    const std::size_t local_n = walk[a].shard.rows.size();
-    walk[a].weight.assign(local_n, 1.0);
-    if (use_importance) {
-      walk[a].sampler = std::make_unique<sampling::AliasTable>(
-          walk[a].shard.probabilities);
-      for (std::size_t s = 0; s < local_n; ++s) {
-        const double p = walk[a].shard.probabilities[s];
-        walk[a].weight[s] =
-            p > 0 ? 1.0 / (static_cast<double>(local_n) * p) : 1.0;
-      }
-    }
-    walk[a].rng.reseed(util::derive_seed(options.seed, 0xc0de + a));
-  }
-  std::vector<char> ex_alive(k, 1);
-  Assignment assign = identity_assignment(k);
-  std::vector<std::size_t> ex_cursor(k, 0);       // into assign[e]
-  std::vector<std::size_t> ex_outstanding(k, 0);  // unacked pushes in flight
-  std::vector<char> ex_stalled(k, 0);  // blocked on the flow-control window
-  std::uint64_t crash_events = 0, rejoin_events = 0;
-  recorder.add_setup_seconds(setup.seconds());
+  std::vector<std::size_t> outstanding(k, 0);  // unacked pushes in flight
+  std::vector<char> stalled(k, 0);  // blocked on the flow-control window
+  recorder.add_setup_seconds(setup_clock.seconds());
   recorder.record(0, 0.0, w);
 
   sim::EventLoop<PsEvent> loop;
-  PsCounters counters;
-  bool crashing = false;
-  std::size_t crash_left = 0;
+  std::size_t applied = 0, bytes = 0;
+  double staleness_sum = 0;
 
-  // Starts executor e's next gradient at simulated time `now`: picks its
-  // current walk (advancing past drained ones), reads the margin against
-  // the *current* server state (this is ŵ for every in-flight update) and
-  // schedules the compute-done event. No-op once the executor is dead or
-  // out of epoch quota; the scripted crash fires here, at the moment the
-  // executor would start one compute past its scripted allowance.
+  // Starts executor e's next gradient at simulated time `now`: draws from
+  // the walk the roster hands it, reads the margin against the *current*
+  // server state (this is ŵ for every in-flight update) and schedules the
+  // compute-done event. No-op once the executor is dead, out of epoch quota,
+  // or scripted to crash at this turn.
   auto start_compute = [&](std::size_t e, double now, double lambda) {
-    if (!ex_alive[e]) return;
-    while (ex_cursor[e] < assign[e].size() &&
-           walk[assign[e][ex_cursor[e]]].quota == 0) {
-      ++ex_cursor[e];
-    }
-    if (ex_cursor[e] == assign[e].size()) return;  // epoch done for e
-    if (crashing && e == scenario.crash_node) {
-      if (crash_left == 0) {
-        // The executor dies; its unfinished epoch quota is lost (in-flight
-        // pushes still land — they are already on the simulated wire).
-        ex_alive[e] = 0;
-        ++crash_events;
-        for (const std::uint32_t wlk : assign[e]) walk[wlk].quota = 0;
-        crashing = false;
-        return;
-      }
-      --crash_left;
-    }
-    WalkState& ws = walk[assign[e][ex_cursor[e]]];
-    const std::size_t local_n = ws.shard.rows.size();
-    const std::size_t slot =
-        ws.sampler ? ws.sampler->sample(ws.rng)
-                   : static_cast<std::size_t>(
-                         util::uniform_index(ws.rng, local_n));
-    const std::size_t i = ws.shard.rows[slot];
-    const auto x = data.row(i);
+    const std::optional<std::uint32_t> walk = roster.take(e);
+    if (!walk) return;
+    NodeWalk& nw = setup.walks[*walk];
+    const NodeWalk::Sample s = nw.next();
+    const auto x = s.matrix->row(s.row);
     const auto idx = x.indices();
     const auto val = x.values();
     double margin = 0;
@@ -167,299 +86,79 @@ solvers::Trace run_param_server(const sparse::CsrMatrix& data,
                   PsEvent{
                       .kind = EventKind::kComputeDone,
                       .node = e,
-                      .row = static_cast<std::uint32_t>(i),
-                      .gradient_scale =
-                          objective.gradient_scale(margin, data.label(i)),
-                      .scaled_step = lambda * ws.weight[slot],
-                      .computed_after_applies = counters.applied,
+                      .matrix = s.matrix,
+                      .row = s.row,
+                      .shard = nw.resident(),
+                      .gradient_scale = objective.gradient_scale(
+                          margin, s.matrix->label(s.row)),
+                      .scaled_step = lambda * s.weight,
+                      .computed_after_applies = applied,
                   });
-    --ws.quota;
   };
 
   for (std::size_t epoch = 1;
        epoch <= options.epochs && !recorder.stop_requested(); ++epoch) {
-    if (scenario.enabled() && epoch == scenario.rejoin_epoch &&
-        !ex_alive[scenario.crash_node]) {
-      ex_alive[scenario.crash_node] = 1;
-      ++rejoin_events;
-      assign = plan_assignment(k, ex_alive, spec.recovery.policy);
-    }
+    roster.begin_epoch(epoch);
     const double lambda = solvers::epoch_step(options, epoch);
-    for (std::size_t a = 0; a < k; ++a) walk[a].quota = 0;
+    for (NodeWalk& walk : setup.walks) walk.begin_epoch();
     for (std::size_t e = 0; e < k; ++e) {
-      ex_cursor[e] = 0;
-      ex_stalled[e] = 0;
-      if (!ex_alive[e]) continue;
-      for (const std::uint32_t wlk : assign[e]) {
-        walk[wlk].quota = walk[wlk].shard.rows.size();
-      }
+      stalled[e] = 0;
+      start_compute(e, loop.now(), lambda);
     }
-    crashing = scenario.enabled() && epoch == scenario.crash_epoch &&
-               ex_alive[scenario.crash_node];
-    if (crashing) {
-      std::size_t node_quota = 0;
-      for (const std::uint32_t wlk : assign[scenario.crash_node]) {
-        node_quota += walk[wlk].quota;
-      }
-      crash_left = static_cast<std::size_t>(scenario.crash_fraction *
-                                            static_cast<double>(node_quota));
-    }
-    for (std::size_t e = 0; e < k; ++e) start_compute(e, loop.now(), lambda);
     loop.drain([&](PsEvent ev) {
+      const auto x = ev.matrix->row(ev.row);
+      const std::size_t e = ev.node;
       if (ev.kind == EventKind::kComputeDone) {
         // Push goes on the wire; the executor pipelines into its next
         // gradient unless its flow-control window (max_outstanding_pushes)
         // is full, in which case it stalls until an ack frees a slot.
-        const std::size_t nnz = data.row(ev.row).indices().size();
+        const std::size_t nnz = x.indices().size();
         ev.kind = EventKind::kApply;
-        ++counters.messages;
-        counters.bytes_sent += nnz * spec.bytes_per_nnz;
-        const std::size_t e = ev.node;
-        // Left-associated sum, matching the pre-EventLoop arithmetic bit
-        // for bit (the frozen traces the tests pin depend on it).
+        bytes += nnz * spec.bytes_per_nnz;
+        // One arrival formula for every source shape, left-associated as
+        // (now + push) + apply: the pinned traces depend on it bit for bit.
         loop.schedule(loop.now() + spec.sparse_push_seconds(nnz) +
                           spec.apply_seconds_per_nnz *
                               static_cast<double>(nnz),
                       std::move(ev));
-        ++ex_outstanding[e];
-        if (ex_outstanding[e] < spec.max_outstanding_pushes) {
+        ++outstanding[e];
+        if (outstanding[e] < spec.max_outstanding_pushes) {
           start_compute(e, loop.now(), lambda);
         } else {
-          ex_stalled[e] = 1;
+          stalled[e] = 1;
         }
       } else {
-        const auto x = data.row(ev.row);
-        const auto idx = x.indices();
-        const auto val = x.values();
-        for (std::size_t j = 0; j < idx.size(); ++j) {
-          const std::size_t c = idx[j];
-          w[c] -= ev.scaled_step *
-                  (ev.gradient_scale * val[j] + options.reg.subgradient(w[c]));
-        }
-        counters.staleness_sum += static_cast<double>(
-            counters.applied - ev.computed_after_applies);
-        ++counters.applied;
+        fenced::apply_push(x.indices(), x.values(), ev.gradient_scale,
+                           ev.scaled_step, options.reg, w);
+        staleness_sum +=
+            static_cast<double>(applied - ev.computed_after_applies);
+        ++applied;
         // Ack returns after one more latency hop; a stalled worker resumes
         // then (the ack itself needs no event — the worker's next compute
         // simply starts at ack arrival).
-        const std::size_t e = ev.node;
-        --ex_outstanding[e];
-        if (ex_stalled[e]) {
-          ex_stalled[e] = 0;
+        --outstanding[e];
+        if (stalled[e]) {
+          stalled[e] = 0;
           start_compute(e, loop.now() + spec.latency_seconds, lambda);
         }
       }
     });
     // Queue drained = epoch fence: every push of the epoch has landed.
-    if (scenario.enabled()) {
-      assign = plan_assignment(k, ex_alive, spec.recovery.policy);
-    }
+    roster.end_epoch();
     recorder.record(epoch, loop.now(), w);
   }
 
   if (report || observer) {
     ParamServerReport local;
-    fill_report(&local, counters, loop.now(), plan);
-    local.crash_events = crash_events;
-    local.rejoin_events = rejoin_events;
-    if (report) *report = local;
-    if (observer) observer->on_diagnostics(local);
-  }
-  if (options.keep_final_model) recorder.set_final_model(w);
-  return std::move(recorder).finish(loop.now());
-}
-
-solvers::Trace run_param_server_sharded(
-    const data::DataSource& source, const objectives::Objective& objective,
-    const solvers::SolverOptions& options, const ClusterSpec& spec,
-    bool use_importance, const solvers::EvalFn& eval,
-    ParamServerReport* report, solvers::TrainingObserver* observer) {
-  spec.validate();
-  if (spec.fault.enabled()) {
-    throw std::invalid_argument(
-        "run_param_server_sharded: crash scenarios need in-memory node walks "
-        "(use run_param_server or the fenced engines; sharded walks rewind "
-        "their sample streams and cannot be replayed onto a survivor)");
-  }
-  const std::size_t shards = source.shard_count();
-  const std::size_t k = std::min(spec.nodes, shards);
-  std::vector<double> w(source.dim(), 0.0);
-  solvers::TraceRecorder recorder(use_importance ? "ps_is_asgd" : "ps_asgd", k,
-                                  options.step_size, eval, observer);
-  recorder.mark_simulated_time();
-
-  // ---- Setup: per-shard importance (from the pack sidecar when the source
-  // carries row stats — zero shard loads — else one sequential data pass),
-  // then deal whole shards to nodes with the Algorithm-4 balancing machinery
-  // applied at shard granularity (shard Φ totals play the role of L_i). ----
-  util::Stopwatch setup;
-  std::vector<std::vector<double>> shard_importance(shards);
-  std::vector<double> shard_phi(shards);
-  const data::RowStats* stats = source.row_stats();
-  if (stats != nullptr && solvers::detail::stats_feed_importance(options)) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      shard_importance[s] = solvers::detail::importance_weights_from_stats(
-          *stats, source.shard_begin(s), source.shard_rows(s), objective,
-          options);
-      double total = 0;
-      for (double v : shard_importance[s]) total += v;
-      shard_phi[s] = total;
-    }
-  } else {
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (s + 1 < shards) source.prefetch(s + 1);
-      const data::ShardPtr shard = source.shard(s);
-      shard_importance[s] = solvers::detail::importance_weights(
-          *shard->matrix, objective, options);
-      double total = 0;
-      for (double v : shard_importance[s]) total += v;
-      shard_phi[s] = total;
-    }
-  }
-  partition::PartitionOptions popt = options.partition;
-  if (!use_importance) popt.strategy = partition::Strategy::kShuffle;
-  popt.shuffle_seed = options.seed ^ 0xd157;
-  const partition::PartitionPlan plan(shard_phi, k, popt);
-
-  struct NodeState {
-    std::span<const std::uint32_t> shards;  // assigned shard ordinals
-    std::size_t pos = 0;                    // current position in `shards`
-    data::ShardPtr shard;                   // resident current shard
-    std::vector<double> weight;  // 1/(N_s·p_i) per local row (unit if ASGD)
-    std::unique_ptr<sampling::AliasTable> sampler;  // null → uniform
-    util::Rng rng;
-    std::size_t quota = 0;        // computes remaining in the current shard
-    std::size_t outstanding = 0;  // unacknowledged pushes in flight
-    bool stalled = false;         // blocked on the flow-control window
-  };
-  std::vector<NodeState> node(k);
-  for (std::size_t a = 0; a < k; ++a) {
-    node[a].shards = plan.shard(a).rows;
-    node[a].rng.reseed(util::derive_seed(options.seed, 0xc0de + a));
-  }
-  recorder.add_setup_seconds(setup.seconds());
-  recorder.record(0, 0.0, w);
-
-  sim::EventLoop<PsEvent> loop;
-  PsCounters counters;
-
-  // Makes node a's shard at `pos` resident and rebuilds its local sampler +
-  // IS step weights (the shard-local Eq. 12 law). Prefetches the node's
-  // next shard so the walk pipelines against I/O.
-  auto enter_shard = [&](std::size_t a) {
-    NodeState& ns = node[a];
-    const std::size_t ordinal = ns.shards[ns.pos];
-    ns.shard = source.shard(ordinal);
-    if (ns.pos + 1 < ns.shards.size()) source.prefetch(ns.shards[ns.pos + 1]);
-    const std::vector<double>& imp = shard_importance[ordinal];
-    const std::size_t local_n = imp.size();
-    ns.weight.assign(local_n, 1.0);
-    ns.sampler.reset();
-    if (use_importance && local_n > 0) {
-      const double total = shard_phi[ordinal];
-      std::vector<double> prob(local_n);
-      for (std::size_t i = 0; i < local_n; ++i) {
-        prob[i] = total > 0 ? imp[i] / total
-                            : 1.0 / static_cast<double>(local_n);
-      }
-      ns.sampler = std::make_unique<sampling::AliasTable>(prob);
-      for (std::size_t i = 0; i < local_n; ++i) {
-        ns.weight[i] = prob[i] > 0
-                           ? 1.0 / (static_cast<double>(local_n) * prob[i])
-                           : 1.0;
-      }
-    }
-    ns.quota = local_n;
-  };
-
-  // Starts node a's next gradient, advancing to its next shard when the
-  // current one's quota is exhausted. Returns without scheduling when the
-  // node has finished its epoch.
-  auto start_compute = [&](std::size_t a, double now, double lambda) {
-    NodeState& ns = node[a];
-    while (ns.quota == 0) {
-      if (ns.pos + 1 >= ns.shards.size()) return;  // epoch done for a
-      ++ns.pos;
-      enter_shard(a);
-    }
-    const std::size_t local_n = ns.weight.size();
-    const std::size_t slot =
-        ns.sampler ? ns.sampler->sample(ns.rng)
-                   : static_cast<std::size_t>(
-                         util::uniform_index(ns.rng, local_n));
-    const sparse::CsrMatrix& rows = *ns.shard->matrix;
-    const auto x = rows.row(slot);
-    const auto idx = x.indices();
-    const auto val = x.values();
-    double margin = 0;
-    for (std::size_t j = 0; j < idx.size(); ++j) margin += w[idx[j]] * val[j];
-    loop.schedule(now + spec.node_compute_seconds(a, idx.size()),
-                  PsEvent{
-                      .kind = EventKind::kComputeDone,
-                      .node = a,
-                      .row = static_cast<std::uint32_t>(slot),
-                      .shard = ns.shard,
-                      .gradient_scale =
-                          objective.gradient_scale(margin, rows.label(slot)),
-                      .scaled_step = lambda * ns.weight[slot],
-                      .computed_after_applies = counters.applied,
-                  });
-    --ns.quota;
-  };
-
-  for (std::size_t epoch = 1;
-       epoch <= options.epochs && !recorder.stop_requested(); ++epoch) {
-    const double lambda = solvers::epoch_step(options, epoch);
-    for (std::size_t a = 0; a < k; ++a) {
-      node[a].pos = 0;
-      enter_shard(a);
-      start_compute(a, loop.now(), lambda);
-    }
-    loop.drain([&](PsEvent ev) {
-      if (ev.kind == EventKind::kComputeDone) {
-        const std::size_t nnz =
-            ev.shard->matrix->row(ev.row).indices().size();
-        NodeState& ns = node[ev.node];
-        const std::size_t a = ev.node;
-        ev.kind = EventKind::kApply;
-        ++counters.messages;
-        counters.bytes_sent += nnz * spec.bytes_per_nnz;
-        loop.schedule_after(
-            spec.sparse_push_seconds(nnz) +
-                spec.apply_seconds_per_nnz * static_cast<double>(nnz),
-            std::move(ev));
-        ++ns.outstanding;
-        if (ns.outstanding < spec.max_outstanding_pushes) {
-          start_compute(a, loop.now(), lambda);
-        } else {
-          ns.stalled = true;
-        }
-      } else {
-        const auto x = ev.shard->matrix->row(ev.row);
-        const auto idx = x.indices();
-        const auto val = x.values();
-        for (std::size_t j = 0; j < idx.size(); ++j) {
-          const std::size_t c = idx[j];
-          w[c] -= ev.scaled_step *
-                  (ev.gradient_scale * val[j] + options.reg.subgradient(w[c]));
-        }
-        counters.staleness_sum += static_cast<double>(
-            counters.applied - ev.computed_after_applies);
-        ++counters.applied;
-        NodeState& ns = node[ev.node];
-        --ns.outstanding;
-        if (ns.stalled) {
-          ns.stalled = false;
-          start_compute(ev.node, loop.now() + spec.latency_seconds, lambda);
-        }
-      }
-    });
-    recorder.record(epoch, loop.now(), w);
-  }
-
-  if (report || observer) {
-    ParamServerReport local;
-    fill_report(&local, counters, loop.now(), plan);
+    local.mean_staleness_updates =
+        applied > 0 ? staleness_sum / static_cast<double>(applied) : 0;
+    local.messages = applied;  // every push lands before its epoch's fence
+    local.bytes_sent = bytes;
+    local.simulated_seconds = loop.now();
+    local.phi_imbalance = setup.plan->imbalance();
+    local.applied_strategy = setup.plan->applied_strategy();
+    local.crash_events = roster.crash_events();
+    local.rejoin_events = roster.rejoin_events();
     if (report) *report = local;
     if (observer) observer->on_diagnostics(local);
   }

@@ -30,7 +30,6 @@
 #include "solvers/observer.hpp"
 #include "solvers/options.hpp"
 #include "solvers/trace.hpp"
-#include "sparse/csr_matrix.hpp"
 
 namespace isasgd::distributed {
 
@@ -65,26 +64,18 @@ struct ParamServerReport {
 /// Eq. 12 distribution with 1/(N_a·p_i) reweighting (Algorithm 4 lines
 /// 10–15) and the partition honours `options.partition`; with it false,
 /// nodes sample uniformly (distributed ASGD baseline) over a shuffled split.
+///
+/// The source's shape picks the partition (fenced::make_ps_setup): a
+/// single-shard source (e.g. data::InMemorySource over a matrix) is split
+/// row by row; a multi-shard source is dealt to nodes in whole shards, so a
+/// streaming source feeds the cluster shard by shard without materialising
+/// one full matrix. Either way every draw goes through the node's NodeWalk.
+/// A scripted `spec.fault` crash needs the single-shard shape.
+///
 /// The Trace's time axis is simulated seconds. `observer` (optional)
 /// receives per-epoch points, may stop the run at an epoch fence, and gets
 /// the ParamServerReport via on_diagnostics.
 [[nodiscard]] solvers::Trace run_param_server(
-    const sparse::CsrMatrix& data, const objectives::Objective& objective,
-    const solvers::SolverOptions& options, const ClusterSpec& spec,
-    bool use_importance, const solvers::EvalFn& eval,
-    ParamServerReport* report = nullptr,
-    solvers::TrainingObserver* observer = nullptr);
-
-/// Shard-major variant: node shards are whole data::DataSource partitions
-/// instead of individual rows, so a streaming source can feed the simulated
-/// cluster shard-by-shard without materialising one full matrix. Shards are
-/// dealt to nodes by the Algorithm-4 balancing machinery applied at shard
-/// granularity (shard Φ totals as the importance values); each node then
-/// walks its shards in assigned order, sampling within the resident shard
-/// by the local Eq. 12 law (or uniformly when `use_importance` is false).
-/// In-flight updates pin their shard via ShardPtr, so cache eviction can
-/// never invalidate a pending push.
-[[nodiscard]] solvers::Trace run_param_server_sharded(
     const data::DataSource& source, const objectives::Objective& objective,
     const solvers::SolverOptions& options, const ClusterSpec& spec,
     bool use_importance, const solvers::EvalFn& eval,

@@ -108,6 +108,25 @@ class Unpacker {
     raw(&v, sizeof(v));
     return v;
   }
+  /// Reads an element count (the wire's u32, or `Count` where a frame
+  /// carries a wider one) and checks that the rest of the payload can hold
+  /// that many elements of `elem_bytes` each, so a corrupt or hostile count
+  /// is a typed protocol error before anyone sizes a buffer by it.
+  template <class Count = std::uint32_t>
+  [[nodiscard]] Count count(std::size_t elem_bytes) {
+    Count n = 0;
+    raw(&n, sizeof(n));
+    const std::size_t left = buf_.size() - off_;
+    if (elem_bytes > 0 && n > left / elem_bytes) {
+      throw net::TransportError(
+          net::TransportError::Kind::kProtocol,
+          "count " + std::to_string(n) + " of " + std::to_string(elem_bytes) +
+              "-byte elements exceeds the " + std::to_string(left) +
+              " payload bytes left");
+    }
+    return n;
+  }
+
   void raw(void* out, std::size_t size) {
     if (buf_.size() - off_ < size) {
       throw net::TransportError(

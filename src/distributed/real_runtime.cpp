@@ -152,6 +152,25 @@ void send_hello(net::Endpoint& ep, std::uint32_t role, std::uint32_t rank,
   net::write_frame(ep, wire::kHello, p.view());
 }
 
+/// Reads one model coordinate; an index past the model is a typed protocol
+/// error, never an out-of-bounds access.
+std::uint32_t read_coordinate(wire::Unpacker& u, std::size_t dim) {
+  const std::uint32_t c = u.u32();
+  if (c >= dim) {
+    throw net::TransportError(net::TransportError::Kind::kProtocol,
+                              "coordinate " + std::to_string(c) +
+                                  " out of range (dim " + std::to_string(dim) +
+                                  ")");
+  }
+  return c;
+}
+
+/// Wire sizes of the repeated elements the count sites bound.
+constexpr std::size_t kGoEntryBytes =
+    sizeof(std::uint32_t) + sizeof(std::uint64_t);  // (walk, ff)
+constexpr std::size_t kCoordValueBytes =
+    sizeof(std::uint32_t) + sizeof(double);  // (idx, val)
+
 // ---- Fault-tolerant PS wire client ------------------------------------------
 
 /// One (walk, fast-forward) assignment entry of a kEpochGo.
@@ -242,7 +261,7 @@ class PsClient {
     EpochGo go;
     go.cont = u.u32() != 0;
     go.next_epoch = u.u32();
-    const std::uint32_t nwalks = u.u32();
+    const std::uint32_t nwalks = u.count(kGoEntryBytes);
     go.assign.resize(nwalks);
     for (GoEntry& e : go.assign) {
       e.walk = u.u32();
@@ -551,10 +570,12 @@ class PsServer {
       }
       switch (f.type) {
         case wire::kStep: {
-          const std::uint32_t ncols = u.u32();
+          const std::uint32_t ncols = u.count(sizeof(std::uint32_t));
           wire::Packer reply;
           reply.u64(seq);
-          for (std::uint32_t j = 0; j < ncols; ++j) reply.f64(w_[u.u32()]);
+          for (std::uint32_t j = 0; j < ncols; ++j) {
+            reply.f64(w_[read_coordinate(u, w_.size())]);
+          }
           rs.last_seq = seq;
           reply_cached(rs, wire::kStepReply, std::move(reply).take());
           continue;  // the step's push is still owed in this slot
@@ -563,7 +584,7 @@ class PsServer {
           const std::uint32_t walk = u.u32();
           const double gradient_scale = u.f64();
           const double scaled_step = u.f64();
-          const std::uint32_t nnz = u.u32();
+          const std::uint32_t nnz = u.count(kCoordValueBytes);
           if (walk >= k_) {
             throw net::TransportError(
                 net::TransportError::Kind::kProtocol,
@@ -573,7 +594,7 @@ class PsServer {
           idx_.resize(nnz);
           val_.resize(nnz);
           for (std::uint32_t j = 0; j < nnz; ++j) {
-            idx_[j] = u.u32();
+            idx_[j] = read_coordinate(u, w_.size());
             val_[j] = u.f64();
           }
           fenced::apply_push(idx_, val_, gradient_scale, scaled_step,
@@ -716,7 +737,8 @@ class PsServer {
         net::expect_frame(*controller_, wire::kFenceReply, "fence reply");
     wire::Unpacker u(reply.payload);
     const bool cont = u.u32() != 0;
-    const std::uint32_t nranks = u.u32();
+    // Per rank at least (alive, nwalks), then nwalks (walk, ff) entries.
+    const std::uint32_t nranks = u.count(2 * sizeof(std::uint32_t));
     if (nranks != k_) {
       throw net::TransportError(
           net::TransportError::Kind::kProtocol,
@@ -727,7 +749,7 @@ class PsServer {
     std::vector<std::vector<GoEntry>> assign(k_);
     for (std::size_t r = 0; r < k_; ++r) {
       alive_next[r] = static_cast<char>(u.u32());
-      const std::uint32_t nwalks = u.u32();
+      const std::uint32_t nwalks = u.count(kGoEntryBytes);
       assign[r].resize(nwalks);
       for (GoEntry& e : assign[r]) {
         e.walk = u.u32();
@@ -936,9 +958,9 @@ void allreduce_server_main(int addr_fd, const std::string& bind,
         const net::Frame f =
             net::expect_frame(*group.worker[a], wire::kReduce, "reduce");
         wire::Unpacker u(f.payload);
-        const std::uint32_t count = u.u32();
+        const std::uint32_t count = u.count(kCoordValueBytes);
         for (std::uint32_t j = 0; j < count; ++j) {
-          const std::uint32_t c = u.u32();
+          const std::uint32_t c = read_coordinate(u, dim);
           const double v = u.f64();
           if (accum[c] == 0.0) touched.push_back(c);
           accum[c] += v;
@@ -1010,9 +1032,9 @@ void allreduce_worker_main(const std::string& address, std::size_t rank,
       const net::Frame delta =
           net::expect_frame(*ep, wire::kModelDelta, "model delta");
       wire::Unpacker u(delta.payload);
-      const std::uint32_t count = u.u32();
+      const std::uint32_t count = u.count(kCoordValueBytes);
       for (std::uint32_t j = 0; j < count; ++j) {
-        const std::uint32_t c = u.u32();
+        const std::uint32_t c = read_coordinate(u, dim);
         w[c] = u.f64();  // assignment: replica stays bit-exact
       }
     }
@@ -1042,13 +1064,13 @@ FencePoint read_fence(net::Endpoint& ep) {
   point.c1 = u.u64();
   point.c2 = u.u64();
   point.retries = u.u64();
-  const std::uint32_t nranks = u.u32();
+  const std::uint32_t nranks = u.count(sizeof(std::uint32_t));
   point.alive.resize(nranks);
   for (char& a : point.alive) a = static_cast<char>(u.u32());
-  const std::uint32_t nwalks = u.u32();
+  const std::uint32_t nwalks = u.count(sizeof(std::uint64_t));
   point.draws.resize(nwalks);
   for (std::uint64_t& d : point.draws) d = u.u64();
-  const std::uint64_t dim = u.u64();
+  const std::uint64_t dim = u.count<std::uint64_t>(sizeof(double));
   point.w.resize(dim);
   u.raw(point.w.data(), dim * sizeof(double));
   return point;

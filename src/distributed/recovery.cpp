@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace isasgd::distributed {
 
@@ -79,6 +80,87 @@ Assignment plan_assignment(std::size_t k, const std::vector<char>& alive,
     a[best].push_back(w);
   }
   return a;
+}
+
+CrashRoster::CrashRoster(const FaultScenario& scenario, RecoveryPolicy policy,
+                         std::vector<std::size_t> walk_quota,
+                         bool replayable_walks)
+    : scenario_(scenario),
+      policy_(policy),
+      quota_(std::move(walk_quota)),
+      alive_(quota_.size(), 1),
+      assign_(identity_assignment(quota_.size())),
+      cursor_(quota_.size(), 0),
+      remaining_(quota_.size(), 0) {
+  if (!scenario_.enabled()) return;
+  scenario_.validate(quota_.size());
+  if (!replayable_walks) {
+    throw std::invalid_argument(
+        "FaultScenario: crash recovery needs in-memory node walks (a "
+        "sharded walk rewinds at begin_epoch, so an adopted walk cannot "
+        "be fast-forwarded to the server's applied-draw count)");
+  }
+}
+
+void CrashRoster::begin_epoch(std::size_t epoch) {
+  const std::size_t k = quota_.size();
+  if (scenario_.enabled() && epoch == scenario_.rejoin_epoch &&
+      !alive_[scenario_.crash_node]) {
+    alive_[scenario_.crash_node] = 1;
+    ++rejoin_events_;
+    assign_ = plan_assignment(k, alive_, policy_);
+  }
+  std::fill(remaining_.begin(), remaining_.end(), 0);
+  pending_ = 0;
+  for (std::size_t e = 0; e < k; ++e) {
+    cursor_[e] = 0;
+    if (!alive_[e]) continue;
+    for (const std::uint32_t walk : assign_[e]) {
+      remaining_[walk] = quota_[walk];
+      pending_ += quota_[walk];
+    }
+  }
+  crashing_ = scenario_.enabled() && epoch == scenario_.crash_epoch &&
+              alive_[scenario_.crash_node];
+  if (crashing_) {
+    std::size_t node_quota = 0;
+    for (const std::uint32_t walk : assign_[scenario_.crash_node]) {
+      node_quota += remaining_[walk];
+    }
+    draws_before_crash_ = static_cast<std::size_t>(
+        scenario_.crash_fraction * static_cast<double>(node_quota));
+  }
+}
+
+std::optional<std::uint32_t> CrashRoster::take(std::size_t e) {
+  if (!alive_[e]) return std::nullopt;
+  const std::vector<std::uint32_t>& walks = assign_[e];
+  std::size_t& cursor = cursor_[e];
+  while (cursor < walks.size() && remaining_[walks[cursor]] == 0) ++cursor;
+  if (cursor == walks.size()) return std::nullopt;  // epoch quota drained
+  if (crashing_ && e == scenario_.crash_node) {
+    if (draws_before_crash_ == 0) {
+      alive_[e] = 0;
+      ++crash_events_;
+      for (const std::uint32_t walk : walks) {
+        pending_ -= remaining_[walk];
+        remaining_[walk] = 0;
+      }
+      crashing_ = false;
+      return std::nullopt;
+    }
+    --draws_before_crash_;
+  }
+  const std::uint32_t walk = walks[cursor];
+  --remaining_[walk];
+  --pending_;
+  return walk;
+}
+
+void CrashRoster::end_epoch() {
+  if (scenario_.enabled()) {
+    assign_ = plan_assignment(quota_.size(), alive_, policy_);
+  }
 }
 
 }  // namespace isasgd::distributed

@@ -13,11 +13,13 @@
 // plan_assignment is the ONE implementation of that re-planning, shared by
 // the real controller and the sim.* mirrors so a clean scripted crash
 // produces the same assignment history (hence the same model bits) in both
-// worlds.
+// worlds. CrashRoster is the ONE implementation of the scripted crash the
+// simulators replay around it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace isasgd::distributed {
@@ -104,5 +106,62 @@ using Assignment = std::vector<std::vector<std::uint32_t>>;
 
 /// The all-alive assignment: walk r to rank r.
 [[nodiscard]] Assignment identity_assignment(std::size_t k);
+
+/// The scripted-crash roster both parameter-server simulators run: which
+/// executors (ranks) are alive, which walks each executes this epoch (the
+/// fence-time plan_assignment), how many draws every walk has left, and the
+/// FaultScenario's crash countdown and rejoin. The simulators only decide
+/// *when* an executor asks for work (round-robin turns or simulated-time
+/// events); what it gets is decided here, once.
+///
+/// The crash is replayed exactly where the real server observes it: the
+/// scripted executor dies at the turn on which it would start one draw past
+/// crash_fraction of its epoch quota. Its unfinished quota is lost (the
+/// real server never reassigns mid-epoch); at the next fence its walks are
+/// re-planned by plan_assignment.
+class CrashRoster {
+ public:
+  /// `walk_quota[w]` is walk w's draws per epoch; there is one walk per
+  /// executor. A scripted crash needs `replayable_walks` (in-memory walks
+  /// an adopter can fast-forward); throws std::invalid_argument otherwise,
+  /// or when the scenario does not fit the executor count.
+  CrashRoster(const FaultScenario& scenario, RecoveryPolicy policy,
+              std::vector<std::size_t> walk_quota, bool replayable_walks);
+
+  /// Opens `epoch` (1-based): admits a scripted rejoin, refills the quota
+  /// of every walk an alive executor holds, and arms the crash countdown.
+  void begin_epoch(std::size_t epoch);
+
+  /// Consumes one draw for executor e and returns the walk it draws from,
+  /// or nothing when e is dead, has drained its walks for the epoch, or
+  /// dies at this turn.
+  [[nodiscard]] std::optional<std::uint32_t> take(std::size_t e);
+
+  /// Epoch fence: re-plans the assignment when a scenario is active.
+  void end_epoch();
+
+  /// Draws left this epoch across all alive executors.
+  [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
+  [[nodiscard]] std::uint64_t crash_events() const noexcept {
+    return crash_events_;
+  }
+  [[nodiscard]] std::uint64_t rejoin_events() const noexcept {
+    return rejoin_events_;
+  }
+
+ private:
+  FaultScenario scenario_;
+  RecoveryPolicy policy_;
+  std::vector<std::size_t> quota_;
+  std::vector<char> alive_;
+  Assignment assign_;
+  std::vector<std::size_t> cursor_;     // per executor, into assign_[e]
+  std::vector<std::size_t> remaining_;  // per walk, this epoch
+  std::size_t pending_ = 0;
+  bool crashing_ = false;
+  std::size_t draws_before_crash_ = 0;  // left to the crashing executor
+  std::uint64_t crash_events_ = 0;
+  std::uint64_t rejoin_events_ = 0;
+};
 
 }  // namespace isasgd::distributed

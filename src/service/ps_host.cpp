@@ -76,7 +76,7 @@ void PsHost::serve_connection(net::Endpoint& ep) {
         break;  // identification only; no reply in the wire map
       case wire::kStep: {
         wire::Unpacker in(frame.payload);
-        const std::uint64_t ncols = in.u64();
+        const auto ncols = in.count<std::uint64_t>(sizeof(std::uint32_t));
         wire::Packer out;
         {
           std::lock_guard lock(model_mu_);
@@ -92,7 +92,8 @@ void PsHost::serve_connection(net::Endpoint& ep) {
         wire::Unpacker in(frame.payload);
         const double gradient_scale = in.f64();
         const double scaled_step = in.f64();
-        const std::uint64_t nnz = in.u64();
+        const auto nnz =
+            in.count<std::uint64_t>(sizeof(std::uint32_t) + sizeof(double));
         std::vector<std::uint32_t> idx(nnz);
         std::vector<double> val(nnz);
         for (std::uint64_t j = 0; j < nnz; ++j) {

@@ -59,11 +59,11 @@ TEST(FencedPs, SameSeedIsBitIdenticalAcrossRuns) {
   const auto opt = base_options();
   const auto spec = fenced_spec();
   const solvers::Trace a = run_param_server_fenced(
-      fx.data, fx.loss, opt, spec, /*use_importance=*/true,
-      fx.evaluator.as_fn());
+      data::InMemorySource(fx.data), fx.loss, opt, spec,
+      /*use_importance=*/true, fx.evaluator.as_fn());
   const solvers::Trace b = run_param_server_fenced(
-      fx.data, fx.loss, opt, spec, /*use_importance=*/true,
-      fx.evaluator.as_fn());
+      data::InMemorySource(fx.data), fx.loss, opt, spec,
+      /*use_importance=*/true, fx.evaluator.as_fn());
   ASSERT_EQ(a.final_model.size(), b.final_model.size());
   for (std::size_t j = 0; j < a.final_model.size(); ++j) {
     ASSERT_EQ(a.final_model[j], b.final_model[j]) << "coordinate " << j;
@@ -75,10 +75,12 @@ TEST(FencedPs, DifferentSeedsDiverge) {
   auto opt = base_options();
   const auto spec = fenced_spec();
   const solvers::Trace a = run_param_server_fenced(
-      fx.data, fx.loss, opt, spec, true, fx.evaluator.as_fn());
+      data::InMemorySource(fx.data), fx.loss, opt, spec, true,
+      fx.evaluator.as_fn());
   opt.seed = 43;
   const solvers::Trace b = run_param_server_fenced(
-      fx.data, fx.loss, opt, spec, true, fx.evaluator.as_fn());
+      data::InMemorySource(fx.data), fx.loss, opt, spec, true,
+      fx.evaluator.as_fn());
   EXPECT_NE(a.final_model, b.final_model);
 }
 
@@ -88,8 +90,8 @@ TEST(FencedPs, ConvergesAndReportsZeroStaleness) {
   opt.epochs = 8;
   ParamServerReport report;
   const solvers::Trace trace = run_param_server_fenced(
-      fx.data, fx.loss, opt, fenced_spec(), /*use_importance=*/true,
-      fx.evaluator.as_fn(), &report);
+      data::InMemorySource(fx.data), fx.loss, opt, fenced_spec(),
+      /*use_importance=*/true, fx.evaluator.as_fn(), &report);
   ASSERT_GE(trace.points.size(), 2u);
   EXPECT_LT(trace.points.back().objective, trace.points.front().objective);
   // Fenced semantics: every gradient is computed against the model it is
@@ -107,9 +109,9 @@ TEST(FencedPs, ShardedSourceMatchesDeterministically) {
                         1);
   const auto opt = base_options();
   const auto spec = fenced_spec();
-  const solvers::Trace a = run_param_server_fenced_sharded(
+  const solvers::Trace a = run_param_server_fenced(
       chunked, fx.loss, opt, spec, /*use_importance=*/true, ev.as_fn());
-  const solvers::Trace b = run_param_server_fenced_sharded(
+  const solvers::Trace b = run_param_server_fenced(
       chunked, fx.loss, opt, spec, /*use_importance=*/true, ev.as_fn());
   ASSERT_FALSE(a.final_model.empty());
   EXPECT_EQ(a.final_model, b.final_model);
@@ -150,7 +152,8 @@ TEST(FencedPs, RegistryDispatchesFencedScheduleThroughTrainer) {
   metrics::Evaluator ev(fx.data, fx.loss, objectives::Regularization::none(),
                         1);
   const solvers::Trace direct = run_param_server_fenced(
-      fx.data, fx.loss, opt, spec, /*use_importance=*/true, ev.as_fn());
+      data::InMemorySource(fx.data), fx.loss, opt, spec,
+      /*use_importance=*/true, ev.as_fn());
   EXPECT_EQ(via_trainer.final_model, direct.final_model);
 }
 

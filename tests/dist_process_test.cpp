@@ -10,6 +10,7 @@
 
 #include "core/trainer.hpp"
 #include "sparse/csr_builder.hpp"
+#include "data/data_source.hpp"
 #include "data/synthetic.hpp"
 #include "distributed/cluster.hpp"
 #include "distributed/fenced.hpp"
@@ -85,8 +86,8 @@ TEST_P(PsProcessSuite, IsAsgdMatchesFencedSimulatorBitForBit) {
       fx.evaluator.as_fn(), &real_report);
   spec.backend = Backend::kSimulate;
   const solvers::Trace sim = run_param_server_fenced(
-      fx.data, fx.loss, opt, spec, /*use_importance=*/true,
-      fx.evaluator.as_fn());
+      data::InMemorySource(fx.data), fx.loss, opt, spec,
+      /*use_importance=*/true, fx.evaluator.as_fn());
   expect_bit_identical(real, sim, "ps_is_asgd");
   // 2 nodes × 3 epochs over 300 rows: every sample became one push.
   EXPECT_EQ(real_report.messages, 3u * fx.data.rows());
@@ -102,8 +103,8 @@ TEST_P(PsProcessSuite, AsgdUniformMatchesFencedSimulatorBitForBit) {
       fx.evaluator.as_fn());
   spec.backend = Backend::kSimulate;
   const solvers::Trace sim = run_param_server_fenced(
-      fx.data, fx.loss, opt, spec, /*use_importance=*/false,
-      fx.evaluator.as_fn());
+      data::InMemorySource(fx.data), fx.loss, opt, spec,
+      /*use_importance=*/false, fx.evaluator.as_fn());
   expect_bit_identical(real, sim, "ps_asgd");
 }
 
@@ -134,8 +135,8 @@ TEST_P(PsProcessSuite, ThreeWorkersAlsoMatch) {
       fx.evaluator.as_fn());
   spec.backend = Backend::kSimulate;
   const solvers::Trace sim = run_param_server_fenced(
-      fx.data, fx.loss, opt, spec, /*use_importance=*/true,
-      fx.evaluator.as_fn());
+      data::InMemorySource(fx.data), fx.loss, opt, spec,
+      /*use_importance=*/true, fx.evaluator.as_fn());
   expect_bit_identical(real, sim, "ps_is_asgd k=3");
 }
 

@@ -178,8 +178,9 @@ TEST(ParamServer, ConvergesOnClassification) {
   Fixture f;
   ClusterSpec spec;
   spec.nodes = 4;
-  const solvers::Trace t = run_param_server(
-      f.data, f.loss, base_options(8), spec, true, f.evaluator.as_fn());
+  const solvers::Trace t = run_param_server(data::InMemorySource(f.data),
+                                            f.loss, base_options(8), spec, true,
+                                            f.evaluator.as_fn());
   ASSERT_EQ(t.points.size(), 9u);
   EXPECT_LT(t.points.back().rmse, 0.62 * t.points.front().rmse);
   EXPECT_LT(t.best_error_rate(), 0.15);
@@ -190,8 +191,9 @@ TEST(ParamServer, UniformVariantConvergesToo) {
   Fixture f;
   ClusterSpec spec;
   spec.nodes = 4;
-  const solvers::Trace t = run_param_server(
-      f.data, f.loss, base_options(8), spec, false, f.evaluator.as_fn());
+  const solvers::Trace t = run_param_server(data::InMemorySource(f.data),
+                                            f.loss, base_options(8), spec,
+                                            false, f.evaluator.as_fn());
   EXPECT_LT(t.points.back().rmse, 0.62 * t.points.front().rmse);
   EXPECT_EQ(t.algorithm, "ps_asgd");
 }
@@ -201,8 +203,8 @@ TEST(ParamServer, AppliesEveryUpdateEachEpoch) {
   ClusterSpec spec;
   spec.nodes = 3;
   ParamServerReport report;
-  (void)run_param_server(f.data, f.loss, base_options(4), spec, true,
-                         f.evaluator.as_fn(), &report);
+  (void)run_param_server(data::InMemorySource(f.data), f.loss, base_options(4),
+                         spec, true, f.evaluator.as_fn(), &report);
   EXPECT_EQ(report.messages, 4u * 600u);
   EXPECT_GT(report.bytes_sent, 0u);
   EXPECT_GT(report.simulated_seconds, 0.0);
@@ -217,8 +219,9 @@ TEST(ParamServer, StalenessGrowsWithNodeCount) {
     ClusterSpec spec;
     spec.nodes = nodes;
     ParamServerReport report;
-    (void)run_param_server(f.data, f.loss, base_options(2), spec, true,
-                           f.evaluator.as_fn(), &report);
+    (void)run_param_server(data::InMemorySource(f.data), f.loss,
+                           base_options(2), spec, true, f.evaluator.as_fn(),
+                           &report);
     staleness.push_back(report.mean_staleness_updates);
   }
   EXPECT_LT(staleness[0], staleness[1]);
@@ -235,10 +238,10 @@ TEST(ParamServer, SlowNetworkStretchesSimTimeNotStaleness) {
   ClusterSpec slow = fast;
   slow.latency_seconds = 100 * fast.latency_seconds;
   ParamServerReport fast_report, slow_report;
-  (void)run_param_server(f.data, f.loss, base_options(2), fast, true,
-                         f.evaluator.as_fn(), &fast_report);
-  (void)run_param_server(f.data, f.loss, base_options(2), slow, true,
-                         f.evaluator.as_fn(), &slow_report);
+  (void)run_param_server(data::InMemorySource(f.data), f.loss, base_options(2),
+                         fast, true, f.evaluator.as_fn(), &fast_report);
+  (void)run_param_server(data::InMemorySource(f.data), f.loss, base_options(2),
+                         slow, true, f.evaluator.as_fn(), &slow_report);
   EXPECT_GT(slow_report.simulated_seconds, 10 * fast_report.simulated_seconds);
   const double window_bound =
       static_cast<double>(fast.nodes * fast.max_outstanding_pushes);
@@ -254,10 +257,10 @@ TEST(ParamServer, WiderSendWindowRaisesStaleness) {
   ClusterSpec wide = narrow;
   wide.max_outstanding_pushes = 32;
   ParamServerReport narrow_report, wide_report;
-  (void)run_param_server(f.data, f.loss, base_options(2), narrow, true,
-                         f.evaluator.as_fn(), &narrow_report);
-  (void)run_param_server(f.data, f.loss, base_options(2), wide, true,
-                         f.evaluator.as_fn(), &wide_report);
+  (void)run_param_server(data::InMemorySource(f.data), f.loss, base_options(2),
+                         narrow, true, f.evaluator.as_fn(), &narrow_report);
+  (void)run_param_server(data::InMemorySource(f.data), f.loss, base_options(2),
+                         wide, true, f.evaluator.as_fn(), &wide_report);
   EXPECT_GT(wide_report.mean_staleness_updates,
             2 * narrow_report.mean_staleness_updates);
   // The wider pipeline hides latency: more throughput, less simulated time.
@@ -272,8 +275,9 @@ TEST(ParamServer, MoreNodesFinishSoonerInSimTime) {
     ClusterSpec spec;
     spec.nodes = nodes;
     ParamServerReport report;
-    (void)run_param_server(f.data, f.loss, base_options(2), spec, true,
-                           f.evaluator.as_fn(), &report);
+    (void)run_param_server(data::InMemorySource(f.data), f.loss,
+                           base_options(2), spec, true, f.evaluator.as_fn(),
+                           &report);
     EXPECT_LT(report.simulated_seconds, prev) << nodes << " nodes";
     prev = report.simulated_seconds;
   }
@@ -296,12 +300,12 @@ TEST(ParamServer, ImportanceBalancingEqualizesNodePhis) {
   auto opt = base_options(1);
   opt.partition.strategy = partition::Strategy::kGreedyLpt;
   ParamServerReport balanced;
-  (void)run_param_server(data, loss, opt, cluster, true, evaluator.as_fn(),
-                         &balanced);
+  (void)run_param_server(data::InMemorySource(data), loss, opt, cluster, true,
+                         evaluator.as_fn(), &balanced);
   opt.partition.strategy = partition::Strategy::kNone;
   ParamServerReport raw;
-  (void)run_param_server(data, loss, opt, cluster, true, evaluator.as_fn(),
-                         &raw);
+  (void)run_param_server(data::InMemorySource(data), loss, opt, cluster, true,
+                         evaluator.as_fn(), &raw);
   EXPECT_EQ(balanced.applied_strategy, partition::Strategy::kGreedyLpt);
   EXPECT_LT(balanced.phi_imbalance, 0.5 * raw.phi_imbalance);
   EXPECT_LT(balanced.phi_imbalance, 0.05);
@@ -314,9 +318,11 @@ TEST(ParamServer, DeterministicForFixedSeed) {
   auto opt = base_options(3);
   opt.keep_final_model = true;
   const solvers::Trace a =
-      run_param_server(f.data, f.loss, opt, spec, true, f.evaluator.as_fn());
+      run_param_server(data::InMemorySource(f.data), f.loss, opt, spec, true,
+                       f.evaluator.as_fn());
   const solvers::Trace b =
-      run_param_server(f.data, f.loss, opt, spec, true, f.evaluator.as_fn());
+      run_param_server(data::InMemorySource(f.data), f.loss, opt, spec, true,
+                       f.evaluator.as_fn());
   ASSERT_EQ(a.final_model.size(), b.final_model.size());
   for (std::size_t j = 0; j < a.final_model.size(); ++j) {
     ASSERT_EQ(a.final_model[j], b.final_model[j]);
@@ -399,10 +405,10 @@ TEST(Straggler, NetworkBoundRegimeHidesComputeStragglers) {
   ClusterSpec straggler = uniform;
   straggler.node_speed = {1.0, 1.0, 1.0, 0.25};
   ParamServerReport ps_uniform, ps_straggler;
-  (void)run_param_server(f.data, f.loss, base_options(2), uniform, true,
-                         f.evaluator.as_fn(), &ps_uniform);
-  (void)run_param_server(f.data, f.loss, base_options(2), straggler, true,
-                         f.evaluator.as_fn(), &ps_straggler);
+  (void)run_param_server(data::InMemorySource(f.data), f.loss, base_options(2),
+                         uniform, true, f.evaluator.as_fn(), &ps_uniform);
+  (void)run_param_server(data::InMemorySource(f.data), f.loss, base_options(2),
+                         straggler, true, f.evaluator.as_fn(), &ps_straggler);
   EXPECT_NEAR(ps_straggler.simulated_seconds / ps_uniform.simulated_seconds,
               1.0, 0.1);
 }
@@ -427,10 +433,10 @@ TEST(Straggler, ComputeBoundRegimeIsStragglerBoundInBothSolvers) {
   straggler.node_speed = {1.0, 1.0, 1.0, 0.25};
 
   ParamServerReport ps_uniform, ps_straggler;
-  (void)run_param_server(f.data, f.loss, base_options(2), uniform, true,
-                         f.evaluator.as_fn(), &ps_uniform);
-  (void)run_param_server(f.data, f.loss, base_options(2), straggler, true,
-                         f.evaluator.as_fn(), &ps_straggler);
+  (void)run_param_server(data::InMemorySource(f.data), f.loss, base_options(2),
+                         uniform, true, f.evaluator.as_fn(), &ps_uniform);
+  (void)run_param_server(data::InMemorySource(f.data), f.loss, base_options(2),
+                         straggler, true, f.evaluator.as_fn(), &ps_straggler);
   const double ps_ratio =
       ps_straggler.simulated_seconds / ps_uniform.simulated_seconds;
   EXPECT_GT(ps_ratio, 2.5);
@@ -461,10 +467,11 @@ TEST(Straggler, StragglerSerialisesTheEpochTail) {
   ClusterSpec straggler = uniform;
   straggler.node_speed = {1.0, 1.0, 1.0, 0.1};
   ParamServerReport uniform_report, straggler_report;
-  (void)run_param_server(f.data, f.loss, base_options(1), uniform, true,
-                         f.evaluator.as_fn(), &uniform_report);
-  (void)run_param_server(f.data, f.loss, base_options(1), straggler, true,
-                         f.evaluator.as_fn(), &straggler_report);
+  (void)run_param_server(data::InMemorySource(f.data), f.loss, base_options(1),
+                         uniform, true, f.evaluator.as_fn(), &uniform_report);
+  (void)run_param_server(data::InMemorySource(f.data), f.loss, base_options(1),
+                         straggler, true, f.evaluator.as_fn(),
+                         &straggler_report);
   EXPECT_LT(straggler_report.mean_staleness_updates,
             uniform_report.mean_staleness_updates);
   EXPECT_GT(straggler_report.simulated_seconds,
@@ -497,8 +504,9 @@ TEST(DistRegistry, TrainerPathReproducesEngineBitForBit) {
     bool use_importance;
   } cases[] = {{"dist.ps.is_asgd", true}, {"dist.ps.asgd", false}};
   for (const auto& c : cases) {
-    const solvers::Trace direct = run_param_server(
-        f.data, f.loss, opt, spec, c.use_importance, engine_eval.as_fn());
+    const solvers::Trace direct =
+        run_param_server(data::InMemorySource(f.data), f.loss, opt, spec,
+                         c.use_importance, engine_eval.as_fn());
     const solvers::Trace via_registry = trainer.train(c.registry_name, opt);
     EXPECT_TRUE(via_registry.simulated_time);
     EXPECT_EQ(via_registry.algorithm, direct.algorithm) << c.registry_name;
@@ -723,8 +731,8 @@ TEST(ParamServerSharded, ShardBalancingTightensNodePhiSpread) {
     auto opt = base_options(1);
     opt.partition.strategy = strategy;
     ParamServerReport report;
-    (void)run_param_server_sharded(chunked, loss, opt, cluster, true,
-                                   ev.as_fn(), &report);
+    (void)run_param_server(chunked, loss, opt, cluster, true, ev.as_fn(),
+                           &report);
     return report;
   };
   const ParamServerReport balanced = run_with(partition::Strategy::kGreedyLpt);
@@ -742,8 +750,8 @@ TEST(Allreduce, AsyncSparsePushBeatsDenseAllreduceOnSparseHighDim) {
   spec.nodes = 4;
   ParamServerReport ps;
   AllreduceReport ar;
-  (void)run_param_server(f.data, f.loss, base_options(2), spec, true,
-                         f.evaluator.as_fn(), &ps);
+  (void)run_param_server(data::InMemorySource(f.data), f.loss, base_options(2),
+                         spec, true, f.evaluator.as_fn(), &ps);
   (void)run_allreduce_sgd(f.data, f.loss, base_options(2), spec, false,
                           f.evaluator.as_fn(), &ar);
   EXPECT_LT(ps.simulated_seconds * 5, ar.simulated_seconds);
@@ -804,19 +812,19 @@ TEST(EventClockPins, EveryEngineShapeReproducesItsPinnedBits) {
        [&] { return pin::registry_run(chunked, f.loss, "dist.ps.is_asgd", spec,
                                       opt); },
        "model=05475ae136e0d9df 0x0p+0/0x1.62e42fefa39f1p-1 "
-       "0x1.729a8c94c099ep-8/0x1.f1a818228d772p-2 "
-       "0x1.729f52edc2f8bp-7/0x1.91cfaa42527acp-2 "
-       "0x1.15f6ddc78fd9cp-6/0x1.55b08e6da3d43p-2 | messages=1800 "
-       "bytes=174408 staleness=0x1.b34e81b4e81b5p+2 sim=0x1.15f6ddc78fd9cp-6 "
+       "0x1.729a8c94c09ap-8/0x1.f1a818228d772p-2 "
+       "0x1.729f52edc2f88p-7/0x1.91cfaa42527acp-2 "
+       "0x1.15f6ddc78fd99p-6/0x1.55b08e6da3d43p-2 | messages=1800 "
+       "bytes=174408 staleness=0x1.b34e81b4e81b5p+2 sim=0x1.15f6ddc78fd99p-6 "
        "phi=0x1.833c60245bcd6p-2 strategy=2 crashes=0 rejoins=0"},
       {"ps.uniform 8-shard",
        [&] { return pin::registry_run(chunked, f.loss, "dist.ps.asgd", spec,
                                       opt); },
-       "model=fb875de000a2b67e 0x0p+0/0x1.62e42fefa39f1p-1 "
+       "model=0aee5cf4cd2b6b3d 0x0p+0/0x1.62e42fefa39f1p-1 "
        "0x1.729aa8ed87729p-8/0x1.eed706f14bf6ap-2 "
-       "0x1.729bebe8cdb1bp-7/0x1.8db24ef5ad62cp-2 "
-       "0x1.15f3b72f47395p-6/0x1.5546aadf75238p-2 | messages=1800 "
-       "bytes=174492 staleness=0x1.b4a8641fdb975p+2 sim=0x1.15f3b72f47395p-6 "
+       "0x1.729bebe8cdb1fp-7/0x1.8db24ef5ad62cp-2 "
+       "0x1.15f3b72f47398p-6/0x1.5546aadf75238p-2 | messages=1800 "
+       "bytes=174492 staleness=0x1.b4a8641fdb975p+2 sim=0x1.15f3b72f47398p-6 "
        "phi=0x1.bd47cc9af4b6dp-2 strategy=1 crashes=0 rejoins=0"},
       {"ps.is crash+rejoin reshard",
        [&] { return pin::registry_run(whole, f.loss, "dist.ps.is_asgd", crash,

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "data/data_source.hpp"
 #include "data/synthetic.hpp"
 #include "distributed/cluster.hpp"
 #include "distributed/fenced.hpp"
@@ -219,8 +220,8 @@ TEST_P(FaultRecoverySuite, WireFaultsRetryToTheFaultFreeBits) {
       fx.data, fx.loss, opt, spec, /*use_importance=*/true,
       fx.evaluator.as_fn(), &report);
   const solvers::Trace sim = run_param_server_fenced(
-      fx.data, fx.loss, opt, sim_twin(spec), /*use_importance=*/true,
-      fx.evaluator.as_fn());
+      data::InMemorySource(fx.data), fx.loss, opt, sim_twin(spec),
+      /*use_importance=*/true, fx.evaluator.as_fn());
   expect_bit_identical(real, sim, "wire faults");
   EXPECT_GT(report.wire_retries, 0u)
       << "the schedule injected nothing — rates or seed are off";
@@ -240,8 +241,8 @@ TEST_P(FaultRecoverySuite, CleanCrashWithReshardMatchesTheSimMirror) {
       fx.evaluator.as_fn(), &real_report);
   ParamServerReport sim_report;
   const solvers::Trace sim = run_param_server_fenced(
-      fx.data, fx.loss, opt, sim_twin(spec), /*use_importance=*/true,
-      fx.evaluator.as_fn(), &sim_report);
+      data::InMemorySource(fx.data), fx.loss, opt, sim_twin(spec),
+      /*use_importance=*/true, fx.evaluator.as_fn(), &sim_report);
   expect_bit_identical(real, sim, "crash+reshard");
   EXPECT_EQ(real_report.crash_events, 1u);
   EXPECT_EQ(real_report.rejoin_events, 0u);
@@ -263,8 +264,8 @@ TEST_P(FaultRecoverySuite, CrashThenRejoinMatchesTheSimMirror) {
       fx.evaluator.as_fn(), &real_report);
   ParamServerReport sim_report;
   const solvers::Trace sim = run_param_server_fenced(
-      fx.data, fx.loss, opt, sim_twin(spec), /*use_importance=*/true,
-      fx.evaluator.as_fn(), &sim_report);
+      data::InMemorySource(fx.data), fx.loss, opt, sim_twin(spec),
+      /*use_importance=*/true, fx.evaluator.as_fn(), &sim_report);
   expect_bit_identical(real, sim, "crash+rejoin");
   EXPECT_EQ(real_report.crash_events, 1u);
   EXPECT_EQ(real_report.rejoin_events, 1u);
@@ -284,8 +285,8 @@ TEST_P(FaultRecoverySuite, PolicyNoneAlsoMatchesItsSimMirror) {
       fx.data, fx.loss, opt, spec, /*use_importance=*/true,
       fx.evaluator.as_fn());
   const solvers::Trace sim = run_param_server_fenced(
-      fx.data, fx.loss, opt, sim_twin(spec), /*use_importance=*/true,
-      fx.evaluator.as_fn());
+      data::InMemorySource(fx.data), fx.loss, opt, sim_twin(spec),
+      /*use_importance=*/true, fx.evaluator.as_fn());
   expect_bit_identical(real, sim, "crash+none");
 }
 
@@ -343,14 +344,16 @@ TEST(EventClockFaults, CrashAndRejoinAreDeterministicAndReported) {
   spec.fault.rejoin_epoch = 4;
   spec.recovery.policy = RecoveryPolicy::kReshard;
   ParamServerReport report;
-  const solvers::Trace a = run_param_server(fx.data, fx.loss, opt, spec,
+  const solvers::Trace a = run_param_server(data::InMemorySource(fx.data),
+                                            fx.loss, opt, spec,
                                             /*use_importance=*/true,
                                             fx.evaluator.as_fn(), &report);
   EXPECT_EQ(report.crash_events, 1u);
   EXPECT_EQ(report.rejoin_events, 1u);
   ASSERT_GE(a.points.size(), 2u);
   EXPECT_LT(a.points.back().objective, a.points.front().objective);
-  const solvers::Trace b = run_param_server(fx.data, fx.loss, opt, spec,
+  const solvers::Trace b = run_param_server(data::InMemorySource(fx.data),
+                                            fx.loss, opt, spec,
                                             /*use_importance=*/true,
                                             fx.evaluator.as_fn());
   ASSERT_EQ(a.final_model.size(), b.final_model.size());
@@ -367,7 +370,8 @@ TEST(EventClockFaults, NoFaultRunIsUntouchedByTheRefactor) {
   ClusterSpec spec;
   spec.nodes = 4;
   ParamServerReport report;
-  const solvers::Trace trace = run_param_server(fx.data, fx.loss, opt, spec,
+  const solvers::Trace trace = run_param_server(data::InMemorySource(fx.data),
+                                                fx.loss, opt, spec,
                                                 /*use_importance=*/true,
                                                 fx.evaluator.as_fn(), &report);
   EXPECT_EQ(report.crash_events, 0u);

@@ -192,7 +192,7 @@ TEST(PackedZeroPass, DistSetupLoadsNoShards) {
   objectives::LogisticLoss loss;
   const data::PackedSource packed(f.pack_path, f.packed_options());
   solvers::SolverOptions opt = parity_options();
-  const auto setup = distributed::fenced::make_ps_setup_sharded(
+  const auto setup = distributed::fenced::make_ps_setup(
       packed, loss, opt, /*nodes=*/3, /*use_importance=*/true);
   const data::CacheStats stats = *packed.cache_stats();
   EXPECT_EQ(stats.loads, 0u);
@@ -200,7 +200,7 @@ TEST(PackedZeroPass, DistSetupLoadsNoShards) {
 
   // And the zero-pass numbers are the loaded-path numbers, bit for bit.
   const data::StreamingSource stream(f.bin_path, f.streaming_options());
-  const auto loaded = distributed::fenced::make_ps_setup_sharded(
+  const auto loaded = distributed::fenced::make_ps_setup(
       stream, loss, opt, /*nodes=*/3, /*use_importance=*/true);
   ASSERT_EQ(setup.shard_phi.size(), loaded.shard_phi.size());
   for (std::size_t s = 0; s < setup.shard_phi.size(); ++s) {

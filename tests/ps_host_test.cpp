@@ -89,12 +89,15 @@ TEST(PsHost, ModelOutlivesWorkerConnections) {
 
 TEST(PsHost, OutOfRangePushCoordinateCostsOnlyThatConnection) {
   service::PsHost host(/*dim=*/4, "tcp://127.0.0.1:0");
-  {
+  // A coordinate past the model, and an nnz of 2^40 that no payload backs
+  // (trusted, it would size a multi-terabyte buffer and take the host down).
+  wire::Packer bad_coordinate, bad_count;
+  bad_coordinate.f64(1.0).f64(1.0).u64(1).u32(99).f64(1.0);
+  bad_count.f64(1.0).f64(1.0).u64(std::uint64_t{1} << 40).u32(0).f64(1.0);
+  for (const std::string& payload : {bad_coordinate.view(), bad_count.view()}) {
     auto bad = net::connect(host.address());
     bad->set_io_timeout(5000);
-    wire::Packer req;
-    req.f64(1.0).f64(1.0).u64(1).u32(99).f64(1.0);
-    net::write_frame(*bad, wire::kPush, std::move(req).take());
+    net::write_frame(*bad, wire::kPush, payload);
     // The host drops the connection without acking.
     EXPECT_THROW((void)net::read_frame(*bad), net::TransportError);
   }
@@ -102,6 +105,40 @@ TEST(PsHost, OutOfRangePushCoordinateCostsOnlyThatConnection) {
   good->set_io_timeout(5000);
   EXPECT_EQ(step_values(*good, {0}), (std::vector<double>{0.0}));
   EXPECT_EQ(host.pushes(), 0u);
+}
+
+TEST(WireUnpacker, CountIsBoundedByTheRemainingPayload) {
+  wire::Packer p;
+  p.u32(2).u32(7).f64(0.5).u32(8).f64(1.5);
+  {
+    wire::Unpacker u(p.view());
+    EXPECT_EQ(u.count(sizeof(std::uint32_t) + sizeof(double)), 2u);
+  }
+  {
+    // Three 12-byte elements do not fit in the 24 bytes that follow.
+    wire::Unpacker u(p.view());
+    EXPECT_THROW((void)u.count(13), net::TransportError);
+  }
+  try {
+    wire::Packer huge;
+    huge.u64(std::uint64_t{1} << 40).u32(0);
+    wire::Unpacker u(huge.view());
+    (void)u.count<std::uint64_t>(sizeof(std::uint32_t));
+    FAIL() << "expected a protocol error";
+  } catch (const net::TransportError& e) {
+    EXPECT_EQ(e.kind(), net::TransportError::Kind::kProtocol);
+  }
+  {
+    // A zero count needs no payload; a truncated count field is still the
+    // ordinary short-read error.
+    wire::Packer zero;
+    zero.u32(0);
+    wire::Unpacker u(zero.view());
+    EXPECT_EQ(u.count(8), 0u);
+    EXPECT_TRUE(u.done());
+    wire::Unpacker short_field(std::string_view("\x01\x00", 2));
+    EXPECT_THROW((void)short_field.count(8), net::TransportError);
+  }
 }
 
 TEST(PsHost, MidPushConnectionDropLeavesNoHalfAppliedUpdate) {

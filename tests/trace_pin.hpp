@@ -55,7 +55,8 @@ inline std::string report_text(const std::any& report) {
            " staleness=" + hex(r->mean_staleness_updates) +
            " sim=" + hex(r->simulated_seconds) +
            " phi=" + hex(r->phi_imbalance) +
-           " strategy=" + std::to_string(static_cast<int>(r->applied_strategy)) +
+           " strategy=" +
+           std::to_string(static_cast<int>(r->applied_strategy)) +
            " crashes=" + std::to_string(r->crash_events) +
            " rejoins=" + std::to_string(r->rejoin_events);
   }
