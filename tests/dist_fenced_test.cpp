@@ -172,10 +172,19 @@ TEST(FencedPins, EveryEngineShapeReproducesItsPinnedBits) {
   crash.fault.crash_fraction = 0.25;
   crash.fault.rejoin_epoch = 4;
   crash.recovery.policy = RecoveryPolicy::kReshard;
+  // A straggler crash: the adopter of the slow node's walk computes at its
+  // own speed, so the row fixes which node is charged for an adopted walk.
+  ClusterSpec straggler = spec;
+  straggler.node_speed = {1.0, 0.5, 2.0};
+  straggler.fault.crash_node = 1;
+  straggler.fault.crash_epoch = 2;
+  straggler.fault.crash_fraction = 0.25;
+  straggler.recovery.policy = RecoveryPolicy::kReshard;
   auto opt = base_options();
   opt.epochs = 3;
   auto crash_opt = base_options();
   crash_opt.epochs = 5;
+  const auto straggler_opt = base_options();  // 4 epochs
   auto ar_opt = opt;
   ar_opt.batch_size = 8;
 
@@ -232,6 +241,16 @@ TEST(FencedPins, EveryEngineShapeReproducesItsPinnedBits) {
        "0x1.85b45555c99abp-4/0x1.42bce2ce5b448p-2 | messages=1900 "
        "bytes=135888 staleness=0x0p+0 sim=0x1.85b45555c99abp-4 "
        "phi=0x1.84a4ed9fc94a9p-3 strategy=2 crashes=1 rejoins=1"},
+      {"ps.is straggler crash reshard",
+       [&] { return pin::registry_run(whole, fx.loss, "dist.ps.is_asgd",
+                                      straggler, straggler_opt); },
+       "model=f6dc0d02821c4536 0x0p+0/0x1.62e42fefa39fcp-1 "
+       "0x1.48311de47f60cp-6/0x1.0a18b75d79f4dp-1 "
+       "0x1.1f29df02a19edp-5/0x1.cd15cadc9f63ap-2 "
+       "0x1.c33cd19cb43aep-5/0x1.899d1e3de3576p-2 "
+       "0x1.33a81bed904bbp-4/0x1.5efa38e30ac23p-2 | messages=1500 "
+       "bytes=107424 staleness=0x0p+0 sim=0x1.33a81bed904bbp-4 "
+       "phi=0x1.84a4ed9fc94a9p-3 strategy=2 crashes=1 rejoins=0"},
       {"allreduce.uniform",
        [&] { return pin::registry_run(whole, fx.loss, "dist.allreduce.sgd",
                                       spec, ar_opt); },

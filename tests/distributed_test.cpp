@@ -777,6 +777,14 @@ TEST(EventClockPins, EveryEngineShapeReproducesItsPinnedBits) {
   crash.fault.crash_fraction = 0.5;
   crash.fault.rejoin_epoch = 4;
   crash.recovery.policy = RecoveryPolicy::kReshard;
+  // A straggler crash: the adopter of the slow node's walk computes at its
+  // own speed, so the row fixes which node is charged for an adopted walk.
+  ClusterSpec straggler = spec;
+  straggler.node_speed = {1.0, 0.5, 2.0};
+  straggler.fault.crash_node = 1;
+  straggler.fault.crash_epoch = 2;
+  straggler.fault.crash_fraction = 0.25;
+  straggler.recovery.policy = RecoveryPolicy::kReshard;
   auto opt = base_options(3);
   opt.keep_final_model = true;
   auto crash_opt = opt;
@@ -836,6 +844,16 @@ TEST(EventClockPins, EveryEngineShapeReproducesItsPinnedBits) {
        "0x1.96aea46bfb3f4p-6/0x1.3324b49d86c1ap-2 | messages=2300 "
        "bytes=219576 staleness=0x1.90071f9c45743p+2 sim=0x1.96aea46bfb3f4p-6 "
        "phi=0x1.1b7df45d90bap-3 strategy=2 crashes=1 rejoins=1"},
+      {"ps.is straggler crash reshard",
+       [&] { return pin::registry_run(whole, f.loss, "dist.ps.is_asgd",
+                                      straggler, crash_opt); },
+       "model=5ec95f3f7e040eae 0x0p+0/0x1.62e42fefa39fdp-1 "
+       "0x1.44c437fa58a63p-8/0x1.f23245fd10c27p-2 "
+       "0x1.44bb43530a141p-7/0x1.a3f41260992cbp-2 "
+       "0x1.458842e2b1446p-6/0x1.605a625975e17p-2 "
+       "0x1.e8b1a8a4bc766p-6/0x1.36426aef9a097p-2 | messages=2250 "
+       "bytes=214584 staleness=0x1.4ac7cb35053bep+2 sim=0x1.e8b1a8a4bc766p-6 "
+       "phi=0x1.1b7df45d90bap-3 strategy=2 crashes=1 rejoins=0"},
       {"allreduce.uniform",
        [&] { return pin::registry_run(whole, f.loss, "dist.allreduce.sgd",
                                       spec, ar_opt); },
