@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "distributed/fenced.hpp"
@@ -12,30 +11,23 @@
 
 namespace isasgd::distributed {
 
-namespace {
-
-/// The all-reduce epoch loop of both schedules. Each round every node draws
-/// its b-sample mini-batch from its NodeWalk (the local Eq. 12 law under
-/// `use_importance`), the k·b gradients are summed, and the model takes one
-/// step. The schedules differ only in the summation order: the event clock
-/// adds every gradient straight into the global accumulator; the fenced
-/// schedule (`rank_order_merge`) sums each node's partial first and merges
-/// the partials in rank order, which is what the real reducer reproduces.
-solvers::Trace run_allreduce(const char* engine, bool rank_order_merge,
-                             const sparse::CsrMatrix& data,
-                             const objectives::Objective& objective,
-                             const solvers::SolverOptions& options,
-                             const ClusterSpec& spec, bool use_importance,
-                             const solvers::EvalFn& eval,
-                             AllreduceReport* report,
-                             solvers::TrainingObserver* observer) {
+solvers::Trace run_allreduce_sgd(const sparse::CsrMatrix& data,
+                                 const objectives::Objective& objective,
+                                 const solvers::SolverOptions& options,
+                                 const ClusterSpec& spec, bool use_importance,
+                                 const solvers::EvalFn& eval,
+                                 AllreduceReport* report,
+                                 solvers::TrainingObserver* observer) {
   spec.validate();
   if (spec.fault.enabled()) {
     throw std::invalid_argument(
-        std::string(engine) +
-        ": crash scenarios are implemented for the parameter-server engines "
-        "(the all-reduce schedule has no recovery protocol)");
+        "run_allreduce_sgd: crash scenarios are implemented for the "
+        "parameter-server engines (the all-reduce schedule has no recovery "
+        "protocol)");
   }
+  // The one schedule difference: the fenced order sums each node's partial
+  // first and merges the partials in rank order.
+  const bool rank_order_merge = spec.schedule == Schedule::kFencedRoundRobin;
   const std::size_t n = data.rows();
   const std::size_t b = std::max<std::size_t>(1, options.batch_size);
   std::vector<double> w(data.dim(), 0.0);
@@ -137,33 +129,6 @@ solvers::Trace run_allreduce(const char* engine, bool rank_order_merge,
   }
   if (options.keep_final_model) recorder.set_final_model(w);
   return std::move(recorder).finish(sim_time);
-}
-
-}  // namespace
-
-solvers::Trace run_allreduce_sgd(const sparse::CsrMatrix& data,
-                                 const objectives::Objective& objective,
-                                 const solvers::SolverOptions& options,
-                                 const ClusterSpec& spec, bool use_importance,
-                                 const solvers::EvalFn& eval,
-                                 AllreduceReport* report,
-                                 solvers::TrainingObserver* observer) {
-  return run_allreduce("run_allreduce_sgd", /*rank_order_merge=*/false, data,
-                       objective, options, spec, use_importance, eval, report,
-                       observer);
-}
-
-solvers::Trace run_allreduce_fenced(const sparse::CsrMatrix& data,
-                                    const objectives::Objective& objective,
-                                    const solvers::SolverOptions& options,
-                                    const ClusterSpec& spec,
-                                    bool use_importance,
-                                    const solvers::EvalFn& eval,
-                                    AllreduceReport* report,
-                                    solvers::TrainingObserver* observer) {
-  return run_allreduce("run_allreduce_fenced", /*rank_order_merge=*/true,
-                       data, objective, options, spec, use_importance, eval,
-                       report, observer);
 }
 
 }  // namespace isasgd::distributed

@@ -39,23 +39,18 @@ struct AllreduceReport {
 /// `options.batch_size` samples from its shard (uniform, or Eq. 12-weighted
 /// with `use_importance`), gradients are averaged across all k·b samples via
 /// a simulated ring all-reduce, and the shared model takes one step.
-/// `options.threads` is ignored — `spec.nodes` is the parallelism. The
-/// Trace's time axis is simulated seconds. `observer` (optional) receives
-/// per-epoch points, may stop the run at an epoch fence, and gets the
-/// AllreduceReport via on_diagnostics. Registered in the SolverRegistry as
-/// "dist.allreduce.sgd" (uniform sampling).
+/// `options.threads` is ignored — `spec.nodes` is the parallelism.
+///
+/// `spec.schedule` picks the summation order, the only thing the two
+/// schedules change: kEventClock adds every gradient straight into the
+/// global accumulator; kFencedRoundRobin merges per-node partials in rank
+/// order, the order the real reducer (run_allreduce_process) reproduces.
+///
+/// The Trace's time axis is simulated seconds. `observer` (optional)
+/// receives per-epoch points, may stop the run at an epoch fence, and gets
+/// the AllreduceReport via on_diagnostics. Registered in the SolverRegistry
+/// as "dist.allreduce.sgd" (uniform sampling).
 [[nodiscard]] solvers::Trace run_allreduce_sgd(
-    const sparse::CsrMatrix& data, const objectives::Objective& objective,
-    const solvers::SolverOptions& options, const ClusterSpec& spec,
-    bool use_importance, const solvers::EvalFn& eval,
-    AllreduceReport* report = nullptr,
-    solvers::TrainingObserver* observer = nullptr);
-
-/// Fenced synchronous all-reduce run (Schedule::kFencedRoundRobin):
-/// identical arithmetic to run_allreduce_sgd except the global accumulator
-/// is built from per-node partials merged in rank order (the reduction
-/// order a real reducer can — and does — reproduce).
-[[nodiscard]] solvers::Trace run_allreduce_fenced(
     const sparse::CsrMatrix& data, const objectives::Objective& objective,
     const solvers::SolverOptions& options, const ClusterSpec& spec,
     bool use_importance, const solvers::EvalFn& eval,

@@ -15,22 +15,21 @@
 // (ParamServerReport / AllreduceReport) through
 // TrainingObserver::on_diagnostics. Capabilities carry simulated_time so
 // sweeps know the trace's time axis is simulated seconds, and the
-// parameter-server pair is streaming-capable: both simulated schedules
-// take the DataSource itself, and on a multi-shard source the node shards
-// are whole source partitions dealt by the Algorithm-4 balancing machinery
-// (fenced::make_ps_setup), so an out-of-core file can feed the simulated
-// cluster shard-by-shard.
-// Backend dispatch (ClusterSpec::backend / ::schedule):
-//   kSimulate + kEventClock        the discrete-event engines (default)
-//   kSimulate + kFencedRoundRobin  deterministic fenced simulation (fenced.hpp)
-//   kProcess  (fenced only)        real 1-server/k-worker process group
-//                                  (real_runtime.hpp); traces carry host
-//                                  wall-clock seconds, and a sharded source
-//                                  is materialised first (the process
-//                                  backend partitions in memory pre-fork).
+// parameter-server pair is streaming-capable: the simulated parameter
+// server takes the DataSource itself, and on a multi-shard source the node
+// shards are whole source partitions dealt by the Algorithm-4 balancing
+// machinery (fenced::make_ps_setup), so an out-of-core file can feed the
+// simulated cluster shard-by-shard.
+// Backend dispatch (ClusterSpec::backend):
+//   kSimulate  the simulators, which read their ordering from
+//              ClusterSpec::schedule (event clock by default, or the
+//              deterministic fenced round robin)
+//   kProcess   real 1-server/k-worker process group (real_runtime.hpp,
+//              fenced only); traces carry host wall-clock seconds, and a
+//              sharded source is materialised first (the process backend
+//              partitions in memory pre-fork).
 #include "distributed/allreduce.hpp"
 #include "distributed/cluster.hpp"
-#include "distributed/fenced.hpp"
 #include "distributed/param_server.hpp"
 #include "distributed/real_runtime.hpp"
 #include "solvers/solver.hpp"
@@ -62,11 +61,6 @@ class ParamServerSolver : public solvers::Solver {
       return run_param_server_process(ctx.data(), ctx.objective, ctx.options,
                                       spec, use_importance_, ctx.eval,
                                       /*report=*/nullptr, ctx.observer);
-    }
-    if (spec.schedule == Schedule::kFencedRoundRobin) {
-      return run_param_server_fenced(ctx.source, ctx.objective, ctx.options,
-                                     spec, use_importance_, ctx.eval,
-                                     /*report=*/nullptr, ctx.observer);
     }
     return run_param_server(ctx.source, ctx.objective, ctx.options, spec,
                             use_importance_, ctx.eval, /*report=*/nullptr,
@@ -105,11 +99,6 @@ class AllreduceSgdSolver final : public solvers::Solver {
       return run_allreduce_process(ctx.data(), ctx.objective, ctx.options,
                                    spec, /*use_importance=*/false, ctx.eval,
                                    /*report=*/nullptr, ctx.observer);
-    }
-    if (spec.schedule == Schedule::kFencedRoundRobin) {
-      return run_allreduce_fenced(ctx.data(), ctx.objective, ctx.options, spec,
-                                  /*use_importance=*/false, ctx.eval,
-                                  /*report=*/nullptr, ctx.observer);
     }
     return run_allreduce_sgd(ctx.data(), ctx.objective, ctx.options, spec,
                              /*use_importance=*/false, ctx.eval,

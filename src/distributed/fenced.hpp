@@ -1,12 +1,14 @@
-// Fenced round-robin engines: the deterministic schedule implemented by BOTH
-// the simulator and the real process backend (ClusterSpec::Schedule).
+// The pieces every distributed engine shares, so no two of them can drift:
+// the pre-run setup (the Algorithm-4 partition plus one seeded NodeWalk per
+// node) and the sparse apply.
 //
-// The event-clock engines (param_server.cpp / allreduce.cpp) let staleness
-// emerge from the cost model — realistic, but their apply order depends on
-// simulated message timing, which no real execution can reproduce bit for
-// bit. The fenced schedule removes timing from the semantics entirely (the
-// fenced all-reduce, run_allreduce_fenced in allreduce.hpp, shares its
-// event-clock twin's loop and differs only in summation order):
+// The fenced round-robin schedule (ClusterSpec::Schedule) is the one both
+// the simulators (run_param_server, run_allreduce_sgd) and the real process
+// backend (real_runtime.hpp) implement. The event-clock schedule lets
+// staleness emerge from the cost model — realistic, but its apply order
+// depends on simulated message timing, which no real execution can
+// reproduce bit for bit. The fenced schedule removes timing from the
+// semantics entirely:
 //
 //   parameter server   per round, every node with epoch quota left takes
 //                      exactly one step in rank order (a = 0..k−1): draw a
@@ -19,9 +21,9 @@
 // Every floating-point operation — sample draw (NodeWalk), margin, gradient
 // scale, apply (apply_push), partial merge — is order-pinned, so for a fixed
 // seed the final model is a pure function of (data, options, k). The real
-// backend (real_runtime.cpp) executes this exact schedule with the PS
-// process enforcing the rank order, which is what makes "real run ≡
-// simulator, bit for bit" a testable invariant rather than a hope.
+// backend executes this exact schedule with the PS process enforcing the
+// rank order, which is what makes "real run ≡ simulator, bit for bit" a
+// testable invariant rather than a hope.
 #pragma once
 
 #include <memory>
@@ -29,34 +31,17 @@
 #include <vector>
 
 #include "data/data_source.hpp"
-#include "distributed/allreduce.hpp"
-#include "distributed/cluster.hpp"
 #include "distributed/node_walk.hpp"
-#include "distributed/param_server.hpp"
 #include "objectives/objective.hpp"
 #include "partition/partition.hpp"
-#include "solvers/observer.hpp"
 #include "solvers/options.hpp"
-#include "solvers/trace.hpp"
 #include "sparse/csr_matrix.hpp"
 
-namespace isasgd::distributed {
+namespace isasgd::distributed::fenced {
 
-/// Fenced parameter-server run. Same contract and source shapes as
-/// run_param_server; the trace's time axis is still simulated seconds
-/// (serialized per-step costs), and mean staleness is reported as 0.
-[[nodiscard]] solvers::Trace run_param_server_fenced(
-    const data::DataSource& source, const objectives::Objective& objective,
-    const solvers::SolverOptions& options, const ClusterSpec& spec,
-    bool use_importance, const solvers::EvalFn& eval,
-    ParamServerReport* report = nullptr,
-    solvers::TrainingObserver* observer = nullptr);
-
-namespace fenced {
-
-/// THE sparse apply. One implementation, inlined into the fenced simulator
-/// and the real PS process alike, so the two cannot drift: left-to-right
-/// over the row's nonzeros,
+/// THE sparse apply. One implementation, inlined into the simulated and the
+/// real PS server alike, so the two cannot drift: left-to-right over the
+/// row's nonzeros,
 ///   w[c] -= scaled_step · (gradient_scale · val[j] + ∂r(w[c])).
 inline void apply_push(std::span<const std::uint32_t> idx,
                        std::span<const double> val, double gradient_scale,
@@ -70,7 +55,7 @@ inline void apply_push(std::span<const std::uint32_t> idx,
 }
 
 /// Shared pre-run setup: the Algorithm-4 partition plus one seeded NodeWalk
-/// per node. Built identically by the fenced simulator and (pre-fork) by the
+/// per node. Built identically by the simulators and (pre-fork) by the
 /// process runtime, so both worlds walk the same plan with the same streams.
 struct Setup {
   std::size_t k = 0;
@@ -112,6 +97,4 @@ struct Setup {
     const solvers::SolverOptions& options, std::size_t nodes,
     bool use_importance);
 
-}  // namespace fenced
-
-}  // namespace isasgd::distributed
+}  // namespace isasgd::distributed::fenced

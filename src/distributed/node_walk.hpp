@@ -1,6 +1,6 @@
 // NodeWalk: one node's deterministic sample stream, shared verbatim by every
-// distributed engine — the event-clock and fenced simulators and the real
-// worker processes.
+// distributed engine — the simulators on both schedules and the real worker
+// processes.
 //
 // Bit-identity between the simulated and the real backend (the process
 // backend's correctness anchor — see ClusterSpec::Schedule) reduces to one

@@ -13,15 +13,14 @@ namespace isasgd::distributed {
 
 namespace {
 
-enum class EventKind { kComputeDone, kApply };
-
-/// One scheduled event's payload. For kComputeDone it describes the gradient
-/// whose computation finishes now; for kApply the same payload lands in the
-/// server model. `shard` pins the sampled rows of a shard-major walk while
-/// the push is in flight (null on in-memory walks), so cache eviction can
-/// never invalidate a pending push.
-struct PsEvent {
-  EventKind kind = EventKind::kComputeDone;
+/// One gradient step, from its draw to its apply. Under the event clock the
+/// same payload is scheduled twice: once when its compute finishes
+/// (`pushed` false), once when it lands in the server model. `shard` pins
+/// the sampled rows of a shard-major walk while the push is in flight (null
+/// on in-memory walks), so cache eviction can never invalidate a pending
+/// push.
+struct PsStep {
+  bool pushed = false;
   std::size_t node = 0;
   const sparse::CsrMatrix* matrix = nullptr;
   std::uint32_t row = 0;
@@ -29,6 +28,10 @@ struct PsEvent {
   double gradient_scale = 0;
   double scaled_step = 0;
   std::size_t computed_after_applies = 0;  // applied-counter at compute start
+
+  [[nodiscard]] std::size_t nnz() const {
+    return matrix->row(row).indices().size();
+  }
 };
 
 }  // namespace
@@ -49,32 +52,29 @@ solvers::Trace run_param_server(const data::DataSource& source,
   const std::size_t k = setup.k;
   // Walks (sample streams over one shard) and executors (simulated
   // processes) are separate axes, tied together by the roster's fence-time
-  // plan_assignment — the same re-planning the real controller and the
-  // fenced mirror run. A walk survives its home executor's crash; the
-  // adopting executor continues the stream.
+  // plan_assignment — the same re-planning the real controller runs. A walk
+  // survives its home executor's crash; the adopting executor continues the
+  // stream.
   CrashRoster roster(spec.fault, spec.recovery.policy, setup.walk_quotas(),
                      /*replayable_walks=*/setup.shard_phi.empty());
   std::vector<double> w(source.dim(), 0.0);
   solvers::TraceRecorder recorder(use_importance ? "ps_is_asgd" : "ps_asgd", k,
                                   options.step_size, eval, observer);
   recorder.mark_simulated_time();
-  std::vector<std::size_t> outstanding(k, 0);  // unacked pushes in flight
-  std::vector<char> stalled(k, 0);  // blocked on the flow-control window
   recorder.add_setup_seconds(setup_clock.seconds());
   recorder.record(0, 0.0, w);
 
-  sim::EventLoop<PsEvent> loop;
+  double sim_time = 0, lambda = 0;
   std::size_t applied = 0, bytes = 0;
   double staleness_sum = 0;
 
-  // Starts executor e's next gradient at simulated time `now`: draws from
-  // the walk the roster hands it, reads the margin against the *current*
-  // server state (this is ŵ for every in-flight update) and schedules the
-  // compute-done event. No-op once the executor is dead, out of epoch quota,
-  // or scripted to crash at this turn.
-  auto start_compute = [&](std::size_t e, double now, double lambda) {
+  // The step of both orderings: executor e draws from the walk the roster
+  // hands it and reads the margin against the *current* server model (this
+  // is ŵ for every in-flight update). Nothing when the executor is dead,
+  // out of epoch quota, or scripted to crash at this turn.
+  auto compute = [&](std::size_t e) -> std::optional<PsStep> {
     const std::optional<std::uint32_t> walk = roster.take(e);
-    if (!walk) return;
+    if (!walk) return std::nullopt;
     NodeWalk& nw = setup.walks[*walk];
     const NodeWalk::Sample s = nw.next();
     const auto x = s.matrix->row(s.row);
@@ -82,70 +82,112 @@ solvers::Trace run_param_server(const data::DataSource& source,
     const auto val = x.values();
     double margin = 0;
     for (std::size_t j = 0; j < idx.size(); ++j) margin += w[idx[j]] * val[j];
-    loop.schedule(now + spec.node_compute_seconds(e, idx.size()),
-                  PsEvent{
-                      .kind = EventKind::kComputeDone,
-                      .node = e,
-                      .matrix = s.matrix,
-                      .row = s.row,
-                      .shard = nw.resident(),
-                      .gradient_scale = objective.gradient_scale(
-                          margin, s.matrix->label(s.row)),
-                      .scaled_step = lambda * s.weight,
-                      .computed_after_applies = applied,
-                  });
+    return PsStep{
+        .node = e,
+        .matrix = s.matrix,
+        .row = s.row,
+        .shard = nw.resident(),
+        .gradient_scale =
+            objective.gradient_scale(margin, s.matrix->label(s.row)),
+        .scaled_step = lambda * s.weight,
+        .computed_after_applies = applied,
+    };
+  };
+  // ... and its landing in the server model.
+  auto land = [&](const PsStep& step) {
+    const auto x = step.matrix->row(step.row);
+    fenced::apply_push(x.indices(), x.values(), step.gradient_scale,
+                       step.scaled_step, options.reg, w);
+    staleness_sum += static_cast<double>(applied - step.computed_after_applies);
+    ++applied;
+    bytes += step.nnz() * spec.bytes_per_nnz;
+  };
+
+  // Event clock: executor e's next step starts computing at `at`.
+  sim::EventLoop<PsStep> loop;
+  std::vector<std::size_t> outstanding(k, 0);  // unacked pushes in flight
+  std::vector<char> stalled(k, 0);  // blocked on the flow-control window
+  auto start = [&](std::size_t e, double at) {
+    std::optional<PsStep> step = compute(e);
+    if (!step) return;
+    const double compute_seconds = spec.node_compute_seconds(e, step->nnz());
+    loop.schedule(at + compute_seconds, std::move(*step));
   };
 
   for (std::size_t epoch = 1;
        epoch <= options.epochs && !recorder.stop_requested(); ++epoch) {
     roster.begin_epoch(epoch);
-    const double lambda = solvers::epoch_step(options, epoch);
+    lambda = solvers::epoch_step(options, epoch);
     for (NodeWalk& walk : setup.walks) walk.begin_epoch();
-    for (std::size_t e = 0; e < k; ++e) {
-      stalled[e] = 0;
-      start_compute(e, loop.now(), lambda);
-    }
-    loop.drain([&](PsEvent ev) {
-      const auto x = ev.matrix->row(ev.row);
-      const std::size_t e = ev.node;
-      if (ev.kind == EventKind::kComputeDone) {
-        // Push goes on the wire; the executor pipelines into its next
-        // gradient unless its flow-control window (max_outstanding_pushes)
-        // is full, in which case it stalls until an ack frees a slot.
-        const std::size_t nnz = x.indices().size();
-        ev.kind = EventKind::kApply;
-        bytes += nnz * spec.bytes_per_nnz;
-        // One arrival formula for every source shape, left-associated as
-        // (now + push) + apply: the pinned traces depend on it bit for bit.
-        loop.schedule(loop.now() + spec.sparse_push_seconds(nnz) +
-                          spec.apply_seconds_per_nnz *
-                              static_cast<double>(nnz),
-                      std::move(ev));
-        ++outstanding[e];
-        if (outstanding[e] < spec.max_outstanding_pushes) {
-          start_compute(e, loop.now(), lambda);
-        } else {
-          stalled[e] = 1;
+    if (spec.schedule == Schedule::kFencedRoundRobin) {
+      // Per round one step per live executor in rank order, applied at its
+      // turn. Simulated time is the fully serialized per-step cost — the
+      // fenced protocol serializes every step through the server, so costs
+      // add rather than overlap (this schedule is the determinism anchor,
+      // not the performance model).
+      //
+      // This is also the crash-recovery mirror of the real process backend:
+      // the roster kills the scripted executor at its round-robin turn after
+      // the scripted number of draws — exactly when the real server, whose
+      // liveness deadline expires at the dead rank's slot, stops applying
+      // its pushes — so a clean crash produces bit-identical models in both
+      // worlds.
+      while (roster.pending() > 0) {
+        for (std::size_t e = 0; e < k; ++e) {
+          const std::optional<PsStep> step = compute(e);
+          if (!step) continue;
+          land(*step);
+          const std::size_t nnz = step->nnz();
+          sim_time += spec.node_compute_seconds(e, nnz) +
+                      spec.sparse_push_seconds(nnz) +
+                      spec.apply_seconds_per_nnz * static_cast<double>(nnz);
         }
-      } else {
-        fenced::apply_push(x.indices(), x.values(), ev.gradient_scale,
-                           ev.scaled_step, options.reg, w);
-        staleness_sum +=
-            static_cast<double>(applied - ev.computed_after_applies);
-        ++applied;
+      }
+    } else {
+      // Pushes land at their simulated arrival time, so staleness emerges
+      // from the cost model.
+      for (std::size_t e = 0; e < k; ++e) {
+        stalled[e] = 0;
+        start(e, loop.now());
+      }
+      sim_time = loop.drain([&](PsStep step) {
+        const std::size_t e = step.node;
+        if (!step.pushed) {
+          // Compute done: the push goes on the wire, and the executor
+          // pipelines into its next gradient unless its flow-control window
+          // (max_outstanding_pushes) is full, in which case it stalls until
+          // an ack frees a slot.
+          const std::size_t nnz = step.nnz();
+          step.pushed = true;
+          // One arrival formula for every source shape, left-associated as
+          // (now + push) + apply: the pinned traces depend on it bit for
+          // bit.
+          loop.schedule(loop.now() + spec.sparse_push_seconds(nnz) +
+                            spec.apply_seconds_per_nnz *
+                                static_cast<double>(nnz),
+                        std::move(step));
+          ++outstanding[e];
+          if (outstanding[e] < spec.max_outstanding_pushes) {
+            start(e, loop.now());
+          } else {
+            stalled[e] = 1;
+          }
+          return;
+        }
+        land(step);
         // Ack returns after one more latency hop; a stalled worker resumes
         // then (the ack itself needs no event — the worker's next compute
         // simply starts at ack arrival).
         --outstanding[e];
         if (stalled[e]) {
           stalled[e] = 0;
-          start_compute(e, loop.now() + spec.latency_seconds, lambda);
+          start(e, loop.now() + spec.latency_seconds);
         }
-      }
-    });
-    // Queue drained = epoch fence: every push of the epoch has landed.
+      });
+    }
+    // Every push of the epoch has landed: the epoch fence.
     roster.end_epoch();
-    recorder.record(epoch, loop.now(), w);
+    recorder.record(epoch, sim_time, w);
   }
 
   if (report || observer) {
@@ -154,7 +196,7 @@ solvers::Trace run_param_server(const data::DataSource& source,
         applied > 0 ? staleness_sum / static_cast<double>(applied) : 0;
     local.messages = applied;  // every push lands before its epoch's fence
     local.bytes_sent = bytes;
-    local.simulated_seconds = loop.now();
+    local.simulated_seconds = sim_time;
     local.phi_imbalance = setup.plan->imbalance();
     local.applied_strategy = setup.plan->applied_strategy();
     local.crash_events = roster.crash_events();
@@ -163,7 +205,7 @@ solvers::Trace run_param_server(const data::DataSource& source,
     if (observer) observer->on_diagnostics(local);
   }
   if (options.keep_final_model) recorder.set_final_model(w);
-  return std::move(recorder).finish(loop.now());
+  return std::move(recorder).finish(sim_time);
 }
 
 }  // namespace isasgd::distributed

@@ -1,18 +1,27 @@
-// Asynchronous parameter-server simulation: IS-ASGD at node granularity.
+// Parameter-server simulation: IS-ASGD at node granularity.
 //
 // Each simulated node owns one shard of the dataset (the Algorithm-4
 // partition, so importance balancing applies across *nodes* exactly as §2.3
 // describes), computes stochastic gradients against the server's parameters
-// and pushes index-compressed sparse updates, send-and-forget. The server
-// applies pushes in arrival order. Staleness is not injected — it *emerges*
-// from the cost model: an update computed at time s lands at
-// s + compute + latency + size/bandwidth, and every update other nodes land
-// in between is the paper's τ.
+// and pushes index-compressed sparse updates. One step executor serves both
+// orderings of ClusterSpec::schedule; they share the step (roster draw,
+// margin, gradient scale) and the apply, and differ only in when a step
+// lands:
 //
-// The simulation is a sim::EventLoop drain on a single thread (simulated
-// time is exact and runs are bit-reproducible for a fixed seed), and the
-// returned Trace carries simulated seconds, so param-server IS-ASGD /
-// ASGD / all-reduce SGD are directly comparable under one ClusterSpec.
+//   kEventClock        pushes are send-and-forget and the server applies
+//                      them in arrival order. Staleness is not injected —
+//                      it *emerges* from the cost model: an update computed
+//                      at time s lands at s + compute + latency +
+//                      size/bandwidth, and every update other nodes land in
+//                      between is the paper's τ (a sim::EventLoop drain).
+//   kFencedRoundRobin  every step applies at its round-robin turn
+//                      (fenced.hpp), so staleness is 0 and the run is the
+//                      bit-exact twin of the real process group.
+//
+// Either way the simulation runs on a single thread (simulated time is
+// exact and runs are bit-reproducible for a fixed seed), and the returned
+// Trace carries simulated seconds, so param-server IS-ASGD / ASGD /
+// all-reduce SGD are directly comparable under one ClusterSpec.
 //
 // Registry names (solvers/SolverRegistry): "dist.ps.is_asgd" wraps the
 // importance-sampled run, "dist.ps.asgd" the uniform baseline; both read
@@ -72,9 +81,10 @@ struct ParamServerReport {
 /// one full matrix. Either way every draw goes through the node's NodeWalk.
 /// A scripted `spec.fault` crash needs the single-shard shape.
 ///
-/// The Trace's time axis is simulated seconds. `observer` (optional)
-/// receives per-epoch points, may stop the run at an epoch fence, and gets
-/// the ParamServerReport via on_diagnostics.
+/// The Trace's time axis is simulated seconds: on the fenced schedule the
+/// serialized per-step costs, with mean staleness reported as 0.
+/// `observer` (optional) receives per-epoch points, may stop the run at an
+/// epoch fence, and gets the ParamServerReport via on_diagnostics.
 [[nodiscard]] solvers::Trace run_param_server(
     const data::DataSource& source, const objectives::Objective& objective,
     const solvers::SolverOptions& options, const ClusterSpec& spec,

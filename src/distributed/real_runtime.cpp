@@ -10,6 +10,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -150,6 +151,54 @@ void send_hello(net::Endpoint& ep, std::uint32_t role, std::uint32_t rank,
   wire::Packer p;
   p.u32(role).u32(rank).u32(resume);
   net::write_frame(ep, wire::kHello, p.view());
+}
+
+/// A parsed kHello: who a new connection is.
+struct Hello {
+  std::uint32_t role = 0;
+  std::uint32_t rank = 0;
+  std::uint32_t resume = 0;
+};
+
+/// Reads the kHello every connection opens with.
+Hello read_hello(net::Endpoint& ep) {
+  const net::Frame f = net::expect_frame(ep, wire::kHello, "hello");
+  wire::Unpacker u(f.payload);
+  Hello hello;
+  hello.role = u.u32();
+  hello.rank = u.u32();
+  hello.resume = u.u32();
+  return hello;
+}
+
+/// Accepts a group's initial connections: the controller, whose endpoint
+/// is returned, and one worker per rank in [0, k), each handed to
+/// `adopt(hello, endpoint)`. Used by both the PS server and the reducer.
+template <typename Adopt>
+std::unique_ptr<net::Endpoint> accept_group(net::Listener& listener,
+                                            std::size_t k, Adopt&& adopt) {
+  listener.set_accept_timeout(kConnectTimeoutMs);
+  std::unique_ptr<net::Endpoint> controller;
+  std::vector<char> joined(k, 0);
+  std::size_t have = 0;
+  while (controller == nullptr || have < k) {
+    std::unique_ptr<net::Endpoint> ep = listener.accept();
+    ep->set_io_timeout(kConnectTimeoutMs);
+    const Hello hello = read_hello(*ep);
+    if (hello.role == wire::kRoleController) {
+      controller = std::move(ep);
+      controller->set_io_timeout(kGroupIoTimeoutMs);
+    } else if (hello.rank < k && !joined[hello.rank]) {
+      joined[hello.rank] = 1;
+      ++have;
+      adopt(hello, std::move(ep));
+    } else {
+      throw net::TransportError(net::TransportError::Kind::kProtocol,
+                                "duplicate or out-of-range worker rank " +
+                                    std::to_string(hello.rank));
+    }
+  }
+  return controller;
 }
 
 /// Reads one model coordinate; an index past the model is a typed protocol
@@ -357,10 +406,10 @@ class PsClient {
 
 /// The PS process: serves coordinate gets and applies pushes in the fenced
 /// rank order (one applied push per live rank per round — the exact apply
-/// sequence of the fenced simulator, crash-aware or not). Detects a dead
-/// worker by its liveness deadline expiring, reports per-rank liveness and
-/// per-walk applied-draw counts at each fence, and executes whatever
-/// assignment the controller replies with.
+/// sequence of the simulator's fenced schedule, crash-aware or not).
+/// Detects a dead worker by its liveness deadline expiring, reports
+/// per-rank liveness and per-walk applied-draw counts at each fence, and
+/// executes whatever assignment the controller replies with.
 class PsServer {
  public:
   PsServer(int addr_fd, const std::string& bind, std::size_t k,
@@ -379,7 +428,11 @@ class PsServer {
         ranks_(k) {
     listener_ = net::listen(bind);
     report_address(addr_fd, listener_->address());
-    accept_initial();
+    controller_ = accept_group(
+        *listener_, k_,
+        [&](const Hello& hello, std::unique_ptr<net::Endpoint> ep) {
+          install(hello.rank, hello.resume, std::move(ep));
+        });
   }
 
   void run() {
@@ -435,31 +488,6 @@ class PsServer {
     ++rs.incarnations;
   }
 
-  void accept_initial() {
-    listener_->set_accept_timeout(kConnectTimeoutMs);
-    std::size_t have = 0;
-    while (controller_ == nullptr || have < k_) {
-      std::unique_ptr<net::Endpoint> ep = listener_->accept();
-      ep->set_io_timeout(kConnectTimeoutMs);
-      const net::Frame hello = net::expect_frame(*ep, wire::kHello, "hello");
-      wire::Unpacker u(hello.payload);
-      const std::uint32_t role = u.u32();
-      const std::uint32_t rank = u.u32();
-      const std::uint32_t resume = u.u32();
-      if (role == wire::kRoleController) {
-        controller_ = std::move(ep);
-        controller_->set_io_timeout(kGroupIoTimeoutMs);
-      } else if (rank < k_ && ranks_[rank].ep == nullptr) {
-        install(rank, resume, std::move(ep));
-        ++have;
-      } else {
-        throw net::TransportError(net::TransportError::Kind::kProtocol,
-                                  "duplicate or out-of-range worker rank " +
-                                      std::to_string(rank));
-      }
-    }
-  }
-
   /// Accepts connections until `target`'s (re)connect arrives or the
   /// deadline passes. Other ranks' reconnects arriving meanwhile are
   /// installed too — a rank's slot must not eat another rank's handshake.
@@ -473,26 +501,22 @@ class PsServer {
         if (e.kind() == net::TransportError::Kind::kTimeout) continue;
         throw;
       }
-      std::uint32_t role = 0, rank = 0, resume = 0;
+      Hello hello;
       try {
         ep->set_io_timeout(std::max(poll_ms_ * 4, 200));
-        const net::Frame hello = net::expect_frame(*ep, wire::kHello, "hello");
-        wire::Unpacker u(hello.payload);
-        role = u.u32();
-        rank = u.u32();
-        resume = u.u32();
+        hello = read_hello(*ep);
       } catch (const net::TransportError& e) {
         if (e.kind() == net::TransportError::Kind::kProtocol) throw;
         continue;  // half-open connection: drop it, keep waiting
       }
-      if (role != wire::kRoleWorker || rank >= k_) {
+      if (hello.role != wire::kRoleWorker || hello.rank >= k_) {
         throw net::TransportError(
             net::TransportError::Kind::kProtocol,
-            "unexpected mid-run hello (role " + std::to_string(role) +
-                ", rank " + std::to_string(rank) + ")");
+            "unexpected mid-run hello (role " + std::to_string(hello.role) +
+                ", rank " + std::to_string(hello.rank) + ")");
       }
-      install(rank, resume, std::move(ep));
-      if (rank == target) return true;
+      install(hello.rank, hello.resume, std::move(ep));
+      if (hello.rank == target) return true;
     }
     return false;
   }
@@ -526,6 +550,48 @@ class PsServer {
     }
   }
 
+  /// Rank r's next frame, or nothing once `deadline` passes. Whenever the
+  /// rank's connection is down it waits for a reconnect instead (each such
+  /// wait capped at `reconnect_ms` when positive); a closed connection just
+  /// means the worker died or is reconnecting, and await_rank decides which.
+  std::optional<net::Frame> next_frame(std::size_t r,
+                                       Clock::time_point deadline,
+                                       int reconnect_ms = 0) {
+    RankState& rs = ranks_[r];
+    while (true) {
+      if (!rs.ep) {
+        Clock::time_point until = deadline;
+        if (reconnect_ms > 0) {
+          until = std::min(until, Clock::now() +
+                                      std::chrono::milliseconds(reconnect_ms));
+        }
+        if (!await_rank(r, until)) return std::nullopt;
+        continue;
+      }
+      try {
+        rs.ep->set_io_timeout(poll_ms_);
+        return net::read_frame(*rs.ep);
+      } catch (const net::TransportError& e) {
+        if (e.kind() == net::TransportError::Kind::kTimeout) {
+          if (Clock::now() < deadline) continue;
+          return std::nullopt;
+        }
+        if (e.kind() != net::TransportError::Kind::kClosed) throw;
+        rs.ep.reset();
+      }
+    }
+  }
+
+  /// Takes a rank's kEpochEnd (seq, cumulative wire retries): the kEpochGo
+  /// the fence sends becomes its cached reply.
+  void end_epoch(RankState& rs, std::uint64_t seq, wire::Unpacker& u) {
+    rs.retries = u.u64();
+    rs.last_seq = seq;
+    rs.go_seq = seq;
+    rs.cached_type = 0;
+    rs.cached_reply.clear();
+  }
+
   /// Serves rank r until it contributes one applied push (kApplied), ends
   /// its epoch (kDone), or its liveness deadline expires (kDead).
   SlotResult serve_slot(std::size_t r) {
@@ -533,28 +599,12 @@ class PsServer {
     const Clock::time_point deadline =
         Clock::now() + std::chrono::milliseconds(liveness_ms_);
     while (true) {
-      if (!rs.ep) {
-        if (!await_rank(r, deadline)) {
-          mark_dead(r);
-          return SlotResult::kDead;
-        }
-        continue;
+      const std::optional<net::Frame> f = next_frame(r, deadline);
+      if (!f) {
+        mark_dead(r);
+        return SlotResult::kDead;
       }
-      net::Frame f;
-      try {
-        rs.ep->set_io_timeout(poll_ms_);
-        f = net::read_frame(*rs.ep);
-      } catch (const net::TransportError& e) {
-        if (e.kind() == net::TransportError::Kind::kTimeout) {
-          if (Clock::now() < deadline) continue;
-          mark_dead(r);
-          return SlotResult::kDead;
-        }
-        if (e.kind() != net::TransportError::Kind::kClosed) throw;
-        rs.ep.reset();  // worker died or is reconnecting; await_rank decides
-        continue;
-      }
-      wire::Unpacker u(f.payload);
+      wire::Unpacker u(f->payload);
       const std::uint64_t seq = u.u64();
       if (seq <= rs.last_seq) {
         // Retransmit of something already executed: resend the cached reply
@@ -568,7 +618,7 @@ class PsServer {
             "ps server: rank " + std::to_string(r) + " jumped from seq " +
                 std::to_string(rs.last_seq) + " to " + std::to_string(seq));
       }
-      switch (f.type) {
+      switch (f->type) {
         case wire::kStep: {
           const std::uint32_t ncols = u.count(sizeof(std::uint32_t));
           wire::Packer reply;
@@ -608,18 +658,13 @@ class PsServer {
           reply_cached(rs, wire::kPushAck, std::move(ack).take());
           return SlotResult::kApplied;
         }
-        case wire::kEpochEnd: {
-          rs.retries = u.u64();
-          rs.last_seq = seq;
-          rs.go_seq = seq;
-          rs.cached_type = 0;  // the kEpochGo becomes the cached reply
-          rs.cached_reply.clear();
+        case wire::kEpochEnd:
+          end_epoch(rs, seq, u);
           return SlotResult::kDone;
-        }
         default:
           throw net::TransportError(
               net::TransportError::Kind::kProtocol,
-              "ps server: unexpected frame type " + std::to_string(f.type));
+              "ps server: unexpected frame type " + std::to_string(f->type));
       }
     }
   }
@@ -633,37 +678,16 @@ class PsServer {
     const Clock::time_point deadline =
         Clock::now() + std::chrono::milliseconds(kConnectTimeoutMs);
     while (true) {
-      if (!rs.ep) {
-        if (!await_rank(r, deadline)) {
-          throw std::runtime_error(
-              "ps server: rejoining worker rank " + std::to_string(r) +
-              " never connected");
-        }
-        continue;
+      const std::optional<net::Frame> f = next_frame(r, deadline);
+      if (!f) {
+        throw std::runtime_error("ps server: rejoining worker rank " +
+                                 std::to_string(r) +
+                                 " never completed its handshake");
       }
-      net::Frame f;
-      try {
-        rs.ep->set_io_timeout(poll_ms_);
-        f = net::read_frame(*rs.ep);
-      } catch (const net::TransportError& e) {
-        if (e.kind() == net::TransportError::Kind::kTimeout) {
-          if (Clock::now() < deadline) continue;
-          throw std::runtime_error(
-              "ps server: rejoining worker rank " + std::to_string(r) +
-              " never sent its handshake");
-        }
-        if (e.kind() != net::TransportError::Kind::kClosed) throw;
-        rs.ep.reset();
-        continue;
-      }
-      wire::Unpacker u(f.payload);
+      wire::Unpacker u(f->payload);
       const std::uint64_t seq = u.u64();
-      if (f.type != wire::kEpochEnd) continue;  // stale frame: ignore
-      rs.retries = u.u64();
-      rs.last_seq = seq;
-      rs.go_seq = seq;
-      rs.cached_type = 0;
-      rs.cached_reply.clear();
+      if (f->type != wire::kEpochEnd) continue;  // stale frame: ignore
+      end_epoch(rs, seq, u);
       rs.dead = false;
       return;
     }
@@ -679,39 +703,21 @@ class PsServer {
   /// retransmitted kEpochEnd (including on a fresh connection after a
   /// reset) by resending the cached go, until the liveness deadline.
   void drain_shutdown() {
+    // A closed connection means either the worker exited cleanly (no
+    // reconnect will come) or it is re-establishing after a reset. A
+    // reconnect arrives within one backoff period; anything longer means a
+    // clean exit, so a short grace keeps shutdown from stalling a liveness
+    // window per rank.
+    const int grace_ms = static_cast<int>(
+        std::max(200.0, 2.0 * spec_.recovery.backoff_max_ms));
     for (std::size_t r = 0; r < k_; ++r) {
       RankState& rs = ranks_[r];
       if (rs.dead) continue;
       const Clock::time_point deadline =
           Clock::now() + std::chrono::milliseconds(liveness_ms_);
-      while (true) {
-        if (!rs.ep) {
-          // Either the worker exited cleanly (no reconnect will come) or it
-          // is re-establishing after a reset. A reconnect arrives within
-          // one backoff period; anything longer means a clean exit, so a
-          // short grace keeps shutdown from stalling a liveness window per
-          // rank.
-          const Clock::time_point grace =
-              Clock::now() +
-              std::chrono::milliseconds(static_cast<int>(
-                  std::max(200.0, 2.0 * spec_.recovery.backoff_max_ms)));
-          if (!await_rank(r, std::min(grace, deadline))) break;
-          continue;
-        }
-        net::Frame f;
-        try {
-          rs.ep->set_io_timeout(poll_ms_);
-          f = net::read_frame(*rs.ep);
-        } catch (const net::TransportError& e) {
-          if (e.kind() == net::TransportError::Kind::kTimeout) {
-            if (Clock::now() < deadline) continue;
-            break;
-          }
-          if (e.kind() != net::TransportError::Kind::kClosed) throw;
-          rs.ep.reset();
-          continue;
-        }
-        wire::Unpacker u(f.payload);
+      while (const std::optional<net::Frame> f =
+                 next_frame(r, deadline, grace_ms)) {
+        wire::Unpacker u(f->payload);
         if (u.u64() == rs.last_seq && rs.cached_type != 0) send_cached(rs);
       }
     }
@@ -881,36 +887,11 @@ void ps_worker_main(const std::string& address, std::size_t rank,
 
 // ---- All-reduce group -------------------------------------------------------
 
-/// Accepts k workers + 1 controller, identified by their hello frames.
-/// (All-reduce only; the PS server has its own fault-aware accept loop.)
+/// The all-reduce group's connections, as the reducer holds them.
 struct GroupEndpoints {
   std::vector<std::unique_ptr<net::Endpoint>> worker;
   std::unique_ptr<net::Endpoint> controller;
 };
-
-GroupEndpoints accept_group(net::Listener& listener, std::size_t k) {
-  GroupEndpoints group;
-  group.worker.resize(k);
-  listener.set_accept_timeout(kConnectTimeoutMs);
-  for (std::size_t i = 0; i < k + 1; ++i) {
-    std::unique_ptr<net::Endpoint> ep = listener.accept();
-    ep->set_io_timeout(kGroupIoTimeoutMs);
-    const net::Frame hello = net::expect_frame(*ep, wire::kHello, "hello");
-    wire::Unpacker u(hello.payload);
-    const std::uint32_t role = u.u32();
-    const std::uint32_t rank = u.u32();
-    if (role == wire::kRoleController) {
-      group.controller = std::move(ep);
-    } else if (rank < k && group.worker[rank] == nullptr) {
-      group.worker[rank] = std::move(ep);
-    } else {
-      throw net::TransportError(net::TransportError::Kind::kProtocol,
-                                "duplicate or out-of-range worker rank " +
-                                    std::to_string(rank));
-    }
-  }
-  return group;
-}
 
 /// Epoch fence as seen by the all-reduce server: the unified kFence shape
 /// with the recovery fields zeroed (no ranks, no walks), continue decision
@@ -936,8 +917,8 @@ bool fence_epoch(GroupEndpoints& group, std::size_t epoch,
   return cont;
 }
 
-/// The reducer process: merges worker partials in rank order (the
-/// run_allreduce_fenced reduction order), applies the round's step, and
+/// The reducer process: merges worker partials in rank order (the fenced
+/// run_allreduce_sgd reduction order), applies the round's step, and
 /// broadcasts the touched coordinates so every replica stays bit-exact.
 void allreduce_server_main(int addr_fd, const std::string& bind,
                            std::size_t k, std::size_t dim,
@@ -946,7 +927,13 @@ void allreduce_server_main(int addr_fd, const std::string& bind,
                            const solvers::SolverOptions& options) {
   auto listener = net::listen(bind);
   report_address(addr_fd, listener->address());
-  GroupEndpoints group = accept_group(*listener, k);
+  GroupEndpoints group;
+  group.worker.resize(k);
+  group.controller = accept_group(
+      *listener, k, [&](const Hello& hello, std::unique_ptr<net::Endpoint> ep) {
+        ep->set_io_timeout(kGroupIoTimeoutMs);
+        group.worker[hello.rank] = std::move(ep);
+      });
 
   std::vector<double> w(dim, 0.0), accum(dim, 0.0);
   std::vector<std::uint32_t> touched;

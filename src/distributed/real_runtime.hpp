@@ -8,9 +8,12 @@
 //                                same inlined arithmetic as the simulator),
 //                                enforces the fenced rank order, and ships
 //                                the model to the controller at every epoch
-//                                fence.
+//                                fence. One frame wait serves its slots,
+//                                rejoin admissions and shutdown drain: read
+//                                the rank's next frame, accepting reconnects
+//                                while its connection is down.
 //   k worker processes           each walks its NodeWalk (the same seeded
-//                                stream the fenced simulator uses), fetching
+//                                stream the simulator uses), fetching
 //                                coordinates and pushing updates over the
 //                                ClusterSpec-selected transport (shm or
 //                                tcp).
@@ -22,8 +25,9 @@
 // seeded walks) is built, all processes agree on the plan by construction;
 // because doubles cross the wire as raw IEEE-754 bytes and the server
 // replays the simulator's rank order, the final model is bit-identical to
-// run_param_server_fenced / run_allreduce_fenced for the same options —
-// asserted per solver by tests/dist_process_test.cpp.
+// run_param_server / run_allreduce_sgd under Schedule::kFencedRoundRobin
+// for the same options — asserted per solver by
+// tests/dist_process_test.cpp.
 //
 // Traces carry host wall-clock seconds (not simulated seconds): this is a
 // real execution. A child that dies mid-run surfaces as a typed error in
@@ -43,9 +47,10 @@
 namespace isasgd::distributed {
 
 /// Fenced parameter-server training over a real 1-server/k-worker process
-/// group. Contract mirrors run_param_server_fenced; `spec.backend` must be
-/// kProcess (validate() enforces the fenced schedule). The report's
-/// simulated_seconds field carries wall-clock seconds.
+/// group. Contract mirrors run_param_server on the fenced schedule;
+/// `spec.backend` must be kProcess (validate() enforces the fenced
+/// schedule). The report's simulated_seconds field carries wall-clock
+/// seconds.
 [[nodiscard]] solvers::Trace run_param_server_process(
     const sparse::CsrMatrix& data, const objectives::Objective& objective,
     const solvers::SolverOptions& options, const ClusterSpec& spec,
@@ -55,8 +60,8 @@ namespace isasgd::distributed {
 
 /// Fenced synchronous all-reduce over a real process group: the server
 /// process is the reducer (rank-order partial merge — the same order as
-/// run_allreduce_fenced), workers keep bit-exact model replicas via sparse
-/// coordinate broadcasts.
+/// run_allreduce_sgd on the fenced schedule), workers keep bit-exact model
+/// replicas via sparse coordinate broadcasts.
 [[nodiscard]] solvers::Trace run_allreduce_process(
     const sparse::CsrMatrix& data, const objectives::Objective& objective,
     const solvers::SolverOptions& options, const ClusterSpec& spec,

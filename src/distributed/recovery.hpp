@@ -107,12 +107,12 @@ using Assignment = std::vector<std::vector<std::uint32_t>>;
 /// The all-alive assignment: walk r to rank r.
 [[nodiscard]] Assignment identity_assignment(std::size_t k);
 
-/// The scripted-crash roster both parameter-server simulators run: which
-/// executors (ranks) are alive, which walks each executes this epoch (the
-/// fence-time plan_assignment), how many draws every walk has left, and the
-/// FaultScenario's crash countdown and rejoin. The simulators only decide
-/// *when* an executor asks for work (round-robin turns or simulated-time
-/// events); what it gets is decided here, once.
+/// The scripted-crash roster the parameter-server simulator runs on both
+/// schedules: which executors (ranks) are alive, which walks each executes
+/// this epoch (the fence-time plan_assignment), how many draws every walk
+/// has left, and the FaultScenario's crash countdown and rejoin. The
+/// schedule only decides *when* an executor asks for work (round-robin
+/// turns or simulated-time events); what it gets is decided here, once.
 ///
 /// The crash is replayed exactly where the real server observes it: the
 /// scripted executor dies at the turn on which it would start one draw past

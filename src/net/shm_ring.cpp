@@ -235,7 +235,12 @@ class ShmEndpoint final : public Endpoint {
           ring.tail.position.load(std::memory_order_acquire);
       const std::uint64_t available = tail - head;
       if (available == 0) {
+        // A peer that wrote its last bytes and then closed or died between
+        // the tail load above and the checks below has still delivered
+        // them, so each check looks at the ring once more before reporting
+        // the end of the stream.
         if (peer_closed(h)) {
+          if (delivered(ring, head)) continue;
           throw TransportError(
               TransportError::Kind::kClosed,
               received == 0
@@ -245,6 +250,7 @@ class ShmEndpoint final : public Endpoint {
                         std::to_string(size) + " bytes)");
         }
         if (peer_process_gone(h, spins)) {
+          if (delivered(ring, head)) continue;
           throw TransportError(
               TransportError::Kind::kClosed,
               received == 0
@@ -286,6 +292,10 @@ class ShmEndpoint final : public Endpoint {
   [[nodiscard]] char* ring_base(int which) const {
     return static_cast<char*>(mem_) + sizeof(ConnHeader) +
            static_cast<std::size_t>(which) * header().capacity;
+  }
+  /// Whether bytes past `head` have arrived on `ring`.
+  [[nodiscard]] static bool delivered(const Ring& ring, std::uint64_t head) {
+    return ring.tail.position.load(std::memory_order_acquire) != head;
   }
   [[nodiscard]] bool peer_closed(const ConnHeader& h) const {
     const auto& flag = server_ ? h.closed_client : h.closed_server;

@@ -79,7 +79,10 @@ void write_frame(Endpoint& endpoint, std::uint32_t type,
   std::memcpy(wire.data(), &magic, 4);
   std::memcpy(wire.data() + 4, &type, 4);
   std::memcpy(wire.data() + 8, &length, 8);
-  std::memcpy(wire.data() + 16, payload.data(), payload.size());
+  // An empty payload may carry a null data(), which memcpy must never see.
+  if (!payload.empty()) {
+    std::memcpy(wire.data() + 16, payload.data(), payload.size());
+  }
   endpoint.send_bytes(wire.data(), wire.size());
 }
 

@@ -79,8 +79,6 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
     std::uint64_t seed = 0;
     bool refreshed_once = false;
   };
-  // The deprecated reshuffle_sequences flag is folded into sequence_mode by
-  // Solver::validate before the run reaches this point.
   const auto mode = options.sequence_mode;
   const std::size_t b = std::max<std::size_t>(1, options.batch_size);
   std::vector<WorkerState> workers(threads);

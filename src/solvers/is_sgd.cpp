@@ -67,8 +67,6 @@ Trace run_is_sgd(const sparse::CsrMatrix& data,
   // built once here (once per refresh in adaptive mode), and each epoch's
   // draws are produced block-by-block inside the epoch, bit-identical to
   // the old per-epoch SampleSequence layout (tests/block_sequence_test).
-  // The deprecated reshuffle_sequences flag is folded into sequence_mode by
-  // Solver::validate before the run reaches this point.
   using Mode = sampling::BlockSequence::Mode;
   const Mode m = detail::block_mode(options);
   const std::uint64_t seq_seed =

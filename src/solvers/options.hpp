@@ -94,14 +94,6 @@ struct SolverOptions {
     kStratified,
   };
   SequenceMode sequence_mode = SequenceMode::kPregenerate;
-  /// DEPRECATED back-compat alias for kReshuffle. Solver::validate is the
-  /// single resolution point: it folds this flag into sequence_mode (warning
-  /// once) before any registry-dispatched run. The run_* free functions do
-  /// NOT consult it — direct callers must set sequence_mode instead.
-  /// ([[deprecated]] would be ideal, but on a default-initialised member it
-  /// fires on every SolverOptions construction under GCC, so the shim's
-  /// diagnostic lives in Solver::validate instead.)
-  bool reshuffle_sequences = false;
 
   // ---- simulated-time solvers (sim.* / dist.*) ----
   /// Staleness law injected by the sim.delayed_* solvers: every computed

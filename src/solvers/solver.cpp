@@ -4,25 +4,9 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "util/logging.hpp"
-
 namespace isasgd::solvers {
 
 void Solver::validate(SolverOptions& options) const {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  // The single resolution point for the deprecated flag.
-  if (options.reshuffle_sequences) {
-    static std::once_flag warned;
-    std::call_once(warned, [] {
-      util::log_warn()
-          << "SolverOptions::reshuffle_sequences is deprecated; set "
-             "sequence_mode = SequenceMode::kReshuffle instead";
-    });
-    options.sequence_mode = SolverOptions::SequenceMode::kReshuffle;
-    options.reshuffle_sequences = false;
-  }
-#pragma GCC diagnostic pop
   if (options.threads == 0) options.threads = 1;
   if (options.step_size <= 0) {
     throw std::invalid_argument(std::string(name()) +

@@ -154,10 +154,7 @@ class Solver {
   [[nodiscard]] virtual SolverCapabilities capabilities() const noexcept = 0;
 
   /// Normalises `options` in place and rejects configurations this solver
-  /// cannot run (throws std::invalid_argument). The base implementation is
-  /// the single resolution point for deprecated back-compat flags: it folds
-  /// `reshuffle_sequences` into `sequence_mode` (warning once per process).
-  /// Overrides must call it.
+  /// cannot run (throws std::invalid_argument). Overrides must call it.
   virtual void validate(SolverOptions& options) const;
 
   /// Validates ctx.options, then runs with observer begin/end bracketing.

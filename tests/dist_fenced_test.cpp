@@ -1,7 +1,8 @@
-// Fenced round-robin simulator (Schedule::kFencedRoundRobin): determinism,
-// convergence, and report semantics. These runs are the reference half of
-// the bit-identity contract exercised end-to-end by dist_process_test.cpp —
-// here we pin down the simulator itself.
+// The simulators on the fenced round-robin schedule
+// (Schedule::kFencedRoundRobin): determinism, convergence, and report
+// semantics. These runs are the reference half of the bit-identity contract
+// exercised end-to-end by dist_process_test.cpp — here we pin down the
+// simulator itself.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -11,8 +12,9 @@
 #include "core/trainer.hpp"
 #include "data/data_source.hpp"
 #include "data/synthetic.hpp"
+#include "distributed/allreduce.hpp"
 #include "distributed/cluster.hpp"
-#include "distributed/fenced.hpp"
+#include "distributed/param_server.hpp"
 #include "metrics/evaluator.hpp"
 #include "objectives/logistic.hpp"
 #include "trace_pin.hpp"
@@ -58,10 +60,10 @@ TEST(FencedPs, SameSeedIsBitIdenticalAcrossRuns) {
   Fixture fx;
   const auto opt = base_options();
   const auto spec = fenced_spec();
-  const solvers::Trace a = run_param_server_fenced(
+  const solvers::Trace a = run_param_server(
       data::InMemorySource(fx.data), fx.loss, opt, spec,
       /*use_importance=*/true, fx.evaluator.as_fn());
-  const solvers::Trace b = run_param_server_fenced(
+  const solvers::Trace b = run_param_server(
       data::InMemorySource(fx.data), fx.loss, opt, spec,
       /*use_importance=*/true, fx.evaluator.as_fn());
   ASSERT_EQ(a.final_model.size(), b.final_model.size());
@@ -74,11 +76,11 @@ TEST(FencedPs, DifferentSeedsDiverge) {
   Fixture fx;
   auto opt = base_options();
   const auto spec = fenced_spec();
-  const solvers::Trace a = run_param_server_fenced(
+  const solvers::Trace a = run_param_server(
       data::InMemorySource(fx.data), fx.loss, opt, spec, true,
       fx.evaluator.as_fn());
   opt.seed = 43;
-  const solvers::Trace b = run_param_server_fenced(
+  const solvers::Trace b = run_param_server(
       data::InMemorySource(fx.data), fx.loss, opt, spec, true,
       fx.evaluator.as_fn());
   EXPECT_NE(a.final_model, b.final_model);
@@ -89,7 +91,7 @@ TEST(FencedPs, ConvergesAndReportsZeroStaleness) {
   auto opt = base_options();
   opt.epochs = 8;
   ParamServerReport report;
-  const solvers::Trace trace = run_param_server_fenced(
+  const solvers::Trace trace = run_param_server(
       data::InMemorySource(fx.data), fx.loss, opt, fenced_spec(),
       /*use_importance=*/true, fx.evaluator.as_fn(), &report);
   ASSERT_GE(trace.points.size(), 2u);
@@ -109,9 +111,9 @@ TEST(FencedPs, ShardedSourceMatchesDeterministically) {
                         1);
   const auto opt = base_options();
   const auto spec = fenced_spec();
-  const solvers::Trace a = run_param_server_fenced(
+  const solvers::Trace a = run_param_server(
       chunked, fx.loss, opt, spec, /*use_importance=*/true, ev.as_fn());
-  const solvers::Trace b = run_param_server_fenced(
+  const solvers::Trace b = run_param_server(
       chunked, fx.loss, opt, spec, /*use_importance=*/true, ev.as_fn());
   ASSERT_FALSE(a.final_model.empty());
   EXPECT_EQ(a.final_model, b.final_model);
@@ -124,11 +126,11 @@ TEST(FencedAllreduce, SameSeedIsBitIdenticalAndConverges) {
   opt.epochs = 8;
   const auto spec = fenced_spec();
   AllreduceReport ra;
-  const solvers::Trace a = run_allreduce_fenced(
+  const solvers::Trace a = run_allreduce_sgd(
       fx.data, fx.loss, opt, spec, /*use_importance=*/false,
       fx.evaluator.as_fn(), &ra);
   AllreduceReport rb;
-  const solvers::Trace b = run_allreduce_fenced(
+  const solvers::Trace b = run_allreduce_sgd(
       fx.data, fx.loss, opt, spec, /*use_importance=*/false,
       fx.evaluator.as_fn(), &rb);
   EXPECT_EQ(a.final_model, b.final_model);
@@ -151,7 +153,7 @@ TEST(FencedPs, RegistryDispatchesFencedScheduleThroughTrainer) {
   const solvers::Trace via_trainer = trainer.train("dist.ps.is_asgd", opt);
   metrics::Evaluator ev(fx.data, fx.loss, objectives::Regularization::none(),
                         1);
-  const solvers::Trace direct = run_param_server_fenced(
+  const solvers::Trace direct = run_param_server(
       data::InMemorySource(fx.data), fx.loss, opt, spec,
       /*use_importance=*/true, ev.as_fn());
   EXPECT_EQ(via_trainer.final_model, direct.final_model);
@@ -263,7 +265,7 @@ TEST(FencedPins, EveryEngineShapeReproducesItsPinnedBits) {
       {"allreduce.is",
        [&] {
          AllreduceReport report;
-         const solvers::Trace t = run_allreduce_fenced(
+         const solvers::Trace t = run_allreduce_sgd(
              fx.data, fx.loss, ar_opt, spec, /*use_importance=*/true,
              fx.evaluator.as_fn(), &report);
          return pin::of(t, report);

@@ -12,8 +12,9 @@
 #include "sparse/csr_builder.hpp"
 #include "data/data_source.hpp"
 #include "data/synthetic.hpp"
+#include "distributed/allreduce.hpp"
 #include "distributed/cluster.hpp"
-#include "distributed/fenced.hpp"
+#include "distributed/param_server.hpp"
 #include "distributed/real_runtime.hpp"
 #include "metrics/evaluator.hpp"
 #include "objectives/least_squares.hpp"
@@ -85,7 +86,7 @@ TEST_P(PsProcessSuite, IsAsgdMatchesFencedSimulatorBitForBit) {
       fx.data, fx.loss, opt, spec, /*use_importance=*/true,
       fx.evaluator.as_fn(), &real_report);
   spec.backend = Backend::kSimulate;
-  const solvers::Trace sim = run_param_server_fenced(
+  const solvers::Trace sim = run_param_server(
       data::InMemorySource(fx.data), fx.loss, opt, spec,
       /*use_importance=*/true, fx.evaluator.as_fn());
   expect_bit_identical(real, sim, "ps_is_asgd");
@@ -102,7 +103,7 @@ TEST_P(PsProcessSuite, AsgdUniformMatchesFencedSimulatorBitForBit) {
       fx.data, fx.loss, opt, spec, /*use_importance=*/false,
       fx.evaluator.as_fn());
   spec.backend = Backend::kSimulate;
-  const solvers::Trace sim = run_param_server_fenced(
+  const solvers::Trace sim = run_param_server(
       data::InMemorySource(fx.data), fx.loss, opt, spec,
       /*use_importance=*/false, fx.evaluator.as_fn());
   expect_bit_identical(real, sim, "ps_asgd");
@@ -119,7 +120,7 @@ TEST_P(PsProcessSuite, AllreduceMatchesFencedSimulatorBitForBit) {
       fx.evaluator.as_fn(), &real_report);
   spec.backend = Backend::kSimulate;
   AllreduceReport sim_report;
-  const solvers::Trace sim = run_allreduce_fenced(
+  const solvers::Trace sim = run_allreduce_sgd(
       fx.data, fx.loss, opt, spec, /*use_importance=*/false,
       fx.evaluator.as_fn(), &sim_report);
   expect_bit_identical(real, sim, "allreduce_sgd");
@@ -134,7 +135,7 @@ TEST_P(PsProcessSuite, ThreeWorkersAlsoMatch) {
       fx.data, fx.loss, opt, spec, /*use_importance=*/true,
       fx.evaluator.as_fn());
   spec.backend = Backend::kSimulate;
-  const solvers::Trace sim = run_param_server_fenced(
+  const solvers::Trace sim = run_param_server(
       data::InMemorySource(fx.data), fx.loss, opt, spec,
       /*use_importance=*/true, fx.evaluator.as_fn());
   expect_bit_identical(real, sim, "ps_is_asgd k=3");

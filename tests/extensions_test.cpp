@@ -134,20 +134,8 @@ TEST(SequenceModes, StratifiedConvergesForBothIsSolvers) {
   EXPECT_LT(final_rmse(async), 0.75 * initial_rmse(async));
 }
 
-TEST(SequenceModes, LegacyReshuffleFlagFoldedByValidate) {
-  // Solver::validate is the single resolution point for the deprecated
-  // flag: it folds it into sequence_mode and clears it.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+TEST(SequenceModes, ValidateKeepsTheSequenceMode) {
   const Solver& solver = SolverRegistry::instance().get("IS-SGD");
-  SolverOptions opt;
-  opt.sequence_mode = SolverOptions::SequenceMode::kStratified;
-  opt.reshuffle_sequences = true;
-  solver.validate(opt);
-  EXPECT_EQ(opt.sequence_mode, SolverOptions::SequenceMode::kReshuffle);
-  EXPECT_FALSE(opt.reshuffle_sequences);
-#pragma GCC diagnostic pop
-
   SolverOptions untouched;
   untouched.sequence_mode = SolverOptions::SequenceMode::kStratified;
   solver.validate(untouched);
@@ -199,11 +187,9 @@ TEST(AdaptiveImportance, ConvergesAndCostsTrainingTime) {
 }
 
 TEST(AdaptiveImportance, TakesPrecedenceOverShuffledSequenceModes) {
-  // adaptive_importance + kReshuffle/kStratified (reachable directly, or
-  // via the deprecated reshuffle_sequences shim that validate folds into
-  // kReshuffle) must run the adaptive i.i.d. stream, not throw because the
-  // shuffled modes cannot rebuild() — a regression guard for the streamed
-  // sequence layer.
+  // adaptive_importance + kReshuffle/kStratified must run the adaptive
+  // i.i.d. stream, not throw because the shuffled modes cannot rebuild() —
+  // a regression guard for the streamed sequence layer.
   Fixture f;
   for (auto mode : {SolverOptions::SequenceMode::kReshuffle,
                     SolverOptions::SequenceMode::kStratified}) {

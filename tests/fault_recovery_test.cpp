@@ -15,8 +15,8 @@
 
 #include "data/data_source.hpp"
 #include "data/synthetic.hpp"
+#include "distributed/allreduce.hpp"
 #include "distributed/cluster.hpp"
-#include "distributed/fenced.hpp"
 #include "distributed/param_server.hpp"
 #include "distributed/real_runtime.hpp"
 #include "distributed/recovery.hpp"
@@ -119,12 +119,14 @@ TEST(ClusterSpecFaults, AllreduceEnginesRejectFaultInjection) {
   spec.nodes = 2;
   spec.fault.crash_node = 0;
   spec.fault.crash_epoch = 1;
-  EXPECT_THROW((void)run_allreduce_fenced(data, loss, opt, spec, false,
-                                          evaluator.as_fn()),
-               std::invalid_argument);
-  EXPECT_THROW((void)run_allreduce_sgd(data, loss, opt, spec, false,
-                                       evaluator.as_fn()),
-               std::invalid_argument);
+  for (const Schedule schedule :
+       {Schedule::kEventClock, Schedule::kFencedRoundRobin}) {
+    spec.schedule = schedule;
+    EXPECT_THROW((void)run_allreduce_sgd(data, loss, opt, spec, false,
+                                         evaluator.as_fn()),
+                 std::invalid_argument)
+        << schedule_name(schedule);
+  }
   spec.backend = Backend::kProcess;
   spec.schedule = Schedule::kFencedRoundRobin;
   EXPECT_THROW((void)run_allreduce_process(data, loss, opt, spec, false,
@@ -219,7 +221,7 @@ TEST_P(FaultRecoverySuite, WireFaultsRetryToTheFaultFreeBits) {
   const solvers::Trace real = run_param_server_process(
       fx.data, fx.loss, opt, spec, /*use_importance=*/true,
       fx.evaluator.as_fn(), &report);
-  const solvers::Trace sim = run_param_server_fenced(
+  const solvers::Trace sim = run_param_server(
       data::InMemorySource(fx.data), fx.loss, opt, sim_twin(spec),
       /*use_importance=*/true, fx.evaluator.as_fn());
   expect_bit_identical(real, sim, "wire faults");
@@ -240,7 +242,7 @@ TEST_P(FaultRecoverySuite, CleanCrashWithReshardMatchesTheSimMirror) {
       fx.data, fx.loss, opt, spec, /*use_importance=*/true,
       fx.evaluator.as_fn(), &real_report);
   ParamServerReport sim_report;
-  const solvers::Trace sim = run_param_server_fenced(
+  const solvers::Trace sim = run_param_server(
       data::InMemorySource(fx.data), fx.loss, opt, sim_twin(spec),
       /*use_importance=*/true, fx.evaluator.as_fn(), &sim_report);
   expect_bit_identical(real, sim, "crash+reshard");
@@ -263,7 +265,7 @@ TEST_P(FaultRecoverySuite, CrashThenRejoinMatchesTheSimMirror) {
       fx.data, fx.loss, opt, spec, /*use_importance=*/true,
       fx.evaluator.as_fn(), &real_report);
   ParamServerReport sim_report;
-  const solvers::Trace sim = run_param_server_fenced(
+  const solvers::Trace sim = run_param_server(
       data::InMemorySource(fx.data), fx.loss, opt, sim_twin(spec),
       /*use_importance=*/true, fx.evaluator.as_fn(), &sim_report);
   expect_bit_identical(real, sim, "crash+rejoin");
@@ -284,7 +286,7 @@ TEST_P(FaultRecoverySuite, PolicyNoneAlsoMatchesItsSimMirror) {
   const solvers::Trace real = run_param_server_process(
       fx.data, fx.loss, opt, spec, /*use_importance=*/true,
       fx.evaluator.as_fn());
-  const solvers::Trace sim = run_param_server_fenced(
+  const solvers::Trace sim = run_param_server(
       data::InMemorySource(fx.data), fx.loss, opt, sim_twin(spec),
       /*use_importance=*/true, fx.evaluator.as_fn());
   expect_bit_identical(real, sim, "crash+none");
