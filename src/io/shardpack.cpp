@@ -362,18 +362,35 @@ ShardPackReader::ShardPackReader(std::string path) : path_(std::move(path)) {
                            "': sidecar CRC mismatch (corrupted file)");
     }
 
-    // Directory geometry: blocks in bounds, row ranges contiguous and
-    // summing to the header totals.
+    // Directory geometry: blocks in bounds, in file order and disjoint,
+    // large enough for their declared rows and non-zeros, and row ranges
+    // contiguous and summing to the header totals. The size bound keeps
+    // every array a decode or materialize() sizes from these counts within
+    // a few times the file size.
+    const std::size_t value_width = values_ == PackValueKind::kF64 ? 8 : 4;
+    std::size_t block_floor = pos;
     std::size_t row_cursor = 0;
     std::size_t nnz_sum = 0;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       const ShardMeta& m = shards_[s];
-      if (m.block_offset < pos || m.block_offset % 8 != 0 ||
-          m.block_bytes > map_bytes_ ||
+      const auto defect = [&](const char* what) {
+        return ShardPackError("shardpack '" + path_ + "': shard " +
+                              std::to_string(s) + " " + what +
+                              " (corrupted directory)");
+      };
+      if (m.block_offset < block_floor || m.block_offset % 8 != 0 ||
+          m.block_offset > map_bytes_ || m.block_bytes > map_bytes_ ||
           m.block_offset + m.block_bytes + 4 > map_bytes_) {
-        throw ShardPackError("shardpack '" + path_ + "': shard " +
-                             std::to_string(s) +
-                             " block out of bounds (corrupted directory)");
+        throw defect("block out of bounds");
+      }
+      block_floor = m.block_offset + m.block_bytes + 4;
+      // Smallest payload holding row_count rows and nnz non-zeros: the
+      // index_bytes word, one varint byte and one value per non-zero, and
+      // a label and a row nnz per row, i.e.
+      // 8 + nnz·(1 + value width) + row_count·12 ≤ block_bytes.
+      if (m.block_bytes < 8 || m.row_count > (m.block_bytes - 8) / 12 ||
+          m.nnz > (m.block_bytes - 8 - m.row_count * 12) / (1 + value_width)) {
+        throw defect("declares more rows or non-zeros than its block holds");
       }
       if (m.row_begin != row_cursor) {
         throw ShardPackError("shardpack '" + path_ + "': shard " +

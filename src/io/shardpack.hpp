@@ -46,10 +46,14 @@
 //
 // Open-time validation covers magic, version, header/directory/sidecar
 // CRCs, the declared-vs-real file size, and directory geometry, so *every*
-// prefix truncation and any metadata corruption fails at open. Shard block
-// CRCs are verified once, on the shard's first decode. Writes go to
-// `path + ".tmp"` and rename over `path` (same durability contract as
-// io::checkpoint).
+// prefix truncation and any metadata corruption fails at open. Geometry
+// includes a size bound: blocks lie in file order without overlap, and
+// each is large enough for its declared rows and non-zeros
+// (8 + nnz·(1 + value width) + row_count·12 ≤ block_bytes), so no count in
+// a CRC-valid but crafted directory can make a decode allocate more than a
+// few times the file size. Shard block CRCs are verified once, on the
+// shard's first decode. Writes go to `path + ".tmp"` and rename over
+// `path` (same durability contract as io::checkpoint).
 #pragma once
 
 #include <cstddef>

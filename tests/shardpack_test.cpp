@@ -1,18 +1,22 @@
 // io::shardpack format: round-trip fidelity, sidecar exactness, and defect
 // handling in the checkpoint_test mould — a pack with any flipped byte,
-// truncated prefix, wrong magic, or future version must be rejected with a
-// typed ShardPackError naming the path and the defect, never silently
-// served in part. Plus the PrefetchAutotuner policy, driven directly with
+// truncated prefix, wrong magic, future version, or a CRC-valid directory
+// whose counts its blocks cannot hold must be rejected with a typed
+// ShardPackError naming the path and the defect, never silently served in
+// part. Plus the PrefetchAutotuner policy, driven directly with
 // synthetic counter deltas.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "data/shard_cache.hpp"
 #include "data/synthetic.hpp"
+#include "io/checkpoint.hpp"  // io::crc32
 #include "io/shardpack.hpp"
 #include "sparse/csr_matrix.hpp"
 
@@ -250,6 +254,71 @@ TEST(ShardPackFormat, TrailingGarbageIsRejected) {
   // file_bytes in the header pins the exact length; longer is as corrupt
   // as shorter.
   EXPECT_THROW((void)io::ShardPackReader(path), io::ShardPackError);
+  std::remove(path.c_str());
+}
+
+/// A CRC-valid pack whose directory declares counts its blocks cannot
+/// hold, or blocks outside their place, must fail at open: decode sizes
+/// its arrays from those counts.
+TEST(ShardPackFormat, DirectoryGeometryIsBoundedAtOpen) {
+  const std::string path = temp_path("geometry.issp");
+  io::write_shardpack(path, small_data(8, 16), {.shard_rows = 4});
+  const std::vector<char> pristine = slurp(path);
+  // Offsets: header fields from byte 8 (nnz at 32), header CRC at 64; the
+  // directory's 40-byte entries from 68 (block_offset, block_bytes,
+  // row_begin, row_count, nnz), directory CRC after the two entries.
+  constexpr std::size_t kHeaderNnz = 32;
+  constexpr std::size_t kHeaderCrc = 64;
+  constexpr std::size_t kDir = 68;
+  constexpr std::size_t kDirCrc = kDir + 2 * 40;
+  const auto get = [](const std::vector<char>& b, std::size_t at) {
+    std::uint64_t v;
+    std::memcpy(&v, b.data() + at, 8);
+    return v;
+  };
+  const auto set = [](std::vector<char>& b, std::size_t at, std::uint64_t v) {
+    std::memcpy(b.data() + at, &v, 8);
+  };
+  const auto reseal = [&](std::vector<char>& b) {
+    const std::uint32_t header = io::crc32(b.data() + 8, kHeaderCrc - 8);
+    std::memcpy(b.data() + kHeaderCrc, &header, 4);
+    const std::uint32_t dir = io::crc32(b.data() + kDir, kDirCrc - kDir);
+    std::memcpy(b.data() + kDirCrc, &dir, 4);
+  };
+  {
+    // The offsets above are this format's; a resealed, untouched copy
+    // must still open.
+    std::vector<char> bytes = pristine;
+    reseal(bytes);
+    EXPECT_EQ(bytes, pristine);
+    ASSERT_EQ(get(bytes, kHeaderNnz), io::ShardPackReader(path).nnz());
+  }
+  // Inflated nnz, kept consistent between the header and shard 0.
+  for (const std::uint64_t extra : {std::uint64_t{1} << 30,
+                                    std::uint64_t{1} << 34}) {
+    std::vector<char> bytes = pristine;
+    set(bytes, kHeaderNnz, get(bytes, kHeaderNnz) + extra);
+    set(bytes, kDir + 32, get(bytes, kDir + 32) + extra);
+    reseal(bytes);
+    spit(path, bytes);
+    EXPECT_THROW((void)io::ShardPackReader(path), io::ShardPackError)
+        << "nnz raised by " << extra;
+  }
+  const std::uint64_t block0 = get(pristine, kDir);
+  const std::uint64_t block1 = get(pristine, kDir + 40);
+  const std::vector<std::pair<std::size_t, std::uint64_t>> tamperings = {
+      {kDir + 40, block0},              // shard 1 overlaps shard 0
+      {kDir, block1},                   // shard 0 after shard 1
+      {kDir + 40, ~std::uint64_t{7}},   // offset + size wraps past 2^64
+  };
+  for (const auto& [at, value] : tamperings) {
+    std::vector<char> bytes = pristine;
+    set(bytes, at, value);
+    reseal(bytes);
+    spit(path, bytes);
+    EXPECT_THROW((void)io::ShardPackReader(path), io::ShardPackError)
+        << "directory byte " << at << " set to " << value;
+  }
   std::remove(path.c_str());
 }
 
