@@ -136,8 +136,11 @@ class DataSource {
   /// source's lifetime.
   [[nodiscard]] virtual const RowStats* row_stats() const { return nullptr; }
 
-  /// True when the whole dataset is resident in memory — shard() never does
-  /// I/O and materialize() is free or cheap.
+  /// True when materialize() returns without reading or decoding anything:
+  /// always for in-memory sources, and for a file-backed source once its
+  /// materialize() has cached the matrix. metrics::Evaluator scores such a
+  /// source straight from that matrix, and SolverContext::data() times
+  /// only materializations that are not.
   [[nodiscard]] virtual bool resident() const = 0;
 
   /// The dataset as one full CsrMatrix. In-memory sources return their

@@ -1,5 +1,7 @@
 #include "data/packed_source.hpp"
 
+#include <algorithm>
+#include <thread>
 #include <utility>
 
 #include "util/logging.hpp"
@@ -101,6 +103,11 @@ std::uint64_t PackedSource::buffer_pool_reuses() const {
   return buffers_->reuses;
 }
 
+bool PackedSource::resident() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return materialized_ != nullptr;
+}
+
 const sparse::CsrMatrix& PackedSource::materialize() const {
   std::unique_lock<std::mutex> lock(mu_);
   // Single-flight, same contract as StreamingSource::materialize().
@@ -115,29 +122,34 @@ const sparse::CsrMatrix& PackedSource::materialize() const {
   std::shared_ptr<const sparse::CsrMatrix> full;
   std::exception_ptr error;
   try {
-    // Concatenate per-shard decodes; global invariants hold by construction
-    // because shard row ranges are contiguous and each decode is in-range.
-    std::vector<std::size_t> row_ptr{0};
-    std::vector<sparse::index_t> col_idx;
-    std::vector<sparse::value_t> values;
-    std::vector<sparse::value_t> labels;
-    row_ptr.reserve(reader_.rows() + 1);
-    col_idx.reserve(reader_.nnz());
-    values.reserve(reader_.nnz());
-    labels.reserve(reader_.rows());
-    std::vector<std::size_t> srow;
-    std::vector<sparse::index_t> scol;
-    std::vector<sparse::value_t> sval;
-    std::vector<sparse::value_t> slab;
-    for (std::size_t s = 0; s < reader_.shard_count(); ++s) {
-      reader_.decode_shard(s, srow, scol, sval, slab);
-      const std::size_t base = row_ptr.back();
-      for (std::size_t r = 1; r < srow.size(); ++r) {
-        row_ptr.push_back(base + srow[r]);
+    // Every shard decodes straight into its slice of the final arrays, at
+    // the row and nnz offsets the directory fixes. A shard writes only its
+    // own row ends (row_ptr[0] stays 0), so no element has two writers.
+    // Open-time validation bounded the header totals by the file size.
+    const std::size_t shards = reader_.shard_count();
+    std::vector<std::size_t> nnz_begin(shards);
+    for (std::size_t s = 1; s < shards; ++s) {
+      nnz_begin[s] = nnz_begin[s - 1] + reader_.shard_nnz(s - 1);
+    }
+    std::vector<std::size_t> row_ptr(reader_.rows() + 1);
+    std::vector<sparse::index_t> col_idx(reader_.nnz());
+    std::vector<sparse::value_t> values(reader_.nnz());
+    std::vector<sparse::value_t> labels(reader_.rows());
+    const std::size_t team = std::min<std::size_t>(
+        shards, std::max(1u, std::thread::hardware_concurrency()));
+    const auto decode_stride = [&](std::size_t tid) {
+      for (std::size_t s = tid; s < shards; s += team) {
+        const std::size_t row = reader_.shard_begin(s);
+        reader_.decode_shard_into(s, nnz_begin[s], row_ptr.data() + row + 1,
+                                  col_idx.data() + nnz_begin[s],
+                                  values.data() + nnz_begin[s],
+                                  labels.data() + row);
       }
-      col_idx.insert(col_idx.end(), scol.begin(), scol.end());
-      values.insert(values.end(), sval.begin(), sval.end());
-      labels.insert(labels.end(), slab.begin(), slab.end());
+    };
+    if (pool_ != nullptr) {
+      pool_->run(team, decode_stride);
+    } else {
+      for (std::size_t tid = 0; tid < team; ++tid) decode_stride(tid);
     }
     full = std::make_shared<const sparse::CsrMatrix>(
         sparse::CsrMatrix::from_trusted_parts(

@@ -3,12 +3,20 @@
 //
 // Where StreamingSource re-parses text on every shard fault, PackedSource
 // serves shards straight off a read-only mmap of the compiled pack: a fault
-// costs one CRC pass (first touch only), a varint scan for the column
-// indices, and three memcpys — no parsing, no validation walk (the format's
-// delta encoding cannot express an invalid row, and the CRC vouches for
-// integrity, so decoding uses CsrMatrix::from_trusted_parts). Decode
-// buffers are pooled: evicting a shard recycles its four arrays into the
-// next decode, so a steady-state epoch allocates nothing on the data path.
+// costs one CRC pass over the block (first decode only), a varint scan for
+// the column indices, and memcpys of the values and labels — no parsing, no
+// validation walk (the format's delta encoding cannot express an invalid
+// row, and the CRC vouches for integrity, so decoding uses
+// CsrMatrix::from_trusted_parts). Decode buffers are pooled: evicting a
+// shard recycles its four arrays into the next decode, so a steady-state
+// epoch allocates nothing on the data path.
+//
+// materialize() — the fallback for solvers that train on one CsrMatrix —
+// runs the same decode body as a fault, but every shard decodes straight
+// into its slice of the final arrays (offsets from the directory), one task
+// per shard on the source's pool. After it, resident() is true and
+// metrics::Evaluator scores from the cached matrix instead of faulting
+// shards through the cache.
 //
 // The pack's sidecars (per-row squared norms, per-shard totals) are exposed
 // through DataSource::row_stats(), which lets adaptive-IS setup and
@@ -73,7 +81,10 @@ class PackedSource final : public DataSource, private RowStats {
   void prefetch(std::size_t s) const override;
   [[nodiscard]] std::size_t prefetch_depth() const override;
   void end_epoch() const override;
-  [[nodiscard]] bool resident() const override { return false; }
+  /// True once materialize() has cached the whole matrix.
+  [[nodiscard]] bool resident() const override;
+  /// Decodes every shard into one matrix, in parallel on the source's pool
+  /// (serially without one), and caches it. Bypasses the cache budget.
   [[nodiscard]] const sparse::CsrMatrix& materialize() const override;
   [[nodiscard]] std::optional<CacheStats> cache_stats() const override {
     return cache_->stats();

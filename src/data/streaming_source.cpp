@@ -200,6 +200,11 @@ std::size_t StreamingSource::prefetch_depth() const {
 
 void StreamingSource::end_epoch() const { cache_->end_epoch(); }
 
+bool StreamingSource::resident() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return materialized_ != nullptr;
+}
+
 const sparse::CsrMatrix& StreamingSource::materialize() const {
   std::unique_lock<std::mutex> lock(mu_);
   // Single-flight: a concurrent second caller must wait, not load its own

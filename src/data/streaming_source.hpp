@@ -82,7 +82,8 @@ class StreamingSource final : public DataSource {
   void prefetch(std::size_t s) const override;
   [[nodiscard]] std::size_t prefetch_depth() const override;
   void end_epoch() const override;
-  [[nodiscard]] bool resident() const override { return false; }
+  /// True once materialize() has cached the whole matrix.
+  [[nodiscard]] bool resident() const override;
   [[nodiscard]] const sparse::CsrMatrix& materialize() const override;
   /// The configured cache budget — what this source actually holds resident
   /// while training, as opposed to the full-file estimate of the default.

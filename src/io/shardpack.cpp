@@ -433,18 +433,37 @@ void ShardPackReader::verify_block_crc(std::size_t s) const {
   crc_checked_[s] = true;
 }
 
-void ShardPackReader::decode_shard(std::size_t s,
-                                   std::vector<std::size_t>& row_ptr,
-                                   std::vector<sparse::index_t>& col_idx,
-                                   std::vector<sparse::value_t>& values,
-                                   std::vector<sparse::value_t>& labels) const {
+const ShardPackReader::ShardMeta& ShardPackReader::meta(std::size_t s) const {
   if (s >= shards_.size()) {
     throw ShardPackError("shardpack '" + path_ + "': shard ordinal " +
                          std::to_string(s) + " of " +
                          std::to_string(shards_.size()));
   }
+  return shards_[s];
+}
+
+void ShardPackReader::decode_shard(std::size_t s,
+                                   std::vector<std::size_t>& row_ptr,
+                                   std::vector<sparse::index_t>& col_idx,
+                                   std::vector<sparse::value_t>& values,
+                                   std::vector<sparse::value_t>& labels) const {
+  const ShardMeta& m = meta(s);
+  row_ptr.resize(m.row_count + 1);
+  col_idx.resize(m.nnz);
+  values.resize(m.nnz);
+  labels.resize(m.row_count);
+  row_ptr[0] = 0;
+  decode_shard_into(s, 0, row_ptr.data() + 1, col_idx.data(), values.data(),
+                    labels.data());
+}
+
+void ShardPackReader::decode_shard_into(std::size_t s, std::size_t nnz_base,
+                                        std::size_t* row_ends,
+                                        sparse::index_t* col_idx,
+                                        sparse::value_t* values,
+                                        sparse::value_t* labels) const {
+  const ShardMeta& m = meta(s);
   verify_block_crc(s);
-  const ShardMeta& m = shards_[s];
   const std::uint8_t* base = block(s);
 
   std::uint64_t index_bytes;
@@ -460,19 +479,17 @@ void ShardPackReader::decode_shard(std::size_t s,
                          " layout disagrees with its directory entry");
   }
 
-  row_ptr.resize(m.row_count + 1);
-  col_idx.resize(m.nnz);
-  values.resize(m.nnz);
-  labels.resize(m.row_count);
-
-  // row_ptr from the per-row nnz column.
-  row_ptr[0] = 0;
+  // Row ends from the per-row nnz column, checked against the directory
+  // before any column is written: every later write then lands inside the
+  // shard's nnz slice.
+  std::size_t row_end = 0;
   for (std::size_t r = 0; r < m.row_count; ++r) {
     std::uint32_t n;
     std::memcpy(&n, base + rownnz_off + r * 4, 4);
-    row_ptr[r + 1] = row_ptr[r] + n;
+    row_end += n;
+    row_ends[r] = nnz_base + row_end;
   }
-  if (row_ptr[m.row_count] != m.nnz) {
+  if (row_end != m.nnz) {
     throw ShardPackError("shardpack '" + path_ + "': shard " +
                          std::to_string(s) +
                          " row nnz column disagrees with its directory entry");
@@ -521,9 +538,9 @@ void ShardPackReader::decode_shard(std::size_t s,
       shift += 7;
     }
   };
+  std::size_t jb = 0;
   for (std::size_t r = 0; r < m.row_count; ++r) {
-    const std::size_t jb = row_ptr[r];
-    const std::size_t je = row_ptr[r + 1];
+    const std::size_t je = row_ends[r] - nnz_base;
     if (jb == je) continue;
     std::uint64_t col = read_varint(in);  // first column is absolute
     if (col >= dim_) throw out_of_range(col);
@@ -533,6 +550,7 @@ void ShardPackReader::decode_shard(std::size_t s,
       if (col >= dim_) throw out_of_range(col);
       col_idx[j] = static_cast<sparse::index_t>(col);
     }
+    jb = je;
   }
   if (in != end) {
     throw ShardPackError("shardpack '" + path_ + "': shard " +
@@ -540,8 +558,9 @@ void ShardPackReader::decode_shard(std::size_t s,
                          " column index stream has trailing bytes");
   }
 
+  // An empty slice may be a null pointer, which memcpy must not be given.
   if (values_ == PackValueKind::kF64) {
-    std::memcpy(values.data(), base + values_off, m.nnz * 8);
+    if (m.nnz != 0) std::memcpy(values, base + values_off, m.nnz * 8);
   } else {
     for (std::size_t j = 0; j < m.nnz; ++j) {
       float f;
@@ -549,7 +568,9 @@ void ShardPackReader::decode_shard(std::size_t s,
       values[j] = static_cast<sparse::value_t>(f);
     }
   }
-  std::memcpy(labels.data(), base + labels_off, m.row_count * 8);
+  if (m.row_count != 0) {
+    std::memcpy(labels, base + labels_off, m.row_count * 8);
+  }
 }
 
 bool is_shardpack_file(const std::string& path) {

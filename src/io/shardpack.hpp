@@ -163,6 +163,17 @@ class ShardPackReader {
                     std::vector<sparse::value_t>& values,
                     std::vector<sparse::value_t>& labels) const;
 
+  /// The decode body behind decode_shard, writing into caller-owned slices
+  /// of a larger CSR image: row_ends[r] = nnz_base + (end of row r within
+  /// the shard) for its shard_rows(s) rows, and shard_nnz(s) entries of
+  /// col_idx and values and shard_rows(s) labels. Same checks and errors as
+  /// decode_shard; decodes of distinct shards touch disjoint slices, so
+  /// they may run concurrently into one image.
+  void decode_shard_into(std::size_t s, std::size_t nnz_base,
+                         std::size_t* row_ends, sparse::index_t* col_idx,
+                         sparse::value_t* values,
+                         sparse::value_t* labels) const;
+
  private:
   struct ShardMeta {
     std::uint64_t block_offset = 0;
@@ -172,6 +183,8 @@ class ShardPackReader {
     std::uint64_t nnz = 0;
   };
 
+  /// shards_[s], or ShardPackError for an ordinal past the directory.
+  [[nodiscard]] const ShardMeta& meta(std::size_t s) const;
   [[nodiscard]] const std::uint8_t* block(std::size_t s) const {
     return map_ + shards_[s].block_offset;
   }

@@ -46,27 +46,39 @@ Evaluator::Evaluator(const data::DataSource& source,
 solvers::EvalResult Evaluator::evaluate(std::span<const double> w) const {
   const std::size_t n = source_->rows();
   const std::size_t shard_count = source_->shard_count();
+  // A resident source is scored straight from its matrix, over the same
+  // shard row ranges and per-shard thread split as the faulting path, so
+  // both give the same bits, and a source that materialized for its solver
+  // is not decoded again at every fence.
+  const sparse::CsrMatrix* whole =
+      source_->resident() ? &source_->materialize() : nullptr;
   double loss = 0;
   std::size_t miss = 0;
 
   for (std::size_t s = 0; s < shard_count; ++s) {
-    if (s + 1 < shard_count) source_->prefetch(s + 1);
-    const data::ShardPtr shard = source_->shard(s);
-    const sparse::CsrMatrix& rows = *shard->matrix;
-    const std::size_t shard_n = rows.rows();
+    data::ShardPtr shard;  // holds a faulted shard while it is scored
+    const sparse::CsrMatrix* rows = whole;
+    std::size_t first = source_->shard_begin(s);
+    if (!whole) {
+      if (s + 1 < shard_count) source_->prefetch(s + 1);
+      shard = source_->shard(s);
+      rows = shard->matrix.get();
+      first = 0;
+    }
+    const std::size_t shard_n = source_->shard_rows(s);
     const std::size_t threads =
         std::min(threads_, std::max<std::size_t>(1, shard_n));
     std::vector<double> loss_acc(threads, 0.0);
     std::vector<std::size_t> miss_acc(threads, 0);
 
     auto score_range = [&](std::size_t tid) {
-      const std::size_t begin = shard_n * tid / threads;
-      const std::size_t end = shard_n * (tid + 1) / threads;
+      const std::size_t begin = first + shard_n * tid / threads;
+      const std::size_t end = first + shard_n * (tid + 1) / threads;
       double local_loss = 0;
       std::size_t local_miss = 0;
       for (std::size_t i = begin; i < end; ++i) {
-        const auto x = rows.row(i);
-        const double y = rows.label(i);
+        const auto x = rows->row(i);
+        const double y = rows->label(i);
         const double margin = sparse::sparse_dot(w, x);
         local_loss += objective_.loss(margin, y);
         if (objective_.is_classification() &&

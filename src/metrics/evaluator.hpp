@@ -24,12 +24,16 @@ namespace isasgd::metrics {
 /// parallelises the O(nnz) evaluation pass (the pass is outside the solvers'
 /// timed windows, so this only affects bench wall time, not results).
 ///
-/// Works against any data::DataSource: a single-shard in-memory source takes
-/// the classic one-matrix path; a sharded source (chunked in-memory or
-/// streaming) is scored shard-by-shard with the next shard prefetching in
-/// the background, so evaluation obeys the same memory budget as training.
+/// Works against any data::DataSource, shard by shard: each shard's rows
+/// are split evenly over the scoring threads, and the per-thread sums are
+/// added in shard, then thread, order. A resident source (in memory, or a
+/// file-backed one whose materialize() already cached the matrix) is
+/// scored straight from materialize() over those same row ranges, so its
+/// results are bit-equal to scoring its shards. A non-resident source is
+/// scored through shard() with the next shard prefetching in the
+/// background, so evaluation obeys the same memory budget as training.
 ///
-/// Out-of-core cost note: on a streaming source whose budget is smaller
+/// Out-of-core cost note: on a non-resident source whose budget is smaller
 /// than the file, every evaluate() call re-reads the whole file — so the
 /// default one-score-per-epoch trace doubles a training epoch's I/O and
 /// competes with the training loop for cache slots. The scoring pass stays

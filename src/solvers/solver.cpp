@@ -4,7 +4,17 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "util/timer.hpp"
+
 namespace isasgd::solvers {
+
+const sparse::CsrMatrix& SolverContext::data() const {
+  if (source.resident()) return source.materialize();
+  const util::Stopwatch clock;
+  const sparse::CsrMatrix& full = source.materialize();
+  materialize_seconds += clock.seconds();
+  return full;
+}
 
 void Solver::validate(SolverOptions& options) const {
   if (options.threads == 0) options.threads = 1;
@@ -29,6 +39,8 @@ Trace Solver::train(SolverContext ctx) const {
   }
   if (ctx.observer) ctx.observer->on_train_begin(solver_name, ctx.options);
   Trace trace = run_impl(ctx);
+  // Simulated-time traces keep their setup in simulated seconds.
+  if (!trace.simulated_time) trace.setup_seconds += ctx.materialize_seconds;
   if (ctx.observer) ctx.observer->on_train_end(trace);
   return trace;
 }

@@ -121,14 +121,18 @@ struct SolverContext {
   /// instead of silently training without one.
   SnapshotHooks snapshot;
 
+  /// Wall-clock seconds data() spent materializing a non-resident source.
+  /// Solver::train adds them to the trace's setup_seconds: they are setup
+  /// the solver's own stopwatch, started after data() returns, never sees.
+  mutable double materialize_seconds = 0;
+
   /// The dataset as one full matrix — the classic in-memory view every
   /// non-streaming solver consumes. Free for in-memory sources; on a
   /// streaming source this materialises (and caches) the whole file, which
   /// works but defeats the memory budget — streaming-capable solvers
-  /// iterate source.shard(...) instead and never call this.
-  [[nodiscard]] const sparse::CsrMatrix& data() const {
-    return source.materialize();
-  }
+  /// iterate source.shard(...) instead and never call this. Call it from
+  /// the thread driving the run: it records into materialize_seconds.
+  [[nodiscard]] const sparse::CsrMatrix& data() const;
 
   /// True when this run should take the shard-major path: the source is
   /// split into more than one shard (out-of-core, or the chunked in-memory

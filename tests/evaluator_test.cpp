@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 
 #include "util/rng.hpp"
 
+#include "data/packed_source.hpp"
 #include "data/synthetic.hpp"
+#include "io/shardpack.hpp"
 #include "objectives/least_squares.hpp"
 #include "objectives/logistic.hpp"
 #include "sparse/csr_builder.hpp"
@@ -114,6 +119,54 @@ TEST(Evaluator, PooledMatchesSerialAndPrivatePool) {
   const auto spawned = shared_pool.threads_spawned();
   for (int i = 0; i < 5; ++i) (void)pooled.evaluate(w);
   EXPECT_EQ(shared_pool.threads_spawned(), spawned);
+}
+
+void expect_bit_equal(const solvers::EvalResult& a,
+                      const solvers::EvalResult& b) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.objective),
+            std::bit_cast<std::uint64_t>(b.objective));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.rmse),
+            std::bit_cast<std::uint64_t>(b.rmse));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.error_rate),
+            std::bit_cast<std::uint64_t>(b.error_rate));
+}
+
+TEST(Evaluator, MaterializedPackScoresBitEqualToItsShards) {
+  // Once a pack has materialized, the Evaluator scores the cached matrix
+  // over the shards' row ranges and per-shard thread split, so nothing
+  // moves: not against the faulting path, not against chunked memory.
+  data::SyntheticSpec spec;
+  spec.rows = 1000;
+  spec.dim = 200;
+  spec.mean_row_nnz = 9;
+  const auto data = data::generate(spec);
+  constexpr std::size_t kShardRows = 96;  // 11 shards, the last one short
+  const std::string path = ::testing::TempDir() + "evaluator_pack.issp";
+  io::write_shardpack(path, data, {.shard_rows = kShardRows});
+  objectives::LogisticLoss loss;
+  const auto reg = objectives::Regularization::l1(1e-4);
+  util::ThreadPool pool;
+  data::PackedOptions budget;
+  budget.memory_budget_bytes = 16 << 10;  // two shards: scoring evicts
+  const data::PackedSource packed(path, budget, &pool);
+  const data::InMemorySource chunked(data, kShardRows);
+  const Evaluator on_pack(packed, loss, reg, 3, &pool);
+  const Evaluator on_chunks(chunked, loss, reg, 3, &pool);
+
+  std::vector<double> w(data.dim());
+  util::Rng rng(4);
+  for (auto& v : w) v = util::normal_double(rng) * 0.2;
+
+  const auto faulted = on_pack.evaluate(w);
+  ASSERT_FALSE(packed.resident());
+  (void)packed.materialize();
+  ASSERT_TRUE(packed.resident());
+  const std::uint64_t loads = packed.cache_stats()->loads;
+  const auto resident = on_pack.evaluate(w);
+  EXPECT_EQ(packed.cache_stats()->loads, loads) << "scoring faulted shards";
+  expect_bit_equal(resident, faulted);
+  expect_bit_equal(resident, on_chunks.evaluate(w));
+  std::remove(path.c_str());
 }
 
 TEST(Evaluator, MoreThreadsThanRowsIsSafe) {

@@ -4,10 +4,14 @@
 // deterministic solver in the registry (adaptive IS-SGD and the dist.*
 // engines included) even under hard eviction pressure, and the sidecar must
 // make setup provably zero-pass (load-counter assertions, not timing).
+// materialize() must reproduce the matrix array for array when its shards
+// decode in parallel on a pool, and fail typed, every time, on corruption.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +25,8 @@
 #include "objectives/logistic.hpp"
 #include "solvers/is_sgd.hpp"
 #include "solvers/solver.hpp"
+#include "sparse/csr_builder.hpp"
+#include "util/thread_pool.hpp"
 
 namespace isasgd {
 namespace {
@@ -95,6 +101,109 @@ TEST(PackedSource, MaterializeReproducesTheMatrix) {
   EXPECT_EQ(m.labels(), f.data.labels());
   // Idempotent single-flight: same object on the second call.
   EXPECT_EQ(&packed.materialize(), &m);
+}
+
+void expect_same_arrays(const sparse::CsrMatrix& got,
+                        const sparse::CsrMatrix& want) {
+  EXPECT_EQ(got.dim(), want.dim());
+  EXPECT_EQ(got.row_ptr(), want.row_ptr());
+  EXPECT_EQ(got.col_idx(), want.col_idx());
+  EXPECT_EQ(got.values(), want.values());
+  EXPECT_EQ(got.labels(), want.labels());
+}
+
+/// 203 rows with every fifth row empty and rows 64–127 all empty, so a
+/// 64-row pack has repeated row ends, a shard with no non-zeros, and an
+/// uneven last shard.
+sparse::CsrMatrix data_with_empty_rows() {
+  data::SyntheticSpec spec;
+  spec.rows = 203;
+  spec.dim = 90;
+  spec.mean_row_nnz = 6;
+  spec.seed = 3;
+  const sparse::CsrMatrix dense = data::generate(spec);
+  sparse::CsrBuilder b(dense.dim());
+  for (std::size_t i = 0; i < dense.rows(); ++i) {
+    const auto row = dense.row(i);
+    if (i % 5 == 0 || (i >= 64 && i < 128)) {
+      b.add_row(std::span<const sparse::index_t>{},
+                std::span<const sparse::value_t>{}, dense.label(i));
+    } else {
+      b.add_row(row.indices(), row.values(), dense.label(i));
+    }
+  }
+  return b.build();
+}
+
+TEST(PackedSource, PooledMaterializeEqualsTheSourceMatrix) {
+  // The parallel path: every shard decodes on a pool worker into its slice
+  // of the final arrays.
+  util::ThreadPool pool;
+  const Fixture f;
+  const sparse::CsrMatrix sparse_rows = data_with_empty_rows();
+  const std::string path = ::testing::TempDir() + "packed_materialize.issp";
+  struct Case {
+    const sparse::CsrMatrix* data;
+    std::size_t shard_rows;
+  };
+  for (const Case c : {Case{&f.data, kShardRows}, Case{&sparse_rows, 64},
+                       Case{&f.data, f.data.rows()}}) {
+    io::write_shardpack(path, *c.data, {.shard_rows = c.shard_rows});
+    const data::PackedSource packed(path, f.packed_options(), &pool);
+    EXPECT_FALSE(packed.resident());
+    expect_same_arrays(packed.materialize(), *c.data);
+    EXPECT_TRUE(packed.resident());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PackedSource, PooledMaterializeEqualsShardDecodes) {
+  // f32 packs do not round-trip the source values, so both kinds are held
+  // to the per-shard decodes instead.
+  util::ThreadPool pool;
+  const sparse::CsrMatrix rows = data_with_empty_rows();
+  const std::string path = ::testing::TempDir() + "packed_kinds.issp";
+  for (const io::PackValueKind kind :
+       {io::PackValueKind::kF64, io::PackValueKind::kF32}) {
+    io::write_shardpack(path, rows, {.shard_rows = 64, .values = kind});
+    const data::PackedSource packed(path, {}, &pool);
+    const sparse::CsrMatrix& full = packed.materialize();
+    sparse::CsrBuilder b(packed.dim());
+    for (std::size_t s = 0; s < packed.shard_count(); ++s) {
+      const data::ShardPtr shard = packed.shard(s);
+      for (std::size_t r = 0; r < shard->matrix->rows(); ++r) {
+        const auto row = shard->matrix->row(r);
+        b.add_row(row.indices(), row.values(), shard->matrix->label(r));
+      }
+    }
+    expect_same_arrays(full, b.build());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PackedSource, CorruptBlockFailsEveryMaterialize) {
+  util::ThreadPool pool;
+  const Fixture f;
+  std::vector<char> bytes;
+  {
+    std::ifstream in(f.pack_path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // A byte deep in the last shard's payload: open passes, its block CRC
+  // fails on first decode.
+  bytes[bytes.size() - 16] = static_cast<char>(bytes[bytes.size() - 16] ^ 0x40);
+  const std::string path = ::testing::TempDir() + "packed_corrupt.issp";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const data::PackedSource packed(path, f.packed_options(), &pool);
+  EXPECT_THROW((void)packed.materialize(), io::ShardPackError);
+  // The failed flight must not leave the next caller waiting on it.
+  EXPECT_THROW((void)packed.materialize(), io::ShardPackError);
+  EXPECT_FALSE(packed.resident());
+  std::remove(path.c_str());
 }
 
 TEST(PackedSource, RowStatsServesExactSquaredNorms) {

@@ -3,7 +3,8 @@
 // truncated prefix, wrong magic, future version, or a CRC-valid directory
 // whose counts its blocks cannot hold must be rejected with a typed
 // ShardPackError naming the path and the defect, never silently served in
-// part. Plus the PrefetchAutotuner policy, driven directly with
+// part. Plus the values of io::crc32, which every pack and checkpoint on
+// disk depends on, and the PrefetchAutotuner policy, driven directly with
 // synthetic counter deltas.
 #include <gtest/gtest.h>
 
@@ -320,6 +321,48 @@ TEST(ShardPackFormat, DirectoryGeometryIsBoundedAtOpen) {
         << "directory byte " << at << " set to " << value;
   }
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// io::crc32: the reflected 0xEDB88320 CRC-32. Writers and readers share the
+// function, so round trips cannot catch a wrong but self-consistent
+// implementation; these pin its values.
+
+/// Bitwise reference: eight shift-and-xor steps per byte, no tables.
+std::uint32_t reference_crc32(const unsigned char* p, std::size_t n,
+                              std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(Crc32, KnownAnswer) {
+  const char* check = "123456789";
+  EXPECT_EQ(io::crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(io::crc32(check, 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  std::vector<unsigned char> buf(1024 + 8);
+  std::uint32_t x = 0x12345678u;
+  for (unsigned char& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* p = buf.data() + offset;
+    for (std::size_t n = 0; n <= 1024; ++n) {
+      const std::uint32_t want = reference_crc32(p, n, 0);
+      ASSERT_EQ(io::crc32(p, n), want) << "offset " << offset << " length " << n;
+      // Split in two and chained through the seed: one stream.
+      const std::size_t cut = n * 3 / 7;
+      ASSERT_EQ(io::crc32(p + cut, n - cut, io::crc32(p, cut)), want)
+          << "offset " << offset << " length " << n << " cut " << cut;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

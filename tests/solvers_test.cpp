@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <thread>
 
 #include "data/synthetic.hpp"
 #include "metrics/evaluator.hpp"
@@ -380,6 +382,54 @@ TEST(AllSolvers, SquaredHingeObjectiveWorksEverywhere) {
                       .observer = nullptr});
     EXPECT_LT(final_rmse(t), initial_rmse(t)) << t.algorithm;
   }
+}
+
+/// A file-backed source as the solvers see it: not resident, and
+/// materialize() takes a while the first time.
+class SlowMaterializeSource final : public data::DataSource {
+ public:
+  explicit SlowMaterializeSource(const sparse::CsrMatrix& data)
+      : inner_(data) {}
+  std::size_t rows() const override { return inner_.rows(); }
+  std::size_t dim() const override { return inner_.dim(); }
+  std::size_t nnz() const override { return inner_.nnz(); }
+  std::size_t shard_count() const override { return inner_.shard_count(); }
+  std::size_t shard_rows(std::size_t s) const override {
+    return inner_.shard_rows(s);
+  }
+  std::size_t shard_begin(std::size_t s) const override {
+    return inner_.shard_begin(s);
+  }
+  data::ShardPtr shard(std::size_t s) const override {
+    return inner_.shard(s);
+  }
+  bool resident() const override { return false; }
+  const sparse::CsrMatrix& materialize() const override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return inner_.materialize();
+  }
+
+ private:
+  data::InMemorySource inner_;
+};
+
+TEST(SolverContext, MaterializeCountsAsSetup) {
+  // IS-ASGD starts its setup stopwatch after ctx.data() returns; the
+  // materialization before it is setup too, and time_to_rmse(…, true)
+  // must see it.
+  const Fixture f(400, 80);
+  const SlowMaterializeSource source(f.data);
+  SolverOptions opt;
+  opt.epochs = 1;
+  opt.step_size = 0.1;
+  opt.threads = 2;
+  const Trace t = SolverRegistry::instance().get("is_asgd").train(
+      SolverContext{.source = source,
+                    .objective = f.loss,
+                    .options = opt,
+                    .eval = f.evaluator.as_fn(),
+                    .snapshot = {}});
+  EXPECT_GE(t.setup_seconds, 0.05);
 }
 
 }  // namespace
