@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "distributed/fenced.hpp"
 #include "objectives/objective.hpp"
+#include "sparse/dispatch.hpp"
 #include "sparse/sparse_vector.hpp"
 #include "util/rng.hpp"
 
@@ -34,6 +40,72 @@ SparseVector random_row(std::size_t d, std::size_t nnz, std::uint64_t seed) {
   std::vector<value_t> val(nnz);
   for (auto& v : val) v = util::normal_double(rng);
   return SparseVector(std::move(idx), std::move(val));
+}
+
+// ---------------------------------------------------------------------------
+// L1-kink fixtures. The regularizer subgradient has a kink at w = 0, and a
+// Hogwild model under L1 holds both signs and exact zeros, so the fused
+// kernels are pinned against Regularization::subgradient on the values a
+// random normal draw never produces. Comparisons are on bit patterns:
+// EXPECT_EQ on doubles calls −0.0 equal to +0.0 and NaN unequal to itself.
+// ---------------------------------------------------------------------------
+
+constexpr value_t kInf = std::numeric_limits<value_t>::infinity();
+constexpr value_t kTiny = std::numeric_limits<value_t>::denorm_min();
+constexpr value_t kNaN = std::numeric_limits<value_t>::quiet_NaN();
+
+/// Model values on and around the kink. Each appears twice in kink_model,
+/// at an even and an odd coordinate.
+constexpr value_t kKinkValues[] = {0.0,   -0.0,   kNaN, kInf, -kInf,
+                                   kTiny, -kTiny, 1.0,  -1.0};
+constexpr std::size_t kKinkCount = std::size(kKinkValues);
+constexpr std::size_t kKinkDim = 2 * kKinkCount + 13;  // then 13 normals
+
+/// Gradient scales. With g = −0.0 the residual g·x_c is a signed zero, so a
+/// kink returning −0.0 lands differently from the reference's +0.0.
+constexpr double kKinkGradients[] = {-1.25, 0.0, -0.0};
+
+std::uint64_t bits(value_t v) { return std::bit_cast<std::uint64_t>(v); }
+
+std::vector<value_t> kink_model(std::uint64_t seed) {
+  auto w = random_vector(kKinkDim, seed);
+  for (std::size_t j = 0; j < 2 * kKinkCount; ++j) {
+    w[j] = kKinkValues[j % kKinkCount];
+  }
+  return w;
+}
+
+/// Support {0, stride, 2·stride, ...} over kKinkDim coordinates, with values
+/// of alternating sign.
+SparseVector kink_row(std::size_t stride) {
+  const auto r = random_vector(kKinkDim, 3);
+  std::vector<index_t> idx;
+  std::vector<value_t> val;
+  for (std::size_t j = 0; j < kKinkDim; j += stride) {
+    idx.push_back(static_cast<index_t>(j));
+    val.push_back((idx.size() % 2 ? 1.0 : -1.0) * (0.5 + std::abs(r[j])));
+  }
+  return SparseVector(std::move(idx), std::move(val));
+}
+
+std::vector<objectives::Regularization> kink_regularizers() {
+  using objectives::Regularization;
+  return {Regularization::none(), Regularization::l1(0.3),
+          Regularization::l1(-0.3), Regularization::l2(0.3),
+          Regularization::l2(-0.3)};
+}
+
+std::string describe(const objectives::Regularization& reg) {
+  return reg.name() + "(" + std::to_string(reg.eta) + ")";
+}
+
+void expect_same_bits(const std::vector<value_t>& got,
+                      const std::vector<value_t>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    EXPECT_EQ(bits(got[j]), bits(want[j]))
+        << "coordinate " << j << ": " << got[j] << " vs " << want[j];
+  }
 }
 
 TEST(SparseKernels, SparseDotMatchesDense) {
@@ -120,55 +192,94 @@ TEST(FusedKernels, DotPairMatchesTwoDotsBitwise) {
 }
 
 TEST(FusedKernels, ResidualAxpyMatchesSubgradientLoopBitwise) {
-  const std::size_t d = 101;
-  const auto x = random_row(d, 17, 5);
-  const double step = 0.37, g = -1.25;
-  for (const auto reg :
-       {objectives::Regularization::none(), objectives::Regularization::l1(0.3),
-        objectives::Regularization::l2(0.2)}) {
-    auto w_fused = random_vector(d, 7);
-    auto w_ref = w_fused;
-    sparse_dot_residual_axpy(w_fused, x.view(), step, g, reg.eta_l1(),
-                             reg.eta_l2());
-    // The frozen pre-fusion loop.
-    const auto idx = x.view().indices();
-    const auto val = x.view().values();
-    for (std::size_t k = 0; k < idx.size(); ++k) {
-      const std::size_t c = idx[k];
-      w_ref[c] -= step * (g * val[k] + reg.subgradient(w_ref[c]));
-    }
-    for (std::size_t j = 0; j < d; ++j) {
-      EXPECT_EQ(w_fused[j], w_ref[j]) << reg.name() << " coordinate " << j;
+  const auto x = kink_row(/*stride=*/1);
+  const double step = 0.37;
+  for (const kernels::Backend be : kernels::available_backends()) {
+    const kernels::KernelTable& t = *kernels::table_for(be);
+    for (const auto& reg : kink_regularizers()) {
+      for (const double g : kKinkGradients) {
+        SCOPED_TRACE(kernels::backend_name(be) + " " + describe(reg) +
+                     " g=" + std::to_string(g));
+        auto w_fused = kink_model(7);
+        auto w_ref = w_fused;
+        t.sparse_dot_residual_axpy(w_fused, x.view(), step, g, reg.eta_l1(),
+                                   reg.eta_l2());
+        // The frozen pre-fusion loop.
+        const auto idx = x.view().indices();
+        const auto val = x.view().values();
+        for (std::size_t k = 0; k < idx.size(); ++k) {
+          const std::size_t c = idx[k];
+          w_ref[c] -= step * (g * val[k] + reg.subgradient(w_ref[c]));
+        }
+        expect_same_bits(w_fused, w_ref);
+      }
     }
   }
 }
 
 TEST(FusedKernels, ScaleThenSparseAxpyMatchesTwoPassBitwise) {
-  const std::size_t d = 149;
-  const auto x = random_row(d, 23, 9);
-  const auto mu = random_vector(d, 10);
-  const double step = 0.11, corr_step = -0.53;
-  for (const auto reg :
-       {objectives::Regularization::none(), objectives::Regularization::l1(0.3),
-        objectives::Regularization::l2(0.2)}) {
-    auto w_fused = random_vector(d, 12);
-    auto w_ref = w_fused;
-    scale_then_sparse_axpy(w_fused, mu, step, reg.eta_l1(), reg.eta_l2(),
-                           corr_step, x.view());
-    // The frozen pre-fusion two-pass sequence: sparse correction, then the
-    // dense variance-reduction pass.
-    const auto idx = x.view().indices();
-    const auto val = x.view().values();
-    for (std::size_t k = 0; k < idx.size(); ++k) {
-      w_ref[idx[k]] -= corr_step * val[k];
-    }
-    for (std::size_t j = 0; j < d; ++j) {
-      w_ref[j] -= step * (mu[j] + reg.subgradient(w_ref[j]));
-    }
-    for (std::size_t j = 0; j < d; ++j) {
-      EXPECT_EQ(w_fused[j], w_ref[j]) << reg.name() << " coordinate " << j;
+  // Every other coordinate is in the support, so each kink value meets
+  // both the sparse+dense path and the between-support dense runs.
+  const auto x = kink_row(/*stride=*/2);
+  const auto r = random_vector(kKinkDim, 10);
+  const double step = 0.11;
+  for (const kernels::Backend be : kernels::available_backends()) {
+    const kernels::KernelTable& t = *kernels::table_for(be);
+    for (const auto& reg : kink_regularizers()) {
+      for (const double g : kKinkGradients) {
+        SCOPED_TRACE(kernels::backend_name(be) + " " + describe(reg) +
+                     " g=" + std::to_string(g));
+        // μ and the correction carry g's sign, zeros included.
+        std::vector<value_t> mu(kKinkDim);
+        for (std::size_t j = 0; j < kKinkDim; ++j) mu[j] = g * std::abs(r[j]);
+        const double corr_step = 0.4 * g;
+        auto w_fused = kink_model(12);
+        auto w_ref = w_fused;
+        t.scale_then_sparse_axpy(w_fused, mu, step, reg.eta_l1(),
+                                 reg.eta_l2(), corr_step, x.view());
+        // The frozen pre-fusion two-pass sequence: sparse correction, then
+        // the dense variance-reduction pass.
+        const auto idx = x.view().indices();
+        const auto val = x.view().values();
+        for (std::size_t k = 0; k < idx.size(); ++k) {
+          w_ref[idx[k]] -= corr_step * val[k];
+        }
+        for (std::size_t j = 0; j < kKinkDim; ++j) {
+          w_ref[j] -= step * (mu[j] + reg.subgradient(w_ref[j]));
+        }
+        expect_same_bits(w_fused, w_ref);
+      }
     }
   }
+}
+
+TEST(FencedApplyPush, MatchesSubgradientLoopBitwiseUnderEveryBackend) {
+  // The parameter server's apply must land a push exactly as the frozen
+  // per-coordinate subgradient loop does, whichever backend is active.
+  const kernels::Backend ambient = kernels::active_backend();
+  const auto x = kink_row(/*stride=*/1);
+  const double step = 0.37;
+  for (const kernels::Backend be : kernels::available_backends()) {
+    ASSERT_TRUE(kernels::set_backend(be));
+    for (const auto& reg : kink_regularizers()) {
+      for (const double g : kKinkGradients) {
+        SCOPED_TRACE(kernels::backend_name(be) + " " + describe(reg) +
+                     " g=" + std::to_string(g));
+        auto w_push = kink_model(7);
+        auto w_ref = w_push;
+        distributed::fenced::apply_push(x.view().indices(), x.view().values(),
+                                        g, step, reg, w_push);
+        const auto idx = x.view().indices();
+        const auto val = x.view().values();
+        for (std::size_t j = 0; j < idx.size(); ++j) {
+          const std::size_t c = idx[j];
+          w_ref[c] -= step * (g * val[j] + reg.subgradient(w_ref[c]));
+        }
+        expect_same_bits(w_push, w_ref);
+      }
+    }
+  }
+  kernels::set_backend(ambient);
 }
 
 TEST(FusedKernels, ScaleThenSparseAxpyEmptySupportIsDenseStep) {
