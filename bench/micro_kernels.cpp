@@ -265,6 +265,49 @@ void bench_fused_sgd_step() {
         });
 }
 
+void bench_fused_sgd_step_l1() {
+  // The path every isbench workload trains: L1 over a model that holds both
+  // signs and exact zeros. The row above reuses one row on an all-positive
+  // model, so a sign branch predicts perfectly there; here 4,096 rows are
+  // cycled so no row's sign pattern can be learned. g = 0·margin keeps the
+  // pattern stationary (a touched zero stays +0.0, a nonzero coordinate
+  // moves by step·eta), and nothing in either kernel depends on g's value.
+  const std::size_t d = std::size_t{1} << 17;
+  const std::size_t nnz = 64;
+  const std::size_t rows = 4096;  // a power of two: i & (rows − 1) cycles
+  std::vector<sparse::SparseVector> pool;
+  pool.reserve(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    pool.push_back(make_row(d, nnz, 1000 + r));
+  }
+  std::vector<double> w(d);
+  util::Rng rng(77);
+  for (auto& v : w) {
+    v = util::uniform_index(rng, 8) == 0 ? 0.0 : util::normal_double(rng);
+  }
+  const auto reg = objectives::Regularization::l1(1e-4);
+
+  bench("sgd_step_scalar_l1", "", static_cast<double>(nnz),
+        [&](std::size_t it) {
+          for (std::size_t i = 0; i < it; ++i) {
+            const auto x = pool[i & (rows - 1)].view();
+            const double margin = scalar_sparse_dot(w, x);
+            scalar_sgd_step(w, x, 1e-9, 0.0 * margin, reg);
+          }
+          g_sink += w[pool[0].view().index(0)];
+        });
+  bench("sgd_step_fused_l1", "sgd_step_scalar_l1", static_cast<double>(nnz),
+        [&](std::size_t it) {
+          for (std::size_t i = 0; i < it; ++i) {
+            const auto x = pool[i & (rows - 1)].view();
+            const double margin = sparse::sparse_dot(w, x);
+            sparse::sparse_dot_residual_axpy(w, x, 1e-9, 0.0 * margin,
+                                             reg.eta_l1(), reg.eta_l2());
+          }
+          g_sink += w[pool[0].view().index(0)];
+        });
+}
+
 void bench_fused_svrg_step() {
   const std::size_t d = std::size_t{1} << 16;
   const std::size_t nnz = 32;
@@ -630,6 +673,7 @@ int main(int argc, char** argv) {
   bench_dense_kernels();
   bench_sparse_vs_dense_update();
   bench_fused_sgd_step();
+  bench_fused_sgd_step_l1();
   bench_fused_svrg_step();
   bench_samplers();
   bench_backend_ladder();

@@ -1,6 +1,7 @@
 // The pieces every distributed engine shares, so no two of them can drift:
 // the pre-run setup (the Algorithm-4 partition plus one seeded NodeWalk per
-// node) and the sparse apply.
+// node) and the sparse apply, which is the same fused kernel the Hogwild
+// solvers step with (sparse/kernels.hpp).
 //
 // The fenced round-robin schedule (ClusterSpec::Schedule) is the one both
 // the simulators (run_param_server, run_allreduce_sgd) and the real process
@@ -36,22 +37,25 @@
 #include "partition/partition.hpp"
 #include "solvers/options.hpp"
 #include "sparse/csr_matrix.hpp"
+#include "sparse/dispatch.hpp"
+#include "sparse/sparse_vector.hpp"
 
 namespace isasgd::distributed::fenced {
 
-/// THE sparse apply. One implementation, inlined into the simulated and the
-/// real PS server alike, so the two cannot drift: left-to-right over the
-/// row's nonzeros,
-///   w[c] -= scaled_step · (gradient_scale · val[j] + ∂r(w[c])).
+/// THE sparse apply, shared by the simulated PS, the forked PS server and
+/// service::PsHost, so they cannot drift. It is the Hogwild solvers' fused
+/// kernel (sparse::sparse_dot_residual_axpy through the active backend):
+/// left-to-right over the row's nonzeros,
+///   w[c] -= scaled_step · (gradient_scale · val[j] + ∂r(w[c])),
+/// bit for bit the loop over Regularization::subgradient.
 inline void apply_push(std::span<const std::uint32_t> idx,
                        std::span<const double> val, double gradient_scale,
                        double scaled_step,
                        const objectives::Regularization& reg,
                        std::vector<double>& w) {
-  for (std::size_t j = 0; j < idx.size(); ++j) {
-    const std::size_t c = idx[j];
-    w[c] -= scaled_step * (gradient_scale * val[j] + reg.subgradient(w[c]));
-  }
+  sparse::kernels::active().sparse_dot_residual_axpy(
+      w, sparse::SparseVectorView(idx, val), scaled_step, gradient_scale,
+      reg.eta_l1(), reg.eta_l2());
 }
 
 /// Shared pre-run setup: the Algorithm-4 partition plus one seeded NodeWalk

@@ -5,7 +5,8 @@
 //
 //   1 parameter-server process   owns the model; serves coordinate gets,
 //                                applies pushes (fenced::apply_push — the
-//                                same inlined arithmetic as the simulator),
+//                                simulator's apply, which is the Hogwild
+//                                solvers' fused sparse kernel),
 //                                enforces the fenced rank order, and ships
 //                                the model to the controller at every epoch
 //                                fence. One frame wait serves its slots,

@@ -50,6 +50,14 @@ std::string Regularization::name() const {
   return "?";
 }
 
+void Regularization::validate(std::string_view who) const {
+  if (!(std::isfinite(eta) && eta >= 0)) {
+    throw std::invalid_argument(std::string(who) +
+                                ": reg.eta must be finite and non-negative "
+                                "(got " + std::to_string(eta) + ")");
+  }
+}
+
 double Objective::gradient_norm_bound(sparse::SparseVectorView x, value_t y,
                                       double radius,
                                       const Regularization& reg) const {

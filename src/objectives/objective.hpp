@@ -15,6 +15,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sparse/csr_matrix.hpp"
@@ -62,6 +63,12 @@ struct Regularization {
   }
 
   [[nodiscard]] std::string name() const;
+
+  /// Throws std::invalid_argument "<who>: reg.eta must be finite and
+  /// non-negative" unless it is. NaN and ±inf are as nonsensical as a
+  /// negative strength (ClusterSpec::validate's convention). The solvers
+  /// and service::PsHost call it before they train or serve.
+  void validate(std::string_view who) const;
 };
 
 /// Scalar GLM loss interface: everything is a function of the margin

@@ -24,6 +24,7 @@ constexpr int kAcceptPollMs = 100;
 PsHost::PsHost(std::size_t dim, const std::string& address,
                objectives::Regularization reg)
     : dim_(dim), reg_(std::move(reg)), model_(dim, 0.0) {
+  reg_.validate("PsHost");
   listener_ = net::listen(address);
   address_ = listener_->address();
   listener_->set_accept_timeout(kAcceptPollMs);

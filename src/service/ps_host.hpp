@@ -5,9 +5,10 @@
 // (distributed/ps_wire.hpp) over a net::Transport listener — coordinate gets
 // (kStep → kStepReply) and sparse pushes (kPush → apply → kPushAck) — so
 // external worker processes can train against a model that outlives any one
-// of them. The apply is fenced::apply_push, the same inlined arithmetic as
-// the fenced simulator and the forked process groups: a worker talking to a
-// hosted PS sees exactly the update rule every other backend implements.
+// of them. The apply is fenced::apply_push, the fused sparse kernel the
+// Hogwild solvers, the fenced simulator and the forked process groups all
+// step with: a worker talking to a hosted PS sees exactly the update rule
+// every other backend implements.
 //
 // Lifecycle: construct (binds the listener, resolves ephemeral addresses),
 // serve connections on a background thread, stop() to wind down. Connections
@@ -34,7 +35,9 @@ class PsHost {
  public:
   /// Binds `address` (e.g. "tcp://127.0.0.1:0" or "shm:///tmp/prefix") and
   /// starts serving a zero-initialised `dim`-dimensional model under `reg`.
-  /// Throws net::TransportError when the address cannot be bound.
+  /// Throws std::invalid_argument, before binding, when reg's strength is
+  /// negative or not finite, and net::TransportError when the address
+  /// cannot be bound.
   PsHost(std::size_t dim, const std::string& address,
          objectives::Regularization reg = objectives::Regularization::none());
   ~PsHost();

@@ -1,6 +1,7 @@
 #include "solvers/solver.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <mutex>
 #include <stdexcept>
 
@@ -18,10 +19,12 @@ const sparse::CsrMatrix& SolverContext::data() const {
 
 void Solver::validate(SolverOptions& options) const {
   if (options.threads == 0) options.threads = 1;
-  if (options.step_size <= 0) {
+  // NaN fails `step_size > 0`; +inf fails isfinite.
+  if (!(std::isfinite(options.step_size) && options.step_size > 0)) {
     throw std::invalid_argument(std::string(name()) +
-                                ": step_size must be positive");
+                                ": step_size must be positive and finite");
   }
+  options.reg.validate(name());
 }
 
 Trace Solver::train(SolverContext ctx) const {

@@ -61,6 +61,15 @@ void sparse_axpy(std::span<value_t> w, value_t alpha, SparseVectorView x) noexce
 /// both are). The call dispatches once to a loop specialised on the kind,
 /// each of whose expressions reproduces the unfused
 /// `g·x_c + reg.subgradient(w[c])` loop bit for bit.
+///
+/// The L1 term is computed without a data-dependent branch. A Hogwild
+/// model under L1 holds coordinates of both signs and exact zeros, so a
+/// sign test per touched coordinate mispredicts often enough to cost more
+/// than the rest of the update (docs/PERF.md). It is a bit-mask select
+/// whose result equals Regularization::subgradient's bit for bit, for
+/// every w[c] and every eta_l1: eta_l1 when w[c] > 0, −eta_l1 (eta_l1 with
+/// its sign bit flipped) when w[c] < 0, and +0.0 when w[c] is +0.0, −0.0
+/// or NaN.
 void sparse_dot_residual_axpy(std::span<value_t> w, SparseVectorView x,
                               value_t step, value_t g, value_t eta_l1,
                               value_t eta_l2) noexcept;

@@ -8,9 +8,11 @@
 
 #if defined(ISASGD_TU_AVX2)
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "sparse/kernels.hpp"
 

@@ -9,9 +9,11 @@
 
 #if defined(ISASGD_TU_AVX512)
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "sparse/kernels.hpp"
 

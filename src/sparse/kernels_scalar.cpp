@@ -5,9 +5,11 @@
 // which turns this TU into the "native" tune the dispatcher pins to (see
 // dispatch.hpp). Always compiled with -ffp-contract=off: the scalar table
 // is the bit-identity reference every other backend is checked against.
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "sparse/dispatch.hpp"
 #include "sparse/kernels.hpp"

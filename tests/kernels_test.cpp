@@ -99,6 +99,18 @@ std::string describe(const objectives::Regularization& reg) {
   return reg.name() + "(" + std::to_string(reg.eta) + ")";
 }
 
+/// The frozen pre-fusion loop, one out-of-line subgradient per coordinate.
+void subgradient_loop(std::vector<value_t>& w, const SparseVector& x,
+                      double step, double g,
+                      const objectives::Regularization& reg) {
+  const auto idx = x.view().indices();
+  const auto val = x.view().values();
+  for (std::size_t k = 0; k < idx.size(); ++k) {
+    const std::size_t c = idx[k];
+    w[c] -= step * (g * val[k] + reg.subgradient(w[c]));
+  }
+}
+
 void expect_same_bits(const std::vector<value_t>& got,
                       const std::vector<value_t>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -204,13 +216,7 @@ TEST(FusedKernels, ResidualAxpyMatchesSubgradientLoopBitwise) {
         auto w_ref = w_fused;
         t.sparse_dot_residual_axpy(w_fused, x.view(), step, g, reg.eta_l1(),
                                    reg.eta_l2());
-        // The frozen pre-fusion loop.
-        const auto idx = x.view().indices();
-        const auto val = x.view().values();
-        for (std::size_t k = 0; k < idx.size(); ++k) {
-          const std::size_t c = idx[k];
-          w_ref[c] -= step * (g * val[k] + reg.subgradient(w_ref[c]));
-        }
+        subgradient_loop(w_ref, x, step, g, reg);
         expect_same_bits(w_fused, w_ref);
       }
     }
@@ -256,7 +262,10 @@ TEST(FusedKernels, ScaleThenSparseAxpyMatchesTwoPassBitwise) {
 TEST(FencedApplyPush, MatchesSubgradientLoopBitwiseUnderEveryBackend) {
   // The parameter server's apply must land a push exactly as the frozen
   // per-coordinate subgradient loop does, whichever backend is active.
-  const kernels::Backend ambient = kernels::active_backend();
+  struct RestoreBackend {
+    kernels::Backend ambient = kernels::active_backend();
+    ~RestoreBackend() { kernels::set_backend(ambient); }
+  } restore;
   const auto x = kink_row(/*stride=*/1);
   const double step = 0.37;
   for (const kernels::Backend be : kernels::available_backends()) {
@@ -269,17 +278,11 @@ TEST(FencedApplyPush, MatchesSubgradientLoopBitwiseUnderEveryBackend) {
         auto w_ref = w_push;
         distributed::fenced::apply_push(x.view().indices(), x.view().values(),
                                         g, step, reg, w_push);
-        const auto idx = x.view().indices();
-        const auto val = x.view().values();
-        for (std::size_t j = 0; j < idx.size(); ++j) {
-          const std::size_t c = idx[j];
-          w_ref[c] -= step * (g * val[j] + reg.subgradient(w_ref[c]));
-        }
+        subgradient_loop(w_ref, x, step, g, reg);
         expect_same_bits(w_push, w_ref);
       }
     }
   }
-  kernels::set_backend(ambient);
 }
 
 TEST(FusedKernels, ScaleThenSparseAxpyEmptySupportIsDenseStep) {

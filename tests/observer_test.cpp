@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <any>
+#include <limits>
+#include <string>
 
 #include "core/trainer.hpp"
 #include "data/synthetic.hpp"
@@ -154,6 +156,42 @@ TEST(Observer, ValidationFailureFiresNoCallbacks) {
                std::invalid_argument);
   EXPECT_EQ(obs.begins, 0u);
   EXPECT_EQ(obs.ends, 0u);
+}
+
+TEST(Observer, NonFiniteStepOrBadStrengthFiresNoCallbacks) {
+  // Every case trained to completion (or, for l2(inf), failed by accident
+  // inside the alias build) before Solver::validate checked it.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  using objectives::Regularization;
+  struct Case {
+    double step;
+    Regularization reg;
+    const char* field;
+  };
+  const Fixture f;
+  for (const Case& c : {Case{kNaN, Regularization::l2(1e-5), "step_size"},
+                        Case{kInf, Regularization::l2(1e-5), "step_size"},
+                        Case{0.2, Regularization::l1(-1.0), "reg.eta"},
+                        Case{0.2, Regularization::l1(kNaN), "reg.eta"},
+                        Case{0.2, Regularization::l2(kInf), "reg.eta"},
+                        Case{0.2, Regularization::l2(-1e-3), "reg.eta"}}) {
+    SCOPED_TRACE(std::string(c.field) + " step=" + std::to_string(c.step) +
+                 " " + c.reg.name() + "(" + std::to_string(c.reg.eta) + ")");
+    const Trainer trainer(f.data, f.loss, c.reg, 2);
+    solvers::SolverOptions opt;
+    opt.step_size = c.step;
+    CountingObserver obs;
+    try {
+      (void)trainer.train("is_asgd", opt, &obs);
+      ADD_FAILURE() << "validation accepted the options";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(obs.begins, 0u);
+    EXPECT_EQ(obs.ends, 0u);
+  }
 }
 
 }  // namespace

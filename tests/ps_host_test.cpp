@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -71,6 +73,18 @@ TEST(PsHost, ServesGetsAndAppliesPushesWithSharedApplyArithmetic) {
   }
   EXPECT_EQ(host.pushes(), 1u);
   EXPECT_EQ(host.model(), expected);
+}
+
+TEST(PsHost, RejectsANegativeOrNonFiniteStrength) {
+  using objectives::Regularization;
+  for (const Regularization& reg :
+       {Regularization::l1(-1.0),
+        Regularization::l1(std::numeric_limits<double>::quiet_NaN()),
+        Regularization::l2(std::numeric_limits<double>::infinity())}) {
+    EXPECT_THROW(service::PsHost(4, "tcp://127.0.0.1:0", reg),
+                 std::invalid_argument)
+        << reg.name() << "(" << reg.eta << ")";
+  }
 }
 
 TEST(PsHost, ModelOutlivesWorkerConnections) {
