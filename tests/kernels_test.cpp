@@ -54,12 +54,24 @@ constexpr value_t kInf = std::numeric_limits<value_t>::infinity();
 constexpr value_t kTiny = std::numeric_limits<value_t>::denorm_min();
 constexpr value_t kNaN = std::numeric_limits<value_t>::quiet_NaN();
 
-/// Model values on and around the kink. Each appears twice in kink_model,
-/// at an even and an odd coordinate.
+/// Model values on and around the kink.
 constexpr value_t kKinkValues[] = {0.0,   -0.0,   kNaN, kInf, -kInf,
                                    kTiny, -kTiny, 1.0,  -1.0};
 constexpr std::size_t kKinkCount = std::size(kKinkValues);
-constexpr std::size_t kKinkDim = 2 * kKinkCount + 13;  // then 13 normals
+
+/// kink_model repeats the kink values and two normals with this period. It
+/// is odd, so every value lands on even and on odd coordinates.
+constexpr std::size_t kKinkPeriod = kKinkCount + 2;
+
+/// kink_row's support is every even coordinate of the first two periods,
+/// then the one coordinate that closes a kRunLength-long run outside the
+/// support; a kRunLength-long tail follows it. A run that long holds every
+/// kink value several times over, so each one meets whole 4- and 8-lane
+/// vector iterations of the dense pass, whatever the loop peels.
+constexpr std::size_t kRunLength = 40;
+constexpr std::size_t kRunBegin = 2 * kKinkPeriod;
+constexpr std::size_t kRunClose = kRunBegin + kRunLength;
+constexpr std::size_t kKinkDim = kRunClose + 1 + kRunLength;
 
 /// Gradient scales. With g = −0.0 the residual g·x_c is a signed zero, so a
 /// kink returning −0.0 lands differently from the reference's +0.0.
@@ -69,23 +81,45 @@ std::uint64_t bits(value_t v) { return std::bit_cast<std::uint64_t>(v); }
 
 std::vector<value_t> kink_model(std::uint64_t seed) {
   auto w = random_vector(kKinkDim, seed);
-  for (std::size_t j = 0; j < 2 * kKinkCount; ++j) {
-    w[j] = kKinkValues[j % kKinkCount];
+  for (std::size_t j = 0; j < kKinkDim; ++j) {
+    if (j % kKinkPeriod < kKinkCount) w[j] = kKinkValues[j % kKinkPeriod];
   }
   return w;
 }
 
-/// Support {0, stride, 2·stride, ...} over kKinkDim coordinates, with values
-/// of alternating sign.
-SparseVector kink_row(std::size_t stride) {
+/// A row with the support laid out at kRunLength and values of
+/// alternating sign.
+SparseVector kink_row() {
   const auto r = random_vector(kKinkDim, 3);
   std::vector<index_t> idx;
-  std::vector<value_t> val;
-  for (std::size_t j = 0; j < kKinkDim; j += stride) {
+  for (std::size_t j = 0; j < kRunBegin; j += 2) {
     idx.push_back(static_cast<index_t>(j));
-    val.push_back((idx.size() % 2 ? 1.0 : -1.0) * (0.5 + std::abs(r[j])));
+  }
+  idx.push_back(static_cast<index_t>(kRunClose));
+  std::vector<value_t> val;
+  for (const index_t j : idx) {
+    val.push_back((val.size() % 2 ? -1.0 : 1.0) * (0.5 + std::abs(r[j])));
   }
   return SparseVector(std::move(idx), std::move(val));
+}
+
+/// A model and the row that steps it.
+struct StepCase {
+  std::string name;
+  std::vector<value_t> w;
+  SparseVector x;
+};
+
+/// The kink layout, plus a normal model under a random d-dimensional row,
+/// whose support leaves runs of random length between its coordinates.
+std::vector<StepCase> step_cases(std::size_t d, std::size_t nnz,
+                                 std::uint64_t row_seed,
+                                 std::uint64_t model_seed) {
+  std::vector<StepCase> cases;
+  cases.push_back({"kink", kink_model(model_seed), kink_row()});
+  cases.push_back({"random", random_vector(d, model_seed),
+                   random_row(d, nnz, row_seed)});
+  return cases;
 }
 
 std::vector<objectives::Regularization> kink_regularizers() {
@@ -112,11 +146,12 @@ void subgradient_loop(std::vector<value_t>& w, const SparseVector& x,
 }
 
 void expect_same_bits(const std::vector<value_t>& got,
-                      const std::vector<value_t>& want) {
+                      const std::vector<value_t>& want, const char* what) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t j = 0; j < want.size(); ++j) {
     EXPECT_EQ(bits(got[j]), bits(want[j]))
-        << "coordinate " << j << ": " << got[j] << " vs " << want[j];
+        << what << ", coordinate " << j << ": " << got[j] << " vs "
+        << want[j];
   }
 }
 
@@ -204,82 +239,78 @@ TEST(FusedKernels, DotPairMatchesTwoDotsBitwise) {
 }
 
 TEST(FusedKernels, ResidualAxpyMatchesSubgradientLoopBitwise) {
-  const auto x = kink_row(/*stride=*/1);
+  // Each backend's kernel, and fenced::apply_push (the parameter server's
+  // apply) with that backend active, must land a step exactly as the frozen
+  // per-coordinate subgradient loop does, and leave every coordinate
+  // outside the support as it was.
+  struct RestoreBackend {
+    kernels::Backend ambient = kernels::active_backend();
+    ~RestoreBackend() { kernels::set_backend(ambient); }
+  } restore;
   const double step = 0.37;
   for (const kernels::Backend be : kernels::available_backends()) {
+    ASSERT_TRUE(kernels::set_backend(be));
     const kernels::KernelTable& t = *kernels::table_for(be);
-    for (const auto& reg : kink_regularizers()) {
-      for (const double g : kKinkGradients) {
-        SCOPED_TRACE(kernels::backend_name(be) + " " + describe(reg) +
-                     " g=" + std::to_string(g));
-        auto w_fused = kink_model(7);
-        auto w_ref = w_fused;
-        t.sparse_dot_residual_axpy(w_fused, x.view(), step, g, reg.eta_l1(),
-                                   reg.eta_l2());
-        subgradient_loop(w_ref, x, step, g, reg);
-        expect_same_bits(w_fused, w_ref);
+    for (const StepCase& c : step_cases(101, 17, 5, 7)) {
+      for (const auto& reg : kink_regularizers()) {
+        for (const double g : kKinkGradients) {
+          SCOPED_TRACE(kernels::backend_name(be) + " " + c.name + " " +
+                       describe(reg) + " g=" + std::to_string(g));
+          auto w_ref = c.w;
+          subgradient_loop(w_ref, c.x, step, g, reg);
+          auto w_fused = c.w;
+          t.sparse_dot_residual_axpy(w_fused, c.x.view(), step, g,
+                                     reg.eta_l1(), reg.eta_l2());
+          expect_same_bits(w_fused, w_ref, "kernel");
+          auto w_push = c.w;
+          distributed::fenced::apply_push(c.x.view().indices(),
+                                          c.x.view().values(), g, step, reg,
+                                          w_push);
+          expect_same_bits(w_push, w_ref, "apply_push");
+        }
       }
     }
   }
 }
 
 TEST(FusedKernels, ScaleThenSparseAxpyMatchesTwoPassBitwise) {
-  // Every other coordinate is in the support, so each kink value meets
-  // both the sparse+dense path and the between-support dense runs.
-  const auto x = kink_row(/*stride=*/2);
-  const auto r = random_vector(kKinkDim, 10);
+  // The kink layout puts every kink value in the support, in the 1-long
+  // runs between support coordinates, in a long run and in the tail; the
+  // random case adds runs of random length.
   const double step = 0.11;
   for (const kernels::Backend be : kernels::available_backends()) {
     const kernels::KernelTable& t = *kernels::table_for(be);
-    for (const auto& reg : kink_regularizers()) {
-      for (const double g : kKinkGradients) {
-        SCOPED_TRACE(kernels::backend_name(be) + " " + describe(reg) +
-                     " g=" + std::to_string(g));
-        // μ and the correction carry g's sign, zeros included.
-        std::vector<value_t> mu(kKinkDim);
-        for (std::size_t j = 0; j < kKinkDim; ++j) mu[j] = g * std::abs(r[j]);
-        const double corr_step = 0.4 * g;
-        auto w_fused = kink_model(12);
-        auto w_ref = w_fused;
-        t.scale_then_sparse_axpy(w_fused, mu, step, reg.eta_l1(),
-                                 reg.eta_l2(), corr_step, x.view());
-        // The frozen pre-fusion two-pass sequence: sparse correction, then
-        // the dense variance-reduction pass.
-        const auto idx = x.view().indices();
-        const auto val = x.view().values();
-        for (std::size_t k = 0; k < idx.size(); ++k) {
-          w_ref[idx[k]] -= corr_step * val[k];
+    for (const StepCase& c : step_cases(149, 23, 9, 12)) {
+      const std::size_t d = c.w.size();
+      const auto r = random_vector(d, 10);
+      for (const auto& reg : kink_regularizers()) {
+        for (const double g : kKinkGradients) {
+          SCOPED_TRACE(kernels::backend_name(be) + " " + c.name + " " +
+                       describe(reg) + " g=" + std::to_string(g));
+          // μ takes g's sign on even coordinates and the opposite on odd
+          // ones, so a μ of either signed zero meets every kink value. The
+          // correction step takes g's sign.
+          std::vector<value_t> mu(d);
+          for (std::size_t j = 0; j < d; ++j) {
+            mu[j] = (j % 2 ? -g : g) * std::abs(r[j]);
+          }
+          const double corr_step = 0.4 * g;
+          auto w_fused = c.w;
+          auto w_ref = c.w;
+          t.scale_then_sparse_axpy(w_fused, mu, step, reg.eta_l1(),
+                                   reg.eta_l2(), corr_step, c.x.view());
+          // The frozen pre-fusion two-pass sequence: sparse correction,
+          // then the dense variance-reduction pass.
+          const auto idx = c.x.view().indices();
+          const auto val = c.x.view().values();
+          for (std::size_t k = 0; k < idx.size(); ++k) {
+            w_ref[idx[k]] -= corr_step * val[k];
+          }
+          for (std::size_t j = 0; j < d; ++j) {
+            w_ref[j] -= step * (mu[j] + reg.subgradient(w_ref[j]));
+          }
+          expect_same_bits(w_fused, w_ref, "kernel");
         }
-        for (std::size_t j = 0; j < kKinkDim; ++j) {
-          w_ref[j] -= step * (mu[j] + reg.subgradient(w_ref[j]));
-        }
-        expect_same_bits(w_fused, w_ref);
-      }
-    }
-  }
-}
-
-TEST(FencedApplyPush, MatchesSubgradientLoopBitwiseUnderEveryBackend) {
-  // The parameter server's apply must land a push exactly as the frozen
-  // per-coordinate subgradient loop does, whichever backend is active.
-  struct RestoreBackend {
-    kernels::Backend ambient = kernels::active_backend();
-    ~RestoreBackend() { kernels::set_backend(ambient); }
-  } restore;
-  const auto x = kink_row(/*stride=*/1);
-  const double step = 0.37;
-  for (const kernels::Backend be : kernels::available_backends()) {
-    ASSERT_TRUE(kernels::set_backend(be));
-    for (const auto& reg : kink_regularizers()) {
-      for (const double g : kKinkGradients) {
-        SCOPED_TRACE(kernels::backend_name(be) + " " + describe(reg) +
-                     " g=" + std::to_string(g));
-        auto w_push = kink_model(7);
-        auto w_ref = w_push;
-        distributed::fenced::apply_push(x.view().indices(), x.view().values(),
-                                        g, step, reg, w_push);
-        subgradient_loop(w_ref, x, step, g, reg);
-        expect_same_bits(w_push, w_ref);
       }
     }
   }
