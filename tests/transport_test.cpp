@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <random>
@@ -304,29 +305,65 @@ TEST(TransportEintr, TcpTransferSurvivesSignalStorm) {
 
 // ---- Cross-backend parity ---------------------------------------------------
 
-TEST(TransportParity, ShmAndTcpDeliverIdenticalBytes) {
-  // The distributed runtime treats the transport as interchangeable: the
-  // same frame sequence pushed through both backends must come out
-  // byte-identical, or "bit-identical training over shm and tcp" is void.
-  std::vector<Frame> sent;
+/// 64 random frames of up to 20 KB.
+std::vector<Frame> small_random_frames() {
+  std::vector<Frame> frames;
   std::mt19937 rng(17);
   for (int i = 0; i < 64; ++i) {
     Frame f;
     f.type = rng() % 1000;
     f.payload = random_payload(rng() % 20000, rng());
-    sent.push_back(std::move(f));
+    frames.push_back(std::move(f));
   }
-  for (const std::string backend : {"tcp", "shm"}) {
-    Pair pair = make_pair_over(backend, "parity");
-    std::thread sender([&] {
-      for (const Frame& f : sent) write_frame(*pair.client, f.type, f.payload);
-    });
-    for (const Frame& f : sent) {
-      const Frame got = read_frame(*pair.server);
-      ASSERT_EQ(got.type, f.type) << backend;
-      ASSERT_EQ(got.payload, f.payload) << backend;
+  return frames;
+}
+
+/// 48 frames, every third within 16 bytes of the 1 MiB shm ring capacity
+/// and the rest under 5 KB: about sixteen ring capacities in all, with
+/// frames that straddle the ring's wrap at shifting offsets.
+std::vector<Frame> wrap_straddling_frames() {
+  constexpr std::size_t kRing = std::size_t{1} << 20;
+  std::vector<Frame> frames;
+  std::mt19937 rng(29);
+  for (int i = 0; i < 48; ++i) {
+    Frame f;
+    f.type = rng() % 1000;
+    const std::size_t size =
+        i % 3 == 0 ? kRing - 16 + rng() % 33 : rng() % 5000;
+    f.payload = random_payload(size, rng());
+    frames.push_back(std::move(f));
+  }
+  return frames;
+}
+
+TEST(TransportParity, ShmAndTcpDeliverIdenticalBytes) {
+  // The distributed runtime treats the transport as interchangeable: the
+  // same frame sequence pushed through both backends must come out
+  // byte-identical, or "bit-identical training over shm and tcp" is void.
+  // The reader pauses 1 ms after every 16th frame, so on the second input
+  // the writer fills the ring, blocks, and resumes only once it sees the
+  // reader's progress.
+  for (const std::vector<Frame>& sent :
+       {small_random_frames(), wrap_straddling_frames()}) {
+    for (const std::string backend : {"tcp", "shm"}) {
+      Pair pair = make_pair_over(backend, "parity");
+      std::thread sender([&] {
+        for (const Frame& f : sent) {
+          write_frame(*pair.client, f.type, f.payload);
+        }
+      });
+      for (std::size_t i = 0; i < sent.size(); ++i) {
+        const Frame got = read_frame(*pair.server);
+        ASSERT_EQ(got.type, sent[i].type) << backend << " frame " << i;
+        ASSERT_TRUE(got.payload == sent[i].payload)
+            << backend << " frame " << i << " of " << sent[i].payload.size()
+            << " bytes";
+        if (i % 16 == 15) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+      sender.join();
     }
-    sender.join();
   }
 }
 
