@@ -31,12 +31,12 @@ using Clock = std::chrono::steady_clock;
                        what + ": " + std::strerror(errno));
 }
 
-/// Remaining milliseconds until `deadline`, clamped at 0; -1 when unbounded.
+/// Remaining milliseconds until `deadline`, rounded up so that a poll never
+/// wakes before it, and clamped at 0; -1 when unbounded.
 int remaining_ms(bool bounded, Clock::time_point deadline) {
   if (!bounded) return -1;
   const auto left =
-      std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                            Clock::now());
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
   return static_cast<int>(std::max<std::int64_t>(0, left.count()));
 }
 
@@ -111,7 +111,10 @@ class TcpEndpoint final : public Endpoint {
     std::size_t sent = 0;
     while (sent < size) {
       wait_ready(fd_, POLLOUT, timeout_ms_ >= 0, deadline, "tcp send");
-      const ssize_t n = ::send(fd_, p + sent, size - sent, MSG_NOSIGNAL);
+      // Non-blocking: a blocking send of more than the socket buffer holds
+      // would wait for the peer to drain it, past any deadline.
+      const ssize_t n =
+          ::send(fd_, p + sent, size - sent, MSG_NOSIGNAL | MSG_DONTWAIT);
       if (n < 0) {
         if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
           continue;

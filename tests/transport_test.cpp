@@ -196,22 +196,47 @@ TEST_P(TransportSuite, OversizedSendIsRejectedLocally) {
   }
 }
 
+/// A call bounded by a 100 ms I/O timeout must wait out the whole timeout
+/// and must not overrun it by more than a generous scheduling margin.
+void expect_timeout_window(std::chrono::steady_clock::duration took) {
+  EXPECT_GE(took, std::chrono::milliseconds(100));
+  EXPECT_LE(took, std::chrono::milliseconds(100) + std::chrono::seconds(2));
+}
+
 TEST_P(TransportSuite, RecvTimeoutIsTypedKTimeout) {
   Pair pair = make_pair_over(GetParam(), "timeout");
   pair.server->set_io_timeout(100);
   char byte = 0;
+  const auto start = std::chrono::steady_clock::now();
   try {
     pair.server->recv_bytes(&byte, 1);
     FAIL() << "recv with no sender must time out";
   } catch (const TransportError& e) {
     EXPECT_EQ(e.kind(), TransportError::Kind::kTimeout);
   }
+  expect_timeout_window(std::chrono::steady_clock::now() - start);
   // The timeout must not poison the stream: clear it, send, receive fine.
   pair.server->set_io_timeout(-1);
   std::thread sender([&] { write_frame(*pair.client, 5, "after-timeout"); });
   const Frame frame = read_frame(*pair.server);
   sender.join();
   EXPECT_EQ(frame.payload, "after-timeout");
+}
+
+TEST_P(TransportSuite, SendTimeoutIsTypedKTimeout) {
+  // 32 MiB is far more than the shm ring or the loopback socket buffers
+  // hold, so a peer that never reads stalls the writer until its deadline.
+  Pair pair = make_pair_over(GetParam(), "send_timeout");
+  pair.client->set_io_timeout(100);
+  const std::string bulk(std::size_t{32} << 20, 'z');
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    pair.client->send_bytes(bulk.data(), bulk.size());
+    FAIL() << "send to a peer that never reads must time out";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.kind(), TransportError::Kind::kTimeout);
+  }
+  expect_timeout_window(std::chrono::steady_clock::now() - start);
 }
 
 TEST_P(TransportSuite, AcceptTimeoutIsTypedKTimeout) {
