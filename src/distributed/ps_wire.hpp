@@ -69,22 +69,24 @@ enum MsgType : std::uint32_t {
 inline constexpr std::uint32_t kRoleWorker = 0;
 inline constexpr std::uint32_t kRoleController = 1;
 
-/// Appends POD fields to a payload string.
-class Packer {
+/// Appends POD fields to a payload. The payload sits behind room for the
+/// frame header (net::FrameBuffer), so net::write_frame(ep, type, packer)
+/// sends it without a copy, and a packer reused after clear() sends without
+/// a heap allocation.
+class Packer : public net::FrameBuffer {
  public:
   Packer& u32(std::uint32_t v) { return raw(&v, sizeof(v)); }
   Packer& u64(std::uint64_t v) { return raw(&v, sizeof(v)); }
   Packer& f64(double v) { return raw(&v, sizeof(v)); }
   Packer& raw(const void* data, std::size_t size) {
-    buf_.append(static_cast<const char*>(data), size);
+    append(data, size);
     return *this;
   }
 
-  [[nodiscard]] std::string take() && { return std::move(buf_); }
-  [[nodiscard]] const std::string& view() const { return buf_; }
-
- private:
-  std::string buf_;
+  [[nodiscard]] std::string take() && {
+    return std::move(*this).take_payload();
+  }
+  [[nodiscard]] std::string_view view() const { return payload(); }
 };
 
 /// Reads POD fields back out; a short payload is a typed protocol error,

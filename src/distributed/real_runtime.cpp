@@ -10,7 +10,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -150,7 +149,7 @@ void send_hello(net::Endpoint& ep, std::uint32_t role, std::uint32_t rank,
                 std::uint32_t resume) {
   wire::Packer p;
   p.u32(role).u32(rank).u32(resume);
-  net::write_frame(ep, wire::kHello, p.view());
+  net::write_frame(ep, wire::kHello, p);
 }
 
 /// A parsed kHello: who a new connection is.
@@ -262,34 +261,33 @@ class PsClient {
     connect();
   }
 
-  /// Coordinate get: returns w[c] for each requested column, in order.
-  std::vector<double> step(std::span<const std::uint32_t> cols) {
+  /// Coordinate get: returns w[c] for each requested column, in order. The
+  /// span is valid until the next call.
+  std::span<const double> step(std::span<const std::uint32_t> cols) {
     const std::uint64_t seq = ++seq_;
-    wire::Packer p;
-    p.u64(seq).u32(static_cast<std::uint32_t>(cols.size()));
-    for (const std::uint32_t c : cols) p.u32(c);
-    const std::string reply = request(wire::kStep, seq, p.view(),
-                                      wire::kStepReply, reply_timeout_ms_);
-    wire::Unpacker u(reply);
+    out_.clear();
+    out_.u64(seq).u32(static_cast<std::uint32_t>(cols.size()));
+    for (const std::uint32_t c : cols) out_.u32(c);
+    wire::Unpacker u(
+        request(wire::kStep, seq, wire::kStepReply, reply_timeout_ms_));
     (void)u.u64();  // seq, already matched
-    std::vector<double> values(cols.size());
-    for (double& v : values) v = u.f64();
-    return values;
+    values_.resize(cols.size());
+    for (double& v : values_) v = u.f64();
+    return values_;
   }
 
   /// Sparse push for `walk`, applied exactly once server-side.
   void push(std::uint32_t walk, double gradient_scale, double scaled_step,
             std::span<const std::uint32_t> idx, std::span<const double> val) {
     const std::uint64_t seq = ++seq_;
-    wire::Packer p;
-    p.u64(seq).u32(walk).f64(gradient_scale).f64(scaled_step);
-    p.u32(static_cast<std::uint32_t>(idx.size()));
+    out_.clear();
+    out_.u64(seq).u32(walk).f64(gradient_scale).f64(scaled_step);
+    out_.u32(static_cast<std::uint32_t>(idx.size()));
     for (std::size_t j = 0; j < idx.size(); ++j) {
-      p.u32(idx[j]);
-      p.f64(val[j]);
+      out_.u32(idx[j]);
+      out_.f64(val[j]);
     }
-    (void)request(wire::kPush, seq, p.view(), wire::kPushAck,
-                  reply_timeout_ms_);
+    (void)request(wire::kPush, seq, wire::kPushAck, reply_timeout_ms_);
   }
 
   /// Epoch fence: reports this client's cumulative wire retries, blocks on
@@ -301,11 +299,10 @@ class PsClient {
   /// the repeats by sequence number.
   EpochGo epoch_end() {
     const std::uint64_t seq = ++seq_;
-    wire::Packer p;
-    p.u64(seq).u64(retries_);
-    const std::string reply = request(wire::kEpochEnd, seq, p.view(),
-                                      wire::kEpochGo, reply_timeout_ms_);
-    wire::Unpacker u(reply);
+    out_.clear();
+    out_.u64(seq).u64(retries_);
+    wire::Unpacker u(
+        request(wire::kEpochEnd, seq, wire::kEpochGo, reply_timeout_ms_));
     (void)u.u64();  // seq
     EpochGo go;
     go.cont = u.u32() != 0;
@@ -334,9 +331,10 @@ class PsClient {
     ++incarnation_;
   }
 
-  std::string request(std::uint32_t type, std::uint64_t seq,
-                      const std::string& payload, std::uint32_t reply_type,
-                      int timeout_ms) {
+  /// Sends the request packed in out_ and returns the matching reply's
+  /// payload, which stays valid until the next request.
+  const std::string& request(std::uint32_t type, std::uint64_t seq,
+                             std::uint32_t reply_type, int timeout_ms) {
     // Two failure budgets: timeouts retransmit until the fence deadline (a
     // slow server mid-fence or mid-liveness-wait is not an error, and the
     // retransmits are what keep THIS rank looking alive to it); closes
@@ -350,24 +348,24 @@ class PsClient {
       try {
         if (!ep_) connect();
         ep_->set_io_timeout(timeout_ms);
-        net::write_frame(*ep_, type, payload);
+        net::write_frame(*ep_, type, out_);
         while (true) {
-          const net::Frame f = net::read_frame(*ep_);
-          wire::Unpacker u(f.payload);
+          net::read_frame(*ep_, in_);
+          wire::Unpacker u(in_.payload);
           const std::uint64_t rseq = u.u64();
           // A duplicate of an earlier reply (our retransmit crossed the
           // original answer, or a stale cached resend): discard and keep
           // reading — sequence numbers are monotonic per rank.
           if (rseq < seq) continue;
-          if (rseq != seq || f.type != reply_type) {
+          if (rseq != seq || in_.type != reply_type) {
             throw net::TransportError(
                 net::TransportError::Kind::kProtocol,
                 "ps client rank " + std::to_string(rank_) +
                     ": expected reply type " + std::to_string(reply_type) +
                     " seq " + std::to_string(seq) + ", got type " +
-                    std::to_string(f.type) + " seq " + std::to_string(rseq));
+                    std::to_string(in_.type) + " seq " + std::to_string(rseq));
           }
-          return f.payload;
+          return in_.payload;
         }
       } catch (const net::TransportError& e) {
         if (e.kind() == net::TransportError::Kind::kProtocol ||
@@ -400,6 +398,10 @@ class PsClient {
   std::uint32_t incarnation_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t retries_ = 0;
+  // Reused from request to request, so a warm client allocates nothing.
+  wire::Packer out_;
+  net::Frame in_;
+  std::vector<double> values_;
 };
 
 // ---- Fault-tolerant PS server -----------------------------------------------
@@ -465,7 +467,7 @@ class PsServer {
     bool done = false;
     std::uint64_t last_seq = 0;
     std::uint32_t cached_type = 0;  // 0 = no cached reply
-    std::string cached_reply;
+    wire::Packer cached_reply;
     std::uint32_t incarnations = 0;
     std::uint64_t go_seq = 0;
     std::uint64_t retries = 0;  // worker-reported cumulative wire retries
@@ -527,13 +529,15 @@ class PsServer {
     rs.ep.reset();
   }
 
-  /// Sends a reply and remembers it as the rank's cached reply, so a
-  /// duplicate of the request (seq == last_seq) can be answered again
-  /// without re-executing. A send failure just drops the connection — the
-  /// worker reconnects and retransmits, hitting the cache.
-  void reply_cached(RankState& rs, std::uint32_t type, std::string payload) {
+  /// Sends the reply packed in reply_ and keeps it as the rank's cached
+  /// reply, so a duplicate of the request (seq == last_seq) can be answered
+  /// again without re-executing. The swap hands reply_ the rank's previous
+  /// buffer, so replies reuse capacity instead of allocating. A send
+  /// failure just drops the connection — the worker reconnects and
+  /// retransmits, hitting the cache.
+  void reply_cached(RankState& rs, std::uint32_t type) {
     rs.cached_type = type;
-    rs.cached_reply = std::move(payload);
+    std::swap(rs.cached_reply, reply_);
     send_cached(rs);
   }
 
@@ -550,13 +554,13 @@ class PsServer {
     }
   }
 
-  /// Rank r's next frame, or nothing once `deadline` passes. Whenever the
-  /// rank's connection is down it waits for a reconnect instead (each such
-  /// wait capped at `reconnect_ms` when positive); a closed connection just
-  /// means the worker died or is reconnecting, and await_rank decides which.
-  std::optional<net::Frame> next_frame(std::size_t r,
-                                       Clock::time_point deadline,
-                                       int reconnect_ms = 0) {
+  /// Reads rank r's next frame into frame_; false once `deadline` passes.
+  /// Whenever the rank's connection is down it waits for a reconnect
+  /// instead (each such wait capped at `reconnect_ms` when positive); a
+  /// closed connection just means the worker died or is reconnecting, and
+  /// await_rank decides which.
+  bool next_frame(std::size_t r, Clock::time_point deadline,
+                  int reconnect_ms = 0) {
     RankState& rs = ranks_[r];
     while (true) {
       if (!rs.ep) {
@@ -565,16 +569,17 @@ class PsServer {
           until = std::min(until, Clock::now() +
                                       std::chrono::milliseconds(reconnect_ms));
         }
-        if (!await_rank(r, until)) return std::nullopt;
+        if (!await_rank(r, until)) return false;
         continue;
       }
       try {
         rs.ep->set_io_timeout(poll_ms_);
-        return net::read_frame(*rs.ep);
+        net::read_frame(*rs.ep, frame_);
+        return true;
       } catch (const net::TransportError& e) {
         if (e.kind() == net::TransportError::Kind::kTimeout) {
           if (Clock::now() < deadline) continue;
-          return std::nullopt;
+          return false;
         }
         if (e.kind() != net::TransportError::Kind::kClosed) throw;
         rs.ep.reset();
@@ -599,12 +604,11 @@ class PsServer {
     const Clock::time_point deadline =
         Clock::now() + std::chrono::milliseconds(liveness_ms_);
     while (true) {
-      const std::optional<net::Frame> f = next_frame(r, deadline);
-      if (!f) {
+      if (!next_frame(r, deadline)) {
         mark_dead(r);
         return SlotResult::kDead;
       }
-      wire::Unpacker u(f->payload);
+      wire::Unpacker u(frame_.payload);
       const std::uint64_t seq = u.u64();
       if (seq <= rs.last_seq) {
         // Retransmit of something already executed: resend the cached reply
@@ -618,16 +622,16 @@ class PsServer {
             "ps server: rank " + std::to_string(r) + " jumped from seq " +
                 std::to_string(rs.last_seq) + " to " + std::to_string(seq));
       }
-      switch (f->type) {
+      switch (frame_.type) {
         case wire::kStep: {
           const std::uint32_t ncols = u.count(sizeof(std::uint32_t));
-          wire::Packer reply;
-          reply.u64(seq);
+          reply_.clear();
+          reply_.u64(seq);
           for (std::uint32_t j = 0; j < ncols; ++j) {
-            reply.f64(w_[read_coordinate(u, w_.size())]);
+            reply_.f64(w_[read_coordinate(u, w_.size())]);
           }
           rs.last_seq = seq;
-          reply_cached(rs, wire::kStepReply, std::move(reply).take());
+          reply_cached(rs, wire::kStepReply);
           continue;  // the step's push is still owed in this slot
         }
         case wire::kPush: {
@@ -653,9 +657,9 @@ class PsServer {
           ++walk_draws_[walk];
           bytes_ += static_cast<std::uint64_t>(nnz) * spec_.bytes_per_nnz;
           rs.last_seq = seq;
-          wire::Packer ack;
-          ack.u64(seq);
-          reply_cached(rs, wire::kPushAck, std::move(ack).take());
+          reply_.clear();
+          reply_.u64(seq);
+          reply_cached(rs, wire::kPushAck);
           return SlotResult::kApplied;
         }
         case wire::kEpochEnd:
@@ -664,7 +668,8 @@ class PsServer {
         default:
           throw net::TransportError(
               net::TransportError::Kind::kProtocol,
-              "ps server: unexpected frame type " + std::to_string(f->type));
+              "ps server: unexpected frame type " +
+                  std::to_string(frame_.type));
       }
     }
   }
@@ -678,15 +683,14 @@ class PsServer {
     const Clock::time_point deadline =
         Clock::now() + std::chrono::milliseconds(kConnectTimeoutMs);
     while (true) {
-      const std::optional<net::Frame> f = next_frame(r, deadline);
-      if (!f) {
+      if (!next_frame(r, deadline)) {
         throw std::runtime_error("ps server: rejoining worker rank " +
                                  std::to_string(r) +
                                  " never completed its handshake");
       }
-      wire::Unpacker u(f->payload);
+      wire::Unpacker u(frame_.payload);
       const std::uint64_t seq = u.u64();
-      if (f->type != wire::kEpochEnd) continue;  // stale frame: ignore
+      if (frame_.type != wire::kEpochEnd) continue;  // stale frame: ignore
       end_epoch(rs, seq, u);
       rs.dead = false;
       return;
@@ -715,9 +719,8 @@ class PsServer {
       if (rs.dead) continue;
       const Clock::time_point deadline =
           Clock::now() + std::chrono::milliseconds(liveness_ms_);
-      while (const std::optional<net::Frame> f =
-                 next_frame(r, deadline, grace_ms)) {
-        wire::Unpacker u(f->payload);
+      while (next_frame(r, deadline, grace_ms)) {
+        wire::Unpacker u(frame_.payload);
         if (u.u64() == rs.last_seq && rs.cached_type != 0) send_cached(rs);
       }
     }
@@ -737,7 +740,7 @@ class PsServer {
     for (const std::uint64_t d : walk_draws_) p.u64(d);
     p.u64(w_.size());
     p.raw(w_.data(), w_.size() * sizeof(double));
-    net::write_frame(*controller_, wire::kFence, p.view());
+    net::write_frame(*controller_, wire::kFence, p);
 
     const net::Frame reply =
         net::expect_frame(*controller_, wire::kFenceReply, "fence reply");
@@ -768,15 +771,15 @@ class PsServer {
     for (std::size_t r = 0; r < k_; ++r) {
       RankState& rs = ranks_[r];
       if (rs.dead) continue;
-      wire::Packer go;
-      go.u64(rs.go_seq).u32(cont ? 1 : 0);
-      go.u32(static_cast<std::uint32_t>(epoch + 1));
-      go.u32(static_cast<std::uint32_t>(assign[r].size()));
+      reply_.clear();
+      reply_.u64(rs.go_seq).u32(cont ? 1 : 0);
+      reply_.u32(static_cast<std::uint32_t>(epoch + 1));
+      reply_.u32(static_cast<std::uint32_t>(assign[r].size()));
       for (const GoEntry& e : assign[r]) {
-        go.u32(e.walk);
-        go.u64(e.ff);
+        reply_.u32(e.walk);
+        reply_.u64(e.ff);
       }
-      reply_cached(rs, wire::kEpochGo, std::move(go).take());
+      reply_cached(rs, wire::kEpochGo);
     }
     return cont;
   }
@@ -795,6 +798,10 @@ class PsServer {
   std::vector<RankState> ranks_;
   std::uint64_t applied_ = 0;
   std::uint64_t bytes_ = 0;
+  // Reused from frame to frame: every rank's requests are read into frame_
+  // and every reply is built in reply_, so a warm server allocates nothing.
+  net::Frame frame_;
+  wire::Packer reply_;
   std::vector<std::uint32_t> idx_;
   std::vector<double> val_;
 };
@@ -865,7 +872,7 @@ void ps_worker_main(const std::string& address, std::size_t rank,
         const auto x = s.matrix->row(s.row);
         const auto idx = x.indices();
         const auto val = x.values();
-        const std::vector<double> values = client.step(idx);
+        const std::span<const double> values = client.step(idx);
         double margin = 0;
         for (std::size_t j = 0; j < idx.size(); ++j) {
           margin += values[j] * val[j];
@@ -904,7 +911,7 @@ bool fence_epoch(GroupEndpoints& group, std::size_t epoch,
   fence.u32(0).u32(0);
   fence.u64(w.size());
   fence.raw(w.data(), w.size() * sizeof(double));
-  net::write_frame(*group.controller, wire::kFence, fence.view());
+  net::write_frame(*group.controller, wire::kFence, fence);
   const net::Frame reply =
       net::expect_frame(*group.controller, wire::kFenceReply, "fence reply");
   wire::Unpacker u(reply.payload);
@@ -912,7 +919,7 @@ bool fence_epoch(GroupEndpoints& group, std::size_t epoch,
   wire::Packer go;
   go.u32(cont ? 1 : 0);
   for (auto& worker : group.worker) {
-    net::write_frame(*worker, wire::kEpochGo, go.view());
+    net::write_frame(*worker, wire::kEpochGo, go);
   }
   return cont;
 }
@@ -965,7 +972,7 @@ void allreduce_server_main(int addr_fd, const std::string& bind,
       }
       touched.clear();
       for (auto& worker : group.worker) {
-        net::write_frame(*worker, wire::kModelDelta, delta.view());
+        net::write_frame(*worker, wire::kModelDelta, delta);
       }
     }
     if (!fence_epoch(group, epoch, rounds, reduced_coords, 0, w)) break;
@@ -1014,7 +1021,7 @@ void allreduce_worker_main(const std::string& address, std::size_t rank,
         partial[c] = 0.0;
       }
       ptouched.clear();
-      net::write_frame(*ep, wire::kReduce, reduce.view());
+      net::write_frame(*ep, wire::kReduce, reduce);
 
       const net::Frame delta =
           net::expect_frame(*ep, wire::kModelDelta, "model delta");
@@ -1127,7 +1134,7 @@ FencePoint run_controller(net::Endpoint& ep, std::size_t k, std::size_t dim,
         }
       }
     }
-    net::write_frame(ep, wire::kFenceReply, reply.view());
+    net::write_frame(ep, wire::kFenceReply, reply);
     last = std::move(point);
     if (!cont) break;
   }

@@ -61,39 +61,51 @@ std::unique_ptr<Endpoint> connect(const std::string& address, int timeout_ms) {
   bad_address(address);
 }
 
-void write_frame(Endpoint& endpoint, std::uint32_t type,
-                 std::string_view payload) {
-  if (payload.size() > kMaxFramePayload) {
+namespace {
+
+void check_payload_size(std::size_t size) {
+  if (size > kMaxFramePayload) {
     throw TransportError(TransportError::Kind::kProtocol,
-                         "frame payload of " + std::to_string(payload.size()) +
+                         "frame payload of " + std::to_string(size) +
                              " bytes exceeds the " +
                              std::to_string(kMaxFramePayload) + "-byte cap");
   }
-  // One contiguous buffer per frame: the SPSC ring and TCP both prefer a
-  // single send over three tiny ones, and the header must never interleave
-  // with another thread's payload anyway (single-owner send contract).
-  std::string wire;
-  wire.resize(16 + payload.size());
-  const std::uint32_t magic = kFrameMagic;
-  const std::uint64_t length = payload.size();
-  std::memcpy(wire.data(), &magic, 4);
-  std::memcpy(wire.data() + 4, &type, 4);
-  std::memcpy(wire.data() + 8, &length, 8);
-  // An empty payload may carry a null data(), which memcpy must never see.
-  if (!payload.empty()) {
-    std::memcpy(wire.data() + 16, payload.data(), payload.size());
-  }
-  endpoint.send_bytes(wire.data(), wire.size());
 }
 
-Frame read_frame(Endpoint& endpoint) {
-  char header[16];
+}  // namespace
+
+void write_frame(Endpoint& endpoint, std::uint32_t type, FrameBuffer& frame) {
+  std::string& bytes = frame.bytes_;
+  const std::uint64_t length = bytes.size() - kFrameHeaderBytes;
+  check_payload_size(length);
+  const std::uint32_t magic = kFrameMagic;
+  std::memcpy(bytes.data(), &magic, 4);
+  std::memcpy(bytes.data() + 4, &type, 4);
+  std::memcpy(bytes.data() + 8, &length, 8);
+  // One contiguous send per frame: the SPSC ring and TCP both prefer a
+  // single send over several tiny ones, a FaultyEndpoint counts one call as
+  // one frame, and the header must never interleave with another thread's
+  // payload anyway (single-owner send contract).
+  endpoint.send_bytes(bytes.data(), bytes.size());
+}
+
+void write_frame(Endpoint& endpoint, std::uint32_t type,
+                 std::string_view payload) {
+  check_payload_size(payload.size());
+  thread_local FrameBuffer scratch;
+  scratch.clear();
+  scratch.append(payload.data(), payload.size());
+  write_frame(endpoint, type, scratch);
+}
+
+void read_frame(Endpoint& endpoint, Frame& frame) {
+  char header[kFrameHeaderBytes];
   endpoint.recv_bytes(header, sizeof(header));
   std::uint32_t magic = 0;
+  std::uint32_t type = 0;
   std::uint64_t length = 0;
-  Frame frame;
   std::memcpy(&magic, header, 4);
-  std::memcpy(&frame.type, header + 4, 4);
+  std::memcpy(&type, header + 4, 4);
   std::memcpy(&length, header + 8, 8);
   if (magic != kFrameMagic) {
     throw TransportError(TransportError::Kind::kProtocol,
@@ -106,8 +118,22 @@ Frame read_frame(Endpoint& endpoint) {
                              " payload bytes, above the " +
                              std::to_string(kMaxFramePayload) + "-byte cap");
   }
-  frame.payload.resize(static_cast<std::size_t>(length));
-  if (length > 0) endpoint.recv_bytes(frame.payload.data(), frame.payload.size());
+  frame.type = type;
+  std::string& payload = frame.payload;
+  if (length > payload.capacity()) {
+    // Grow to the announced length only: std::string's geometric growth
+    // could reserve up to twice kMaxFramePayload.
+    std::string grown;
+    grown.reserve(static_cast<std::size_t>(length));
+    payload.swap(grown);
+  }
+  payload.resize(static_cast<std::size_t>(length));
+  if (length > 0) endpoint.recv_bytes(payload.data(), payload.size());
+}
+
+Frame read_frame(Endpoint& endpoint) {
+  Frame frame;
+  read_frame(endpoint, frame);
   return frame;
 }
 

@@ -27,6 +27,9 @@
 // produces a typed TransportError::Kind::kProtocol, never an attempted
 // multi-gigabyte allocation; a connection that dies mid-frame produces
 // kClosed ("torn frame"), and an expired deadline produces kTimeout.
+// Every frame is one send_bytes call. The hot path neither allocates nor
+// copies twice: a FrameBuffer is built with room for the header in front
+// of its payload, and read_frame can fill a caller-owned Frame.
 //
 // Every error is a TransportError carrying a Kind — callers switch on the
 // kind, not on message strings.
@@ -38,6 +41,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace isasgd::net {
 
@@ -128,9 +132,50 @@ inline constexpr std::uint32_t kFrameMagic = 0x52465349u;
 /// Upper bound on one frame's payload; a header announcing more is a
 /// protocol violation (kProtocol), not an allocation attempt.
 inline constexpr std::size_t kMaxFramePayload = std::size_t{64} << 20;
+/// Frame header: magic (u32), type (u32), payload length (u64).
+inline constexpr std::size_t kFrameHeaderBytes = 16;
 
+/// An outgoing frame built in place: the payload is appended behind
+/// kFrameHeaderBytes of reserved room, so write_frame fills in the header
+/// and hands the whole frame to one send_bytes call without copying it.
+/// clear() keeps the capacity, so a FrameBuffer reused from frame to frame
+/// sends with no heap allocation.
+class FrameBuffer {
+ public:
+  FrameBuffer() : bytes_(kFrameHeaderBytes, '\0') {}
+
+  void append(const void* data, std::size_t size) {
+    bytes_.append(static_cast<const char*>(data), size);
+  }
+  /// Drops the payload and keeps the capacity.
+  void clear() { bytes_.resize(kFrameHeaderBytes); }
+
+  [[nodiscard]] std::string_view payload() const {
+    return std::string_view(bytes_).substr(kFrameHeaderBytes);
+  }
+  /// Moves the payload out; the buffer is left unusable.
+  [[nodiscard]] std::string take_payload() && {
+    bytes_.erase(0, kFrameHeaderBytes);
+    return std::move(bytes_);
+  }
+
+ private:
+  friend void write_frame(Endpoint&, std::uint32_t, FrameBuffer&);
+  std::string bytes_;
+};
+
+/// Sends `frame` as one frame of `type`, writing its header in place.
+void write_frame(Endpoint& endpoint, std::uint32_t type, FrameBuffer& frame);
+/// Sends `payload` as one frame of `type`. It is copied behind the header in
+/// a buffer this thread reuses, so the call allocates only when a frame
+/// outgrows every earlier one.
 void write_frame(Endpoint& endpoint, std::uint32_t type,
                  std::string_view payload);
+/// Reads the next frame into `frame`, reusing its payload capacity. The
+/// payload buffer grows only to the announced length, never past
+/// kMaxFramePayload. After an error `frame` holds no complete frame, and
+/// may be reused for the next read.
+void read_frame(Endpoint& endpoint, Frame& frame);
 [[nodiscard]] Frame read_frame(Endpoint& endpoint);
 
 /// read_frame + type check: a frame of any other type is kProtocol, naming

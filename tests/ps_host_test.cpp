@@ -9,6 +9,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "distributed/fenced.hpp"
@@ -108,7 +109,8 @@ TEST(PsHost, OutOfRangePushCoordinateCostsOnlyThatConnection) {
   wire::Packer bad_coordinate, bad_count;
   bad_coordinate.f64(1.0).f64(1.0).u64(1).u32(99).f64(1.0);
   bad_count.f64(1.0).f64(1.0).u64(std::uint64_t{1} << 40).u32(0).f64(1.0);
-  for (const std::string& payload : {bad_coordinate.view(), bad_count.view()}) {
+  for (const std::string_view payload :
+       {bad_coordinate.view(), bad_count.view()}) {
     auto bad = net::connect(host.address());
     bad->set_io_timeout(5000);
     net::write_frame(*bad, wire::kPush, payload);

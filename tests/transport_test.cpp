@@ -94,6 +94,29 @@ TEST_P(TransportSuite, MultiMegabytePayloadSurvivesPartialTransfers) {
   EXPECT_EQ(frame.payload, payload);
 }
 
+TEST_P(TransportSuite, ReadFrameIntoReusedFrameLeavesNoStaleBytes) {
+  // One Frame reads frames that shrink, empty and grow again: each read must
+  // show exactly the bytes sent, never a tail left over from a longer one.
+  Pair pair = make_pair_over(GetParam(), "reuse");
+  const std::vector<std::string> payloads = {
+      random_payload(std::size_t{64} << 10, 4), random_payload(7, 5), "",
+      random_payload((std::size_t{1} << 20) + 3, 6)};
+  std::thread sender([&] {
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      write_frame(*pair.client, static_cast<std::uint32_t>(100 + i),
+                  payloads[i]);
+    }
+  });
+  Frame frame;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    read_frame(*pair.server, frame);
+    EXPECT_EQ(frame.type, 100 + i);
+    ASSERT_EQ(frame.payload.size(), payloads[i].size()) << "frame " << i;
+    EXPECT_TRUE(frame.payload == payloads[i]) << "frame " << i;
+  }
+  sender.join();
+}
+
 TEST_P(TransportSuite, ManySmallFramesKeepOrderAndBoundaries) {
   Pair pair = make_pair_over(GetParam(), "many");
   constexpr int kFrames = 500;
