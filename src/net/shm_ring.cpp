@@ -2,14 +2,18 @@
 // processes.
 //
 // Topology: the listener owns a filesystem *prefix*. It creates one control
-// file `<prefix>.ctl` holding a single atomic connection counter. A client
-// connects by fetch_add-ing the counter to claim a connection id, creating
+// file `<prefix>.ctl` holding a single atomic connection counter; it fills
+// the file in under a private name and renames it into place, so a client
+// that starts first never maps a half-written one. A client connects by
+// fetch_add-ing the counter to claim a connection id, creating
 // `<prefix>.<id>` — a mapped file holding this connection's header and two
 // byte rings (client→server and server→client) — initialising it, and
 // store-releasing a READY flag. The listener accepts connections strictly
 // in id order (deterministic, like TCP's accept queue but reproducible),
 // spin-waiting with a microsleep for the next id's file to appear and turn
-// READY.
+// READY. Once it has mapped the file too, it unlinks it: the mappings
+// outlive the name, and no ring file is left behind when either side is
+// killed.
 //
 // The rings are classic single-producer/single-consumer byte queues:
 // 64-byte-separated head/tail counters (monotonic, masked on access), the
@@ -166,11 +170,7 @@ void* map_file(const std::string& path, std::size_t size, bool create) {
 class ShmEndpoint final : public Endpoint {
  public:
   /// `server` side sends on ring[1]/recvs on ring[0]; client the reverse.
-  ShmEndpoint(void* mem, std::string path, bool server, bool owns_unlink)
-      : mem_(mem),
-        path_(std::move(path)),
-        server_(server),
-        owns_unlink_(owns_unlink) {}
+  ShmEndpoint(void* mem, bool server) : mem_(mem), server_(server) {}
 
   ~ShmEndpoint() override {
     close();
@@ -178,7 +178,6 @@ class ShmEndpoint final : public Endpoint {
       ::munmap(mem_, kConnFileSize);
       mem_ = nullptr;
     }
-    if (owns_unlink_) ::unlink(path_.c_str());
   }
 
   void send_bytes(const void* data, std::size_t size) override {
@@ -326,9 +325,7 @@ class ShmEndpoint final : public Endpoint {
   }
 
   void* mem_ = nullptr;
-  std::string path_;
   bool server_;
-  bool owns_unlink_;
   bool closed_ = false;
   int timeout_ms_ = -1;
 };
@@ -341,9 +338,22 @@ class ShmListener final : public Listener {
                            "shm:// address needs a filesystem path prefix");
     }
     ctl_path_ = prefix_ + ".ctl";
-    ::unlink(ctl_path_.c_str());  // replace a stale listener's control file
-    ctl_ = map_file(ctl_path_, sizeof(CtlHeader), /*create=*/true);
+    // Fill the control file in under a private name, then rename it into
+    // place (replacing a stale listener's): a client polling for it sees
+    // either no file or a complete one, never a zero magic.
+    const std::string init_path =
+        ctl_path_ + "." + std::to_string(::getpid()) + ".init";
+    ::unlink(init_path.c_str());
+    ctl_ = map_file(init_path, sizeof(CtlHeader), /*create=*/true);
     new (ctl_) CtlHeader();
+    if (::rename(init_path.c_str(), ctl_path_.c_str()) < 0) {
+      const int saved = errno;
+      ::munmap(ctl_, sizeof(CtlHeader));
+      ctl_ = nullptr;
+      ::unlink(init_path.c_str());
+      errno = saved;
+      throw_io("shm rename " + init_path);
+    }
   }
 
   ~ShmListener() override { close(); }
@@ -369,10 +379,11 @@ class ShmListener final : public Listener {
           ++next_accept_;
           h->pid_server.store(static_cast<std::uint32_t>(::getpid()),
                               std::memory_order_release);
-          // The server side owns unlinking: the client may be a short-lived
-          // worker process that exits first.
-          return std::make_unique<ShmEndpoint>(mem, path, /*server=*/true,
-                                               /*owns_unlink=*/true);
+          // Both sides have the file mapped now, and the mappings outlive
+          // its name: unlinking it here leaves nothing behind however
+          // either side exits, a SIGKILL included.
+          ::unlink(path.c_str());
+          return std::make_unique<ShmEndpoint>(mem, /*server=*/true);
         }
         ::munmap(mem, kConnFileSize);
       }
@@ -448,8 +459,7 @@ std::unique_ptr<Endpoint> shm_connect(const std::string& prefix,
   h->pid_client.store(static_cast<std::uint32_t>(::getpid()),
                       std::memory_order_relaxed);
   h->state.store(kStateReady, std::memory_order_release);
-  return std::make_unique<ShmEndpoint>(mem, path, /*server=*/false,
-                                       /*owns_unlink=*/false);
+  return std::make_unique<ShmEndpoint>(mem, /*server=*/false);
 }
 
 }  // namespace isasgd::net::detail

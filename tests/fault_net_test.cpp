@@ -8,6 +8,8 @@
 #include "net/fault.hpp"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -410,6 +412,47 @@ TEST(ShmPeerDeath, WriterUnblocksWhenPeerDiesWithFullRing) {
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+}
+
+TEST(ShmPeerDeath, KilledServerLeavesNoRingFile) {
+  // A connection's ring file goes as soon as both sides have mapped it, so
+  // a server that is SIGKILLed (as ChildReaper kills a group) leaves none
+  // behind. The listener's 8-byte control file stays: the listener needs it
+  // for as long as it accepts.
+  const std::string prefix = temp_prefix("killed");
+  int accepted[2];
+  ASSERT_EQ(::pipe(accepted), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    try {
+      auto listener = listen("shm://" + prefix);
+      listener->set_accept_timeout(5000);
+      auto server = listener->accept();
+      const char byte = 1;
+      if (::write(accepted[1], &byte, 1) != 1) ::_exit(1);
+      while (true) ::pause();  // killed here, endpoint and listener live
+    } catch (...) {
+      ::_exit(1);
+    }
+  }
+  ::close(accepted[1]);
+  auto client = connect("shm://" + prefix, 5000);
+  char byte = 0;
+  ASSERT_EQ(::read(accepted[0], &byte, 1), 1);
+  ::close(accepted[0]);
+  ASSERT_EQ(::kill(pid, SIGKILL), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
+
+  struct stat st {};
+  EXPECT_NE(::stat((prefix + ".0").c_str(), &st), 0)
+      << "the ring file outlived the killed server";
+  ASSERT_EQ(::stat((prefix + ".ctl").c_str(), &st), 0);
+  EXPECT_EQ(st.st_size, 8);
+  ::unlink((prefix + ".ctl").c_str());
+  ::unlink((prefix + ".0").c_str());
 }
 
 }  // namespace

@@ -290,6 +290,39 @@ INSTANTIATE_TEST_SUITE_P(Backends, TransportSuite,
                                            std::string("shm")),
                          [](const auto& info) { return info.param; });
 
+// ---- shm rendezvous ----------------------------------------------------------
+
+TEST(ShmRendezvous, ConnectBeforeListenWaitsForTheListener) {
+  // Role-mode groups start in any order, so a client may be polling for the
+  // listener's control file while the listener creates it. It must wait for
+  // a complete control file, never fail on a half-written one.
+  const std::string address = "shm://" + temp_prefix("rendezvous");
+  int failures = 0;
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    std::unique_ptr<Endpoint> client;
+    std::string error;
+    std::thread connector([&] {
+      try {
+        client = connect(address, 5000);
+      } catch (const TransportError& e) {
+        error = e.what();
+      }
+    });
+    auto listener = listen(address);
+    connector.join();
+    if (!error.empty()) {
+      ADD_FAILURE() << "attempt " << attempt << ": " << error;
+      ++failures;
+      continue;
+    }
+    listener->set_accept_timeout(5000);
+    auto server = listener->accept();
+    write_frame(*client, 1, "ping");
+    EXPECT_EQ(read_frame(*server).payload, "ping");
+  }
+  EXPECT_EQ(failures, 0);
+}
+
 // ---- EINTR resilience (tcp only: the shm path makes no syscalls) -----------
 
 std::atomic<int> g_sigusr1_count{0};
