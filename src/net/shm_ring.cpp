@@ -10,17 +10,22 @@
 // byte rings (client→server and server→client) — initialising it, and
 // store-releasing a READY flag. The listener accepts connections strictly
 // in id order (deterministic, like TCP's accept queue but reproducible),
-// spin-waiting with a microsleep for the next id's file to appear and turn
-// READY. Once it has mapped the file too, it unlinks it: the mappings
-// outlive the name, and no ring file is left behind when either side is
-// killed.
+// waiting for the next id's file to appear and turn READY. Once it has
+// mapped the file too, it unlinks it: the mappings outlive the name, and
+// no ring file is left behind when either side is killed.
 //
 // The rings are classic single-producer/single-consumer byte queues:
 // 64-byte-separated head/tail counters (monotonic, masked on access), the
 // producer store-releases tail after copying bytes in, the consumer
-// store-releases head after copying bytes out. No locks, no syscalls on the
-// data path — the same-host cost of a message is two memcpys and two
-// atomics, which is the entire point of having this backend next to TCP.
+// store-releases head after copying bytes out. Each side keeps the last
+// value it loaded of the peer's cursor and reloads it only when that view
+// runs out: the producer when the cached head leaves too little room for
+// the rest of a write, the consumer when it has drained up to the cached
+// tail. So each side loads the peer's cursor line at most once per frame,
+// and a producer with room to spare does not pull the consumer's line
+// across cores at all. No locks and, while the peer keeps up, no syscalls
+// — the entire point of having this backend next to TCP. A call that must
+// wait follows one policy (Stall below): spin, then yield, then sleep.
 //
 // Close protocol: each side sets its CLOSED flag; a reader that drains the
 // ring and sees the peer CLOSED gets a typed kClosed, exactly like reading
@@ -40,6 +45,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -103,20 +109,86 @@ constexpr std::size_t kConnFileSize =
                        what + ": " + std::strerror(errno));
 }
 
-/// Exponential-ish backoff for the spin loops: stay on the CPU for a few
-/// iterations (one frame round trip is microseconds), then yield, then
-/// sleep — a blocked endpoint must not burn a core for seconds.
-void backoff(unsigned& spins) {
-  ++spins;
-  if (spins < 64) {
-    return;
-  }
-  if (spins < 256) {
-    std::this_thread::yield();
-    return;
-  }
-  std::this_thread::sleep_for(std::chrono::microseconds(100));
+/// Wait policy of every shm stall loop (send, recv, accept, connect). A PS
+/// round trip takes a few µs, so a stalled call first spins on the CPU for
+/// kSpinWindow; a wait that ends there never leaves user space. Then it
+/// yields the core until kYieldUntil has passed, then sleeps kSleepStep at a
+/// time, so a blocked endpoint never burns a core for long.
+constexpr std::chrono::microseconds kSpinWindow{20};
+constexpr std::chrono::microseconds kYieldUntil{100};
+constexpr std::chrono::microseconds kSleepStep{100};
+/// A spin is one relax hint (tens of ns), so the spin phase reads the clock
+/// only every kSpinsPerClockRead spins.
+constexpr unsigned kSpinsPerClockRead = 32;
+/// The peer liveness probe runs on every 16th sleep (~1.6 ms cadence).
+constexpr unsigned kSleepsPerProbe = 16;
+
+/// Tells the core that this thread is spinning: `pause` frees the sibling
+/// hyperthread and avoids the memory-order flush when the spin ends.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
 }
+
+/// The waiting of one call. Nothing is read until the call first stalls:
+/// the first wait() reads the clock and starts the call's deadline, so a
+/// call that never stalls never reads the clock.
+class Stall {
+ public:
+  /// `timeout_ms` < 0 waits forever.
+  explicit Stall(int timeout_ms) : timeout_ms_(timeout_ms) {}
+
+  /// Waits a moment, or returns false at once when the call's deadline —
+  /// timeout_ms after its first stall — has passed.
+  [[nodiscard]] bool wait() {
+    if (waited_ >= kSpinWindow || rounds_ % kSpinsPerClockRead == 0) {
+      const Clock::time_point now = Clock::now();
+      if (!started_) {
+        started_ = true;
+        deadline_ = now + std::chrono::milliseconds(timeout_ms_);
+      }
+      if (rounds_ == 0) window_start_ = now;
+      if (timeout_ms_ >= 0 && now >= deadline_) return false;
+      waited_ = now - window_start_;
+    }
+    ++rounds_;
+    if (waited_ < kSpinWindow) {
+      cpu_relax();
+    } else if (waited_ < kYieldUntil) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(kSleepStep);
+      ++sleeps_;
+    }
+    return true;
+  }
+
+  /// The call moved bytes: the next stall starts a fresh spin window. The
+  /// deadline keeps running.
+  void progressed() {
+    rounds_ = 0;
+    sleeps_ = 0;
+    waited_ = Clock::duration::zero();
+  }
+
+  /// Whether the peer's liveness is due for a probe: once per
+  /// kSleepsPerProbe sleeps, so its syscalls never touch a hot wait.
+  [[nodiscard]] bool probe_due() const {
+    return sleeps_ != 0 && sleeps_ % kSleepsPerProbe == 0;
+  }
+
+ private:
+  int timeout_ms_;
+  bool started_ = false;
+  Clock::time_point deadline_{};
+  Clock::time_point window_start_{};
+  Clock::duration waited_{};
+  unsigned rounds_ = 0;
+  unsigned sleeps_ = 0;
+};
 
 /// Whether `pid` can no longer make progress: gone entirely (ESRCH), or a
 /// zombie — exited but unreaped, which kill(pid, 0) still reports as alive.
@@ -170,76 +242,75 @@ void* map_file(const std::string& path, std::size_t size, bool create) {
 class ShmEndpoint final : public Endpoint {
  public:
   /// `server` side sends on ring[1]/recvs on ring[0]; client the reverse.
-  ShmEndpoint(void* mem, bool server) : mem_(mem), server_(server) {}
+  ShmEndpoint(void* mem, bool server)
+      : mem_(mem),
+        server_(server),
+        tx_(header().ring[server ? 1 : 0]),
+        rx_(header().ring[server ? 0 : 1]),
+        tx_base_(ring_base(server ? 1 : 0)),
+        rx_base_(ring_base(server ? 0 : 1)),
+        capacity_(header().capacity) {}
 
   ~ShmEndpoint() override {
     close();
-    if (mem_ != nullptr) {
-      ::munmap(mem_, kConnFileSize);
-      mem_ = nullptr;
-    }
+    ::munmap(mem_, kConnFileSize);
   }
 
   void send_bytes(const void* data, std::size_t size) override {
-    ConnHeader& h = header();
-    Ring& ring = h.ring[server_ ? 1 : 0];
-    char* base = ring_base(server_ ? 1 : 0);
     const char* p = static_cast<const char*>(data);
-    const auto deadline = start_deadline();
+    Stall stall(timeout_ms_);
     std::size_t sent = 0;
-    unsigned spins = 0;
     while (sent < size) {
-      const std::uint64_t tail =
-          ring.tail.position.load(std::memory_order_relaxed);
-      const std::uint64_t head =
-          ring.head.position.load(std::memory_order_acquire);
-      const std::uint64_t free = h.capacity - (tail - head);
+      std::uint64_t free = capacity_ - (tail_ - cached_head_);
+      if (free < size - sent) {
+        // The cached head leaves too little room for the rest of the write:
+        // see how far the reader has got.
+        cached_head_ = tx_.head.position.load(std::memory_order_acquire);
+        free = capacity_ - (tail_ - cached_head_);
+      }
       if (free == 0) {
-        if (peer_closed(h)) {
+        if (peer_closed()) {
           throw TransportError(TransportError::Kind::kClosed,
                                "shm peer closed while sending");
         }
-        if (peer_process_gone(h, spins)) {
+        if (stall.probe_due() && peer_process_gone()) {
           throw TransportError(TransportError::Kind::kClosed,
                                "shm peer process died while sending");
         }
-        check_deadline(deadline, "shm send");
-        backoff(spins);
+        if (!stall.wait()) {
+          throw TransportError(TransportError::Kind::kTimeout,
+                               "shm send timed out");
+        }
         continue;
       }
-      spins = 0;
-      const std::uint64_t offset = tail & (h.capacity - 1);
-      const std::uint64_t contiguous =
-          std::min<std::uint64_t>(h.capacity - offset, free);
-      const std::size_t chunk = static_cast<std::size_t>(
-          std::min<std::uint64_t>(contiguous, size - sent));
-      std::memcpy(base + offset, p + sent, chunk);
-      ring.tail.position.store(tail + chunk, std::memory_order_release);
+      stall.progressed();
+      const std::uint64_t offset = tail_ & (capacity_ - 1);
+      const std::size_t chunk = static_cast<std::size_t>(std::min<std::uint64_t>(
+          {capacity_ - offset, free, size - sent}));
+      std::memcpy(tx_base_ + offset, p + sent, chunk);
+      tail_ += chunk;
+      tx_.tail.position.store(tail_, std::memory_order_release);
       sent += chunk;
     }
   }
 
   void recv_bytes(void* data, std::size_t size) override {
-    ConnHeader& h = header();
-    Ring& ring = h.ring[server_ ? 0 : 1];
-    const char* base = ring_base(server_ ? 0 : 1);
     char* p = static_cast<char*>(data);
-    const auto deadline = start_deadline();
+    Stall stall(timeout_ms_);
     std::size_t received = 0;
-    unsigned spins = 0;
     while (received < size) {
-      const std::uint64_t head =
-          ring.head.position.load(std::memory_order_relaxed);
-      const std::uint64_t tail =
-          ring.tail.position.load(std::memory_order_acquire);
-      const std::uint64_t available = tail - head;
+      if (cached_tail_ == head_) {
+        // Drained up to the cached tail: look for more.
+        cached_tail_ = rx_.tail.position.load(std::memory_order_acquire);
+      }
+      const std::uint64_t available = cached_tail_ - head_;
       if (available == 0) {
         // A peer that wrote its last bytes and then closed or died between
         // the tail load above and the checks below has still delivered
         // them, so each check looks at the ring once more before reporting
         // the end of the stream.
-        if (peer_closed(h)) {
-          if (delivered(ring, head)) continue;
+        if (peer_closed()) {
+          if (delivered()) continue;
           throw TransportError(
               TransportError::Kind::kClosed,
               received == 0
@@ -248,8 +319,8 @@ class ShmEndpoint final : public Endpoint {
                         std::to_string(received) + " of " +
                         std::to_string(size) + " bytes)");
         }
-        if (peer_process_gone(h, spins)) {
-          if (delivered(ring, head)) continue;
+        if (stall.probe_due() && peer_process_gone()) {
+          if (delivered()) continue;
           throw TransportError(
               TransportError::Kind::kClosed,
               received == 0
@@ -258,18 +329,19 @@ class ShmEndpoint final : public Endpoint {
                         std::to_string(received) + " of " +
                         std::to_string(size) + " bytes)");
         }
-        check_deadline(deadline, "shm recv");
-        backoff(spins);
+        if (!stall.wait()) {
+          throw TransportError(TransportError::Kind::kTimeout,
+                               "shm recv timed out");
+        }
         continue;
       }
-      spins = 0;
-      const std::uint64_t offset = head & (h.capacity - 1);
-      const std::uint64_t contiguous =
-          std::min<std::uint64_t>(h.capacity - offset, available);
-      const std::size_t chunk = static_cast<std::size_t>(
-          std::min<std::uint64_t>(contiguous, size - received));
-      std::memcpy(p + received, base + offset, chunk);
-      ring.head.position.store(head + chunk, std::memory_order_release);
+      stall.progressed();
+      const std::uint64_t offset = head_ & (capacity_ - 1);
+      const std::size_t chunk = static_cast<std::size_t>(std::min<std::uint64_t>(
+          {capacity_ - offset, available, size - received}));
+      std::memcpy(p + received, rx_base_ + offset, chunk);
+      head_ += chunk;
+      rx_.head.position.store(head_, std::memory_order_release);
       received += chunk;
     }
   }
@@ -277,7 +349,7 @@ class ShmEndpoint final : public Endpoint {
   void set_io_timeout(int timeout_ms) override { timeout_ms_ = timeout_ms; }
 
   void close() override {
-    if (mem_ == nullptr || closed_) return;
+    if (closed_) return;
     closed_ = true;
     auto& flag =
         server_ ? header().closed_server : header().closed_client;
@@ -292,40 +364,33 @@ class ShmEndpoint final : public Endpoint {
     return static_cast<char*>(mem_) + sizeof(ConnHeader) +
            static_cast<std::size_t>(which) * header().capacity;
   }
-  /// Whether bytes past `head` have arrived on `ring`.
-  [[nodiscard]] static bool delivered(const Ring& ring, std::uint64_t head) {
-    return ring.tail.position.load(std::memory_order_acquire) != head;
+  /// Whether bytes past head_ have arrived on the receive ring.
+  [[nodiscard]] bool delivered() const {
+    return rx_.tail.position.load(std::memory_order_acquire) != head_;
   }
-  [[nodiscard]] bool peer_closed(const ConnHeader& h) const {
-    const auto& flag = server_ ? h.closed_client : h.closed_server;
+  [[nodiscard]] bool peer_closed() const {
+    const auto& flag = server_ ? header().closed_client : header().closed_server;
     return flag.load(std::memory_order_acquire) != 0;
   }
-  /// Liveness probe for the stall loops: only once the backoff has reached
-  /// its sleep phase, and only every 16th sleep (~1.6 ms cadence) — the
-  /// kill/readlink syscalls must never touch the hot path.
-  [[nodiscard]] bool peer_process_gone(const ConnHeader& h,
-                                       unsigned spins) const {
-    if (spins < 512 || (spins & 15u) != 0) return false;
-    const auto& peer =
-        server_ ? h.pid_client : h.pid_server;
-    const auto pid =
-        static_cast<pid_t>(peer.load(std::memory_order_acquire));
+  [[nodiscard]] bool peer_process_gone() const {
+    const auto& peer = server_ ? header().pid_client : header().pid_server;
+    const auto pid = static_cast<pid_t>(peer.load(std::memory_order_acquire));
     return pid > 0 && process_gone(pid);
   }
-  [[nodiscard]] Clock::time_point start_deadline() const {
-    return timeout_ms_ >= 0
-               ? Clock::now() + std::chrono::milliseconds(timeout_ms_)
-               : Clock::time_point{};
-  }
-  void check_deadline(Clock::time_point deadline, const char* what) const {
-    if (timeout_ms_ >= 0 && Clock::now() >= deadline) {
-      throw TransportError(TransportError::Kind::kTimeout,
-                           std::string(what) + " timed out");
-    }
-  }
 
-  void* mem_ = nullptr;
+  void* mem_;
   bool server_;
+  Ring& tx_;  // rings and their data, both in the mapping
+  Ring& rx_;
+  char* tx_base_;
+  const char* rx_base_;
+  std::uint64_t capacity_;
+  // Cursors. This side is the only writer of tail_ (on tx_) and head_ (on
+  // rx_); the cached_* values are its last loads of the peer's.
+  std::uint64_t tail_ = 0;
+  std::uint64_t cached_head_ = 0;
+  std::uint64_t head_ = 0;
+  std::uint64_t cached_tail_ = 0;
   bool closed_ = false;
   int timeout_ms_ = -1;
 };
@@ -364,10 +429,7 @@ class ShmListener final : public Listener {
                            "shm listener is closed");
     }
     const std::string path = prefix_ + "." + std::to_string(next_accept_);
-    const auto deadline =
-        timeout_ms_ >= 0 ? Clock::now() + std::chrono::milliseconds(timeout_ms_)
-                         : Clock::time_point{};
-    unsigned spins = 0;
+    Stall stall(timeout_ms_);
     while (true) {
       struct stat st {};
       if (::stat(path.c_str(), &st) == 0 &&
@@ -387,11 +449,10 @@ class ShmListener final : public Listener {
         }
         ::munmap(mem, kConnFileSize);
       }
-      if (timeout_ms_ >= 0 && Clock::now() >= deadline) {
+      if (!stall.wait()) {
         throw TransportError(TransportError::Kind::kTimeout,
                              "shm accept timed out");
       }
-      backoff(spins);
     }
   }
 
@@ -424,22 +485,19 @@ std::unique_ptr<Listener> shm_listen(const std::string& prefix) {
 std::unique_ptr<Endpoint> shm_connect(const std::string& prefix,
                                       int timeout_ms) {
   const std::string ctl_path = prefix + ".ctl";
-  const auto deadline = Clock::now() + std::chrono::milliseconds(
-                                           timeout_ms < 0 ? 0 : timeout_ms);
   // The listener may not be up yet (role-mode groups start in any order):
   // wait for its control file.
-  unsigned spins = 0;
+  Stall stall(timeout_ms);
   while (true) {
     struct stat st {};
     if (::stat(ctl_path.c_str(), &st) == 0 &&
         st.st_size == static_cast<off_t>(sizeof(CtlHeader))) {
       break;
     }
-    if (timeout_ms >= 0 && Clock::now() >= deadline) {
+    if (!stall.wait()) {
       throw TransportError(TransportError::Kind::kTimeout,
                            "shm connect: no listener at " + prefix);
     }
-    backoff(spins);
   }
   void* ctl = map_file(ctl_path, sizeof(CtlHeader), /*create=*/false);
   auto* ctl_header = static_cast<CtlHeader*>(ctl);

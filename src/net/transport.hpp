@@ -18,8 +18,13 @@
 //   shm://PATH         file-backed shared-memory SPSC byte rings — the
 //                      same-host transport. PATH is a filesystem prefix the
 //                      listener owns; each connection is one mapped file of
-//                      two rings (one per direction). No syscalls on the
-//                      data path.
+//                      two rings (one per direction). A call that finds its
+//                      ring ready copies bytes and touches two cursors,
+//                      with no syscall. A call that has to wait for the
+//                      peer spins on the CPU for a fixed window of about
+//                      20 µs, then yields the core until about 100 µs have
+//                      passed, then sleeps 100 µs at a time; a wait that
+//                      ends inside the spin window makes no syscall either.
 //
 // On top of raw bytes, the frame layer gives typed message boundaries:
 // a 16-byte header (magic, type, payload length) + payload. read_frame
@@ -83,7 +88,9 @@ class Endpoint {
   virtual void recv_bytes(void* data, std::size_t size) = 0;
 
   /// Bounds every subsequent send/recv call by `timeout_ms` (< 0 = none,
-  /// the default). The deadline is per call, measured from its start.
+  /// the default). The deadline is per call and starts when the call first
+  /// has to wait for the peer (shm reads the clock only then), so a call
+  /// that times out has waited at least `timeout_ms`.
   virtual void set_io_timeout(int timeout_ms) = 0;
 
   /// Signals end-of-stream to the peer (its next recv sees kClosed once the

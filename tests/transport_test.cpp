@@ -323,7 +323,7 @@ TEST(ShmRendezvous, ConnectBeforeListenWaitsForTheListener) {
   EXPECT_EQ(failures, 0);
 }
 
-// ---- EINTR resilience (tcp only: the shm path makes no syscalls) -----------
+// ---- EINTR resilience (tcp only: shm blocks in no read, write or poll) --
 
 std::atomic<int> g_sigusr1_count{0};
 void count_signal(int) { g_sigusr1_count.fetch_add(1); }
