@@ -285,7 +285,7 @@ class ShmEndpoint final : public Endpoint {
       }
       stall.progressed();
       const std::uint64_t offset = tail_ & (capacity_ - 1);
-      const std::size_t chunk = static_cast<std::size_t>(std::min<std::uint64_t>(
+      const auto chunk = static_cast<std::size_t>(std::min<std::uint64_t>(
           {capacity_ - offset, free, size - sent}));
       std::memcpy(tx_base_ + offset, p + sent, chunk);
       tail_ += chunk;
@@ -337,7 +337,7 @@ class ShmEndpoint final : public Endpoint {
       }
       stall.progressed();
       const std::uint64_t offset = head_ & (capacity_ - 1);
-      const std::size_t chunk = static_cast<std::size_t>(std::min<std::uint64_t>(
+      const auto chunk = static_cast<std::size_t>(std::min<std::uint64_t>(
           {capacity_ - offset, available, size - received}));
       std::memcpy(p + received, rx_base_ + offset, chunk);
       head_ += chunk;
@@ -369,7 +369,8 @@ class ShmEndpoint final : public Endpoint {
     return rx_.tail.position.load(std::memory_order_acquire) != head_;
   }
   [[nodiscard]] bool peer_closed() const {
-    const auto& flag = server_ ? header().closed_client : header().closed_server;
+    const auto& flag =
+        server_ ? header().closed_client : header().closed_server;
     return flag.load(std::memory_order_acquire) != 0;
   }
   [[nodiscard]] bool peer_process_gone() const {

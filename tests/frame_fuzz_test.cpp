@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/transport.hpp"
@@ -97,8 +98,8 @@ void mutate(util::Rng& rng, Stream& s, const Stream& other) {
       b.resize(at);
       break;
     case 2: {  // duplicate a range in place
-      const std::size_t len =
-          std::min<std::size_t>(1 + util::uniform_index(rng, 64), b.size() - at);
+      const std::size_t len = std::min<std::size_t>(
+          1 + util::uniform_index(rng, 64), b.size() - at);
       b.insert(at, b.substr(at, len));
       break;
     }

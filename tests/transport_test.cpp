@@ -290,7 +290,7 @@ INSTANTIATE_TEST_SUITE_P(Backends, TransportSuite,
                                            std::string("shm")),
                          [](const auto& info) { return info.param; });
 
-// ---- shm rendezvous ----------------------------------------------------------
+// ---- shm rendezvous ---------------------------------------------------------
 
 TEST(ShmRendezvous, ConnectBeforeListenWaitsForTheListener) {
   // Role-mode groups start in any order, so a client may be polling for the
