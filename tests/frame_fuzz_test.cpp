@@ -189,7 +189,11 @@ TEST(FrameFuzz, HeaderEdgeCases) {
   Frame frame;
   using Kind = TransportError::Kind;
   // A length at the cap is legal: the payload buffer grows to exactly the
-  // cap, and the missing bytes are a torn frame.
+  // cap, and the missing bytes are a torn frame. Growing from more than
+  // half the cap must not double past it either.
+  EXPECT_EQ(read_error(header(kFrameMagic, 1, kMaxFramePayload / 4 * 3),
+                       frame),
+            Kind::kClosed);
   EXPECT_EQ(read_error(header(kFrameMagic, 1, kMaxFramePayload), frame),
             Kind::kClosed);
   expect_clean_read(frame, rng);
