@@ -25,9 +25,9 @@
 // and a producer with room to spare does not pull the consumer's line
 // across cores at all. No locks and, while the peer keeps up, no syscalls
 // — the entire point of having this backend next to TCP. A call that must
-// wait follows one policy (Stall below): spin, then yield, then sleep, with
-// a spin window that shrinks while the spinner holds the core its peer
-// needs.
+// wait follows one policy (Stall below): spin, then yield, then sleep; the
+// spin gives the core away once per short slice, so a spinner never holds
+// a peer that shares its core off the CPU for long.
 //
 // Close protocol: each side sets its CLOSED flag; a reader that drains the
 // ring and sees the peer CLOSED gets a typed kClosed, exactly like reading
@@ -113,10 +113,15 @@ constexpr std::size_t kConnFileSize =
 
 /// Wait policy of every shm stall loop (send, recv, accept, connect). A PS
 /// round trip takes a few µs, so a stalled call first spins on the CPU for
-/// up to kSpinWindow; a wait that ends there never leaves user space. Then
-/// it yields the core until kYieldUntil has passed, then sleeps kSleepStep
-/// at a time, so a blocked endpoint never burns a core for long.
+/// kSpinWindow, yielding once after every kSpinSlice of it; a wait that
+/// ends inside the first slice never leaves user space. Then it yields the
+/// core until kYieldUntil has passed, then sleeps kSleepStep at a time, so
+/// a blocked endpoint never burns a core for long.
 constexpr std::chrono::microseconds kSpinWindow{20};
+/// A spinner that shares its core with the peer it waits for holds the
+/// peer off the CPU until it yields; yielding after every slice bounds what
+/// such a handoff costs. With the core to itself, a yield returns at once.
+constexpr std::chrono::microseconds kSpinSlice{2};
 constexpr std::chrono::microseconds kYieldUntil{100};
 constexpr std::chrono::microseconds kSleepStep{100};
 /// A spin is one relax hint (tens of ns), so the spin phase reads the clock
@@ -124,8 +129,6 @@ constexpr std::chrono::microseconds kSleepStep{100};
 constexpr unsigned kSpinsPerClockRead = 32;
 /// The peer liveness probe runs on every 16th sleep (~1.6 ms cadence).
 constexpr unsigned kSleepsPerProbe = 16;
-/// The smallest spin window a growing one restarts from.
-constexpr std::chrono::microseconds kSpinFloor{1};
 
 /// Tells the core that this thread is spinning: `pause` frees the sibling
 /// hyperthread and avoids the memory-order flush when the spin ends.
@@ -139,25 +142,17 @@ inline void cpu_relax() {
 
 /// The waiting of one call. Nothing is read until the call first stalls:
 /// the first wait() reads the clock and starts the call's deadline, so a
-/// call that never stalls never reads the clock.
-///
-/// The spin window belongs to the caller and adapts to how waits end. A
-/// spinner that shares a core with the peer it waits for holds that core
-/// away from the peer: the answer comes only once the spinner yields, so
-/// every such wait ends right after its first yield. Each of those halves
-/// the window. A wait that ends while spinning, or after several yields
-/// (the peer ran elsewhere), doubles it, up to kSpinWindow. A wait that
-/// reached the sleep phase leaves it alone.
+/// call that never stalls never reads the clock. A wait depends only on
+/// how long it has lasted: nothing carries over from one wait to the next.
 class Stall {
  public:
   /// `timeout_ms` < 0 waits forever.
-  Stall(int timeout_ms, Clock::duration& spin_window)
-      : timeout_ms_(timeout_ms), spin_window_(spin_window) {}
+  explicit Stall(int timeout_ms) : timeout_ms_(timeout_ms) {}
 
   /// Waits a moment, or returns false at once when the call's deadline —
   /// timeout_ms after its first stall — has passed.
   [[nodiscard]] bool wait() {
-    if (waited_ >= spin_window_ || rounds_ % kSpinsPerClockRead == 0) {
+    if (waited_ >= kSpinWindow || rounds_ % kSpinsPerClockRead == 0) {
       const Clock::time_point now = Clock::now();
       if (!started_) {
         started_ = true;
@@ -168,11 +163,15 @@ class Stall {
       waited_ = now - window_start_;
     }
     ++rounds_;
-    if (waited_ < spin_window_) {
-      cpu_relax();
+    if (waited_ < kSpinWindow) {
+      if (waited_ >= kSpinSlice * (slices_ + 1)) {
+        ++slices_;
+        std::this_thread::yield();
+      } else {
+        cpu_relax();
+      }
     } else if (waited_ < kYieldUntil) {
       std::this_thread::yield();
-      ++yields_;
     } else {
       std::this_thread::sleep_for(kSleepStep);
       ++sleeps_;
@@ -180,20 +179,11 @@ class Stall {
     return true;
   }
 
-  /// The call moved bytes: adapt the spin window to how this wait ended,
-  /// and start the next stall afresh. The deadline keeps running.
+  /// The call moved bytes: the next stall starts a fresh spin window. The
+  /// deadline keeps running.
   void progressed() {
-    if (rounds_ != 0 && sleeps_ == 0) {
-      if (yields_ == 1) {
-        spin_window_ /= 2;
-      } else {
-        spin_window_ = std::min<Clock::duration>(
-            kSpinWindow, std::max<Clock::duration>(2 * spin_window_,
-                                                   kSpinFloor));
-      }
-    }
     rounds_ = 0;
-    yields_ = 0;
+    slices_ = 0;
     sleeps_ = 0;
     waited_ = Clock::duration::zero();
   }
@@ -206,13 +196,12 @@ class Stall {
 
  private:
   int timeout_ms_;
-  Clock::duration& spin_window_;
   bool started_ = false;
   Clock::time_point deadline_{};
   Clock::time_point window_start_{};
   Clock::duration waited_{};
   unsigned rounds_ = 0;
-  unsigned yields_ = 0;
+  unsigned slices_ = 0;  // spin slices that ended in a yield
   unsigned sleeps_ = 0;
 };
 
@@ -284,7 +273,7 @@ class ShmEndpoint final : public Endpoint {
 
   void send_bytes(const void* data, std::size_t size) override {
     const char* p = static_cast<const char*>(data);
-    Stall stall(timeout_ms_, tx_spin_);
+    Stall stall(timeout_ms_);
     std::size_t sent = 0;
     while (sent < size) {
       std::uint64_t free = capacity_ - (tail_ - cached_head_);
@@ -322,7 +311,7 @@ class ShmEndpoint final : public Endpoint {
 
   void recv_bytes(void* data, std::size_t size) override {
     char* p = static_cast<char*>(data);
-    Stall stall(timeout_ms_, rx_spin_);
+    Stall stall(timeout_ms_);
     std::size_t received = 0;
     while (received < size) {
       if (cached_tail_ == head_) {
@@ -418,10 +407,6 @@ class ShmEndpoint final : public Endpoint {
   std::uint64_t cached_head_ = 0;
   std::uint64_t head_ = 0;
   std::uint64_t cached_tail_ = 0;
-  // Spin windows (see Stall), one per direction: each is used only by the
-  // thread that owns that direction.
-  Clock::duration tx_spin_ = kSpinWindow;
-  Clock::duration rx_spin_ = kSpinWindow;
   bool closed_ = false;
   int timeout_ms_ = -1;
 };
@@ -460,8 +445,7 @@ class ShmListener final : public Listener {
                            "shm listener is closed");
     }
     const std::string path = prefix_ + "." + std::to_string(next_accept_);
-    Clock::duration spin_window = kSpinWindow;
-    Stall stall(timeout_ms_, spin_window);
+    Stall stall(timeout_ms_);
     while (true) {
       struct stat st {};
       if (::stat(path.c_str(), &st) == 0 &&
@@ -519,8 +503,7 @@ std::unique_ptr<Endpoint> shm_connect(const std::string& prefix,
   const std::string ctl_path = prefix + ".ctl";
   // The listener may not be up yet (role-mode groups start in any order):
   // wait for its control file.
-  Clock::duration spin_window = kSpinWindow;
-  Stall stall(timeout_ms, spin_window);
+  Stall stall(timeout_ms);
   while (true) {
     struct stat st {};
     if (::stat(ctl_path.c_str(), &st) == 0 &&

@@ -21,11 +21,11 @@
 //                      two rings (one per direction). A call that finds its
 //                      ring ready copies bytes and touches two cursors,
 //                      with no syscall. A call that has to wait for the
-//                      peer spins on the CPU for up to 20 µs (less while
-//                      its waits show that it holds the core the peer
-//                      needs), then yields the core until about 100 µs
-//                      have passed, then sleeps 100 µs at a time; a wait
-//                      that ends inside the spin makes no syscall either.
+//                      peer spins on the CPU for 20 µs, yielding the core
+//                      once every 2 µs so a peer that shares it can run,
+//                      then yields until about 100 µs have passed, then
+//                      sleeps 100 µs at a time; a wait that ends inside
+//                      the first 2 µs makes no syscall either.
 //
 // On top of raw bytes, the frame layer gives typed message boundaries:
 // a 16-byte header (magic, type, payload length) + payload. read_frame
