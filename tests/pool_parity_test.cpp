@@ -11,13 +11,18 @@
 //      respawns threads (instrumentation counters).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/execution.hpp"
 #include "core/trainer.hpp"
+#include "data/data_source.hpp"
 #include "data/synthetic.hpp"
 #include "objectives/logistic.hpp"
 #include "partition/balancer.hpp"
+#include "partition/partition.hpp"
+#include "sampling/sequence.hpp"
+#include "solvers/importance_weights.hpp"
 #include "solvers/schedule.hpp"
 #include "util/rng.hpp"
 
@@ -30,6 +35,54 @@ sparse::CsrMatrix small_data() {
   spec.dim = 60;
   spec.mean_row_nnz = 8;
   return data::generate(spec);
+}
+
+/// `data` with every `stride`-th row and the last row emptied (labels
+/// kept): zero-nonzero rows inside the matrix and at its end.
+sparse::CsrMatrix with_empty_rows(const sparse::CsrMatrix& data,
+                                  std::size_t stride) {
+  std::vector<std::size_t> row_ptr{0};
+  std::vector<sparse::index_t> col;
+  std::vector<sparse::value_t> val;
+  for (std::size_t i = 0; i < data.rows(); ++i) {
+    if (i % stride != 0 && i + 1 != data.rows()) {
+      const auto x = data.row(i);
+      col.insert(col.end(), x.indices().begin(), x.indices().end());
+      val.insert(val.end(), x.values().begin(), x.values().end());
+    }
+    row_ptr.push_back(col.size());
+  }
+  return {data.dim(), std::move(row_ptr), std::move(col), std::move(val),
+          data.labels()};
+}
+
+/// One dataset the single-thread loops are pinned on, with the shard size
+/// of the chunked source the streaming loop reads it through.
+struct ParityInput {
+  std::string name;
+  sparse::CsrMatrix data;
+  std::size_t shard_rows;
+};
+
+/// The inputs every frozen loop below is checked on. Besides the original
+/// fixture: 2,150 rows, so one epoch spans three 1,024-draw blocks, with
+/// empty rows (the last row among them) and a 2-row last shard; and 5 rows,
+/// fewer than a step's lookahead, in shards of 2, 2 and 1.
+std::vector<ParityInput> parity_inputs() {
+  std::vector<ParityInput> inputs;
+  inputs.push_back({"small", small_data(), 96});
+  data::SyntheticSpec spec;
+  spec.rows = 2150;
+  spec.dim = 400;
+  spec.mean_row_nnz = 6;
+  spec.seed = 99;
+  inputs.push_back({"blocks+empty", with_empty_rows(data::generate(spec), 7),
+                    1074});
+  spec.rows = 5;
+  spec.dim = 30;
+  spec.seed = 5;
+  inputs.push_back({"tiny", data::generate(spec), 2});
+  return inputs;
 }
 
 solvers::SolverOptions base_options() {
@@ -107,6 +160,86 @@ std::vector<double> reference_asgd1_model(
   return w;
 }
 
+/// Frozen IS-ASGD inner loop at threads = 1 (is_asgd.cpp, b = 1, fixed
+/// importance): importance → PartitionPlan → the shard's i.i.d. stream
+/// (the materialized SampleSequence that BlockSequence reproduces) → per
+/// draw the margin, the gradient scale and the update at step
+/// λ / (N·p_slot), replayed on a plain vector.
+std::vector<double> reference_is_asgd1_model(
+    const sparse::CsrMatrix& data, const objectives::Objective& objective,
+    const solvers::SolverOptions& opt) {
+  const std::vector<double> importance =
+      solvers::detail::importance_weights(data, objective, opt);
+  partition::PartitionOptions popt = opt.partition;
+  popt.shuffle_seed = opt.seed ^ 0x1517;
+  const partition::PartitionPlan plan(importance, 1, popt);
+  const partition::Shard shard = plan.shard(0);
+  const std::size_t n = shard.rows.size();
+  const std::uint64_t seed = util::derive_seed(opt.seed, 101);
+  std::vector<double> w(data.dim(), 0.0);
+  for (std::size_t epoch = 1; epoch <= opt.epochs; ++epoch) {
+    const double lambda = solvers::epoch_step(opt, epoch);
+    const auto draws = sampling::SampleSequence::weighted(
+        shard.probabilities, n, util::derive_seed(seed, epoch - 1));
+    for (std::size_t t = 0; t < n; ++t) {
+      const std::size_t slot = draws[t];
+      const std::size_t i = shard.rows[slot];
+      const auto x = data.row(i);
+      double margin = 0;
+      const auto idx = x.indices();
+      const auto val = x.values();
+      for (std::size_t k = 0; k < idx.size(); ++k) {
+        margin += w[idx[k]] * val[k];
+      }
+      const double g = objective.gradient_scale(margin, data.label(i));
+      const double p = shard.probabilities[slot];
+      const double weight = p > 0 ? 1.0 / (static_cast<double>(n) * p) : 1.0;
+      const double step = lambda * weight;
+      for (std::size_t j = 0; j < idx.size(); ++j) {
+        const std::size_t c = idx[j];
+        const double wc = w[c];
+        w[c] = wc + -step * (g * val[j] + kReg.subgradient(wc));
+      }
+    }
+  }
+  return w;
+}
+
+/// Frozen streaming ASGD inner loop at threads = 1 (asgd.cpp's shard
+/// worker): every epoch visits the shards, and each shard's rows, in
+/// ShardedSequence order, one update per row at step λ / 1.
+std::vector<double> reference_asgd1_streaming_model(
+    const data::DataSource& source, const objectives::Objective& objective,
+    const solvers::SolverOptions& opt) {
+  std::vector<double> w(source.dim(), 0.0);
+  sampling::ShardedSequence schedule(source.shard_sizes(), opt.seed);
+  for (std::size_t epoch = 1; epoch <= opt.epochs; ++epoch) {
+    schedule.begin_epoch(epoch);
+    const double lambda = solvers::epoch_step(opt, epoch);
+    for (const std::uint32_t s : schedule.shard_order()) {
+      const data::ShardPtr shard = source.shard(s);
+      const sparse::CsrMatrix& rows = *shard->matrix;
+      for (const std::uint32_t i : schedule.rows(s)) {
+        const auto x = rows.row(i);
+        double margin = 0;
+        const auto idx = x.indices();
+        const auto val = x.values();
+        for (std::size_t k = 0; k < idx.size(); ++k) {
+          margin += w[idx[k]] * val[k];
+        }
+        const double g = objective.gradient_scale(margin, rows.label(i));
+        const double batch_step = lambda / 1.0;
+        for (std::size_t j = 0; j < idx.size(); ++j) {
+          const std::size_t c = idx[j];
+          const double wc = w[c];
+          w[c] = wc + -batch_step * (g * val[j] + kReg.subgradient(wc));
+        }
+      }
+    }
+  }
+  return w;
+}
+
 void expect_bitwise_equal(const std::vector<double>& a,
                           const std::vector<double>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -131,19 +264,62 @@ TEST(PoolParity, SgdRegistryPathMatchesPreRefactorReference) {
 }
 
 TEST(PoolParity, AsgdSingleThreadMatchesPreRefactorReference) {
-  const auto data = small_data();
   objectives::LogisticLoss loss;
-  const auto trainer = core::TrainerBuilder()
-                           .data(data)
-                           .objective(loss)
-                           .regularization(kReg)
-                           .eval_threads(1)
-                           .build();
-  auto opt = base_options();
-  opt.threads = 1;
-  const auto trace = trainer.train("asgd", opt);
-  expect_bitwise_equal(trace.final_model,
-                       reference_asgd1_model(data, loss, base_options()));
+  for (const ParityInput& input : parity_inputs()) {
+    SCOPED_TRACE(input.name);
+    const auto trainer = core::TrainerBuilder()
+                             .data(input.data)
+                             .objective(loss)
+                             .regularization(kReg)
+                             .eval_threads(1)
+                             .build();
+    auto opt = base_options();
+    opt.threads = 1;
+    const auto trace = trainer.train("asgd", opt);
+    expect_bitwise_equal(
+        trace.final_model,
+        reference_asgd1_model(input.data, loss, base_options()));
+  }
+}
+
+TEST(PoolParity, IsAsgdSingleThreadMatchesFrozenLoop) {
+  objectives::LogisticLoss loss;
+  for (const ParityInput& input : parity_inputs()) {
+    SCOPED_TRACE(input.name);
+    const auto trainer = core::TrainerBuilder()
+                             .data(input.data)
+                             .objective(loss)
+                             .regularization(kReg)
+                             .eval_threads(1)
+                             .build();
+    auto opt = base_options();
+    opt.threads = 1;
+    const auto trace = trainer.train("is_asgd", opt);
+    opt.reg = kReg;  // the importance reads the regularizer's L term
+    expect_bitwise_equal(trace.final_model,
+                         reference_is_asgd1_model(input.data, loss, opt));
+  }
+}
+
+TEST(PoolParity, StreamingAsgdSingleThreadMatchesFrozenLoop) {
+  objectives::LogisticLoss loss;
+  for (const ParityInput& input : parity_inputs()) {
+    SCOPED_TRACE(input.name);
+    const data::InMemorySource chunked(input.data, input.shard_rows);
+    ASSERT_GT(chunked.shard_count(), 1u);  // the shard-major loop runs
+    const auto trainer = core::TrainerBuilder()
+                             .source(chunked)
+                             .objective(loss)
+                             .regularization(kReg)
+                             .eval_threads(1)
+                             .build();
+    auto opt = base_options();
+    opt.threads = 1;
+    const auto trace = trainer.train("asgd", opt);
+    expect_bitwise_equal(
+        trace.final_model,
+        reference_asgd1_streaming_model(chunked, loss, base_options()));
+  }
 }
 
 TEST(PoolParity, PoolReuseAcrossTrainCallsPerturbsNothing) {
