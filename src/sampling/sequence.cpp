@@ -276,6 +276,12 @@ std::span<const std::uint32_t> BlockSequence::next_block() {
   // Serve whatever the cursor has not consumed yet, refilling when drained —
   // mixing next() and next_block() never skips or repeats an index.
   if (cursor_ == block_end_) {
+    // Before the first begin_epoch there is no epoch to report as drained:
+    // an empty span here would let a block loop train zero steps silently.
+    if (epoch_ == 0) {
+      throw std::logic_error(
+          "BlockSequence: next_block() before begin_epoch()");
+    }
     if (produced_ == epoch_length_) return {};
     refill();
   }

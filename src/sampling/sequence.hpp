@@ -240,7 +240,8 @@ class BlockSequence {
   }
 
   /// Refills and returns the next block (≤ block size) of the current
-  /// epoch; empty once epoch_length() indices have been produced. View is
+  /// epoch; empty once epoch_length() indices have been produced. Throws
+  /// std::logic_error before the first begin_epoch, as next() does. View is
   /// valid until the next next_block()/next()/begin_epoch call.
   [[nodiscard]] std::span<const std::uint32_t> next_block();
 

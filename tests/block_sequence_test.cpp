@@ -177,6 +177,7 @@ TEST(BlockSequence, OverDrawAndDrawBeforeBeginEpochThrow) {
   const auto weights = make_weights(8, 21);
   BlockSequence fresh(BlockSequence::Mode::kIid, weights, 8, 1);
   EXPECT_THROW((void)fresh.next(), std::logic_error);  // before begin_epoch
+  EXPECT_THROW((void)fresh.next_block(), std::logic_error);  // bulk API too
   BlockSequence seq(BlockSequence::Mode::kIid, weights, 8, 1, /*block=*/3);
   seq.begin_epoch(1, 5);
   for (std::size_t t = 0; t < 8; ++t) (void)seq.next();
