@@ -78,6 +78,10 @@ Trace run_asgd(const sparse::CsrMatrix& data,
   const std::size_t b = std::max<std::size_t>(1, options.batch_size);
   std::vector<std::vector<std::pair<std::size_t, double>>> batches(threads);
   for (auto& scratch : batches) scratch.resize(b);
+  // b = 1 draws its rows a block ahead, so the step driver can prefetch.
+  constexpr std::size_t kDrawBlock = 1024;
+  std::vector<std::vector<std::uint32_t>> draws(b == 1 ? threads : 0);
+  for (auto& scratch : draws) scratch.resize(kDrawBlock);
 
   const double train_seconds = detail::run_epoch_fenced(
       detail::pool_or_default(pool), model, recorder, options.epochs, threads,
@@ -89,6 +93,30 @@ Trace run_asgd(const sparse::CsrMatrix& data,
         // The schedule is a pure function of the epoch, so every worker
         // derives the same λ locally — no shared decay state to race on.
         const double lambda = epoch_step(options, epoch);
+        if (b == 1) {
+          // The paper's kernel: the same draws in the same order as the
+          // loop below, at most a block early and never past the epoch's
+          // local_n, and step λ (λ / 1 is λ bit for bit).
+          std::uint32_t* ids = draws[tid].data();
+          for (std::size_t done = 0; done < local_n;) {
+            const std::size_t m = std::min(kDrawBlock, local_n - done);
+            for (std::size_t k = 0; k < m; ++k) {
+              ids[k] = order[begin + util::uniform_index(rng, local_n)];
+            }
+            detail::prefetched_steps(
+                data, model, m, [&](std::size_t k) { return ids[k]; },
+                [&](std::size_t k) {
+                  const auto x = data.row(ids[k]);
+                  const double margin = detail::gather_margin(model, x, wild);
+                  detail::apply_update(
+                      model, x, lambda,
+                      objective.gradient_scale(margin, data.label(ids[k])),
+                      options.reg, policy);
+                });
+            done += m;
+          }
+          return;
+        }
         const std::size_t updates = (local_n + b - 1) / b;
         std::vector<std::pair<std::size_t, double>>& batch = batches[tid];
         for (std::size_t u = 0; u < updates; ++u) {
@@ -140,6 +168,21 @@ Trace run_asgd_streaming(const data::DataSource& source,
         if (begin == end) return;
         const sparse::CsrMatrix& rows = *shard.matrix;
         const double lambda = epoch_step(options, epoch);
+        if (b == 1) {
+          detail::prefetched_steps(
+              rows, model, end - begin,
+              [&](std::size_t k) { return row_order[begin + k]; },
+              [&](std::size_t k) {
+                const std::size_t i = row_order[begin + k];
+                const auto x = rows.row(i);
+                const double margin = detail::gather_margin(model, x, wild);
+                detail::apply_update(
+                    model, x, lambda,
+                    objective.gradient_scale(margin, rows.label(i)),
+                    options.reg, policy);
+              });
+          return;
+        }
         std::vector<std::pair<std::size_t, double>>& batch = batches[tid];
         for (std::size_t at = begin; at < end; at += b) {
           const std::size_t count = std::min(b, end - at);

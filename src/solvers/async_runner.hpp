@@ -15,13 +15,16 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "sampling/sequence.hpp"
 #include "solvers/model.hpp"
 #include "solvers/trace.hpp"
+#include "sparse/csr_matrix.hpp"
 #include "sparse/dispatch.hpp"
 #include "sparse/kernels.hpp"
+#include "util/barrier.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -67,6 +70,63 @@ inline void apply_update(SharedModel& model, sparse::SparseVectorView x,
     const std::size_t c = idx[j];
     const double wc = model.load(c);
     model.add(c, -step * (g * val[j] + reg.subgradient(wc)), policy);
+  }
+}
+
+/// Hints every cache line of [first, last] into the cache (read intent).
+inline void prefetch_lines(const void* first, const void* last) noexcept {
+  const auto end = reinterpret_cast<std::uintptr_t>(last);
+  for (auto p = reinterpret_cast<std::uintptr_t>(first) &
+                ~(util::kCacheLineSize - 1);
+       p <= end; p += util::kCacheLineSize) {
+    __builtin_prefetch(reinterpret_cast<const void*>(p));
+  }
+}
+
+/// Runs `step(k)` for k = 0 … m − 1 — the b = 1 Hogwild loop shared by
+/// IS-ASGD and ASGD — while prefetching what later steps will load.
+/// `row_at(k)` is the row of `rows` that step k trains on; the caller knows
+/// it a whole block ahead (a BlockSequence block, a buffer of RNG draws, a
+/// shard's row order).
+///
+/// Why: on short rows a step waits on memory, not arithmetic. Its loads
+/// form a chain — row id → row_ptr → index and value lines → model lines —
+/// and each link waits for the one before, even when every line is in L2.
+/// Issuing each link a few steps early lets one step's arithmetic cover
+/// the next steps' misses. The distances follow the chain: row_ptr 8 steps
+/// ahead, so it is cached when the row's lines are hinted 4 ahead, so those
+/// are cached when the model lines, whose addresses are the row's indices,
+/// are hinted 2 ahead. Doubling them all measured the same; quadrupling
+/// them lost a fifth of the gain (docs/PERF.md).
+///
+/// Only hints are issued and only `step` touches the model's values, so no
+/// arithmetic moves: the results are bit-identical to the plain loop.
+/// `model` is read for addresses alone, so every UpdatePolicy may use this.
+template <class RowAt, class StepFn>
+inline void prefetched_steps(const sparse::CsrMatrix& rows,
+                             const SharedModel& model, std::size_t m,
+                             RowAt&& row_at, StepFn&& step) {
+  constexpr std::size_t kRowPtrAhead = 8, kRowAhead = 4, kModelAhead = 2;
+  const std::size_t* row_ptr = rows.row_ptr().data();
+  const double* w = model.wild_view().data();
+  for (std::size_t k = 0; k < m; ++k) {
+    if (k + kRowPtrAhead < m) {
+      __builtin_prefetch(row_ptr + row_at(k + kRowPtrAhead));
+    }
+    if (k + kRowAhead < m) {
+      const sparse::SparseVectorView x = rows.row(row_at(k + kRowAhead));
+      if (!x.empty()) {
+        prefetch_lines(&x.indices().front(), &x.indices().back());
+        prefetch_lines(&x.values().front(), &x.values().back());
+      }
+    }
+    if (k + kModelAhead < m) {
+      for (const sparse::index_t c :
+           rows.row(row_at(k + kModelAhead)).indices()) {
+        __builtin_prefetch(w + c);
+      }
+    }
+    step(k);
   }
 }
 

@@ -198,17 +198,25 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
         if (b == 1) {
           // The paper's kernel (one sample per update): no batch buffer, no
           // second row decode, no ÷bsize (÷1 is the identity) — same
-          // per-coordinate arithmetic as the general loop below.
-          for (std::size_t t = 0; t < len; ++t) {
-            const std::size_t slot = seq.next();
-            const std::size_t i = shard.rows[slot];
-            const auto x = data.row(i);
-            const double margin = detail::gather_margin(model, x, wild);
-            const double g = objective.gradient_scale(margin, data.label(i));
-            if (adaptive) ws.last_g[slot] = std::abs(g);
-            const double scaled_step = lambda * ws.weight[slot];
-            detail::apply_update(model, x, scaled_step, g, options.reg,
-                                 policy);
+          // per-coordinate arithmetic as the general loop below. A block
+          // at a time, so the driver sees the draws it prefetches for.
+          for (auto block = seq.next_block(); !block.empty();
+               block = seq.next_block()) {
+            detail::prefetched_steps(
+                data, model, block.size(),
+                [&](std::size_t k) { return shard.rows[block[k]]; },
+                [&](std::size_t k) {
+                  const std::size_t slot = block[k];
+                  const std::size_t i = shard.rows[slot];
+                  const auto x = data.row(i);
+                  const double margin = detail::gather_margin(model, x, wild);
+                  const double g =
+                      objective.gradient_scale(margin, data.label(i));
+                  if (adaptive) ws.last_g[slot] = std::abs(g);
+                  const double scaled_step = lambda * ws.weight[slot];
+                  detail::apply_update(model, x, scaled_step, g, options.reg,
+                                       policy);
+                });
           }
           return;
         }
