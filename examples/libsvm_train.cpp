@@ -1,7 +1,7 @@
 // Command-line trainer for real LibSVM files — for users who have actual
 // copies of News20/URL/KDD (or any binary-classification LibSVM dataset).
 //
-//   build/examples/libsvm_train --file news20.binary --algorithm is_asgd \
+//   build/examples/libsvm_train --file news20.binary --algorithm is_asgd
 //       --threads 16 --epochs 15 --lambda 0.5
 #include <cstdio>
 

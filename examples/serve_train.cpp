@@ -2,14 +2,14 @@
 // of src/service/.
 //
 // Serve (blocks until a `shutdown` command arrives):
-//   build/examples/serve_train --mode serve --socket /tmp/isasgd.sock \
+//   build/examples/serve_train --mode serve --socket /tmp/isasgd.sock
 //       --max-concurrent 2 --mem-budget-mb 512 --log daemon.log
 //
 // One protocol round-trip as a client (response line goes to stdout; exit
 // status 1 on an `err` response):
-//   build/examples/serve_train --mode send --socket /tmp/isasgd.sock \
+//   build/examples/serve_train --mode send --socket /tmp/isasgd.sock
 //       --cmd "submit solver=is_sgd data=train.libsvm epochs=8 ckpt=j1.ckpt"
-//   build/examples/serve_train --mode send --socket /tmp/isasgd.sock \
+//   build/examples/serve_train --mode send --socket /tmp/isasgd.sock
 //       --cmd "wait id=1"
 //
 // Generate a small synthetic LibSVM file (for smoke tests and demos):
@@ -106,8 +106,9 @@ int run_demo() {
   const auto matrix =
       std::make_shared<const sparse::CsrMatrix>(data::generate(spec));
 
-  service::TrainingService svc(
-      {.max_concurrent = 2, .memory_budget_bytes = std::size_t{64} << 20});
+  service::TrainingService svc({.max_concurrent = 2,
+                                .memory_budget_bytes = std::size_t{64} << 20,
+                                .execution = nullptr});
   service::JobSpec job;
   job.matrix = matrix;
   job.objective = "logistic";

@@ -2,7 +2,7 @@
 // io::shardpack (ISSP) — the mmap-served columnar format data::PackedSource
 // trains from with zero setup passes.
 //
-//   build/examples/shard_pack --in news20.binary --out news20.issp \
+//   build/examples/shard_pack --in news20.binary --out news20.issp
 //       --shard-rows 8192 --verify
 //
 // Conversion streams shard-by-shard through a StreamingSource, so peak

@@ -46,7 +46,7 @@ TEST(UpdatePolicy, NamesRoundTrip) {
                          UpdatePolicy::kStriped, UpdatePolicy::kLocked}) {
     EXPECT_EQ(update_policy_from_name(update_policy_name(p)), p);
   }
-  EXPECT_THROW(update_policy_from_name("rcu"), std::invalid_argument);
+  EXPECT_THROW((void)update_policy_from_name("rcu"), std::invalid_argument);
 }
 
 TEST(SharedModel, StripeCountConfigurable) {

@@ -283,7 +283,7 @@ TEST(PartitionPlan, RejectsDegenerateInputs) {
 
 TEST(PartitionPlan, ShardOutOfRangeThrows) {
   PartitionPlan plan(std::vector<double>{1.0, 2.0}, 2, {});
-  EXPECT_THROW(plan.shard(2), std::out_of_range);
+  EXPECT_THROW((void)plan.shard(2), std::out_of_range);
 }
 
 TEST(PartitionPlan, SinglePartitionRecoversGlobalDistribution) {
@@ -300,7 +300,7 @@ TEST(StrategyNames, RoundTrip) {
                      Strategy::kGreedyLpt, Strategy::kAdaptive}) {
     EXPECT_EQ(strategy_from_name(strategy_name(s)), s);
   }
-  EXPECT_THROW(strategy_from_name("bogus"), std::invalid_argument);
+  EXPECT_THROW((void)strategy_from_name("bogus"), std::invalid_argument);
 }
 
 }  // namespace

@@ -201,7 +201,8 @@ TEST_P(SolverGrid, ObjectiveDecreasesAcrossGrid) {
                              .objective = *objective,
                              .options = opt,
                              .eval = ev.as_fn(),
-                             .observer = nullptr});
+                             .observer = nullptr,
+                             .snapshot = {}});
   EXPECT_LT(trace.points.back().objective, trace.points.front().objective)
       << solver.name << "/" << objective_name << "/t" << threads;
   EXPECT_TRUE(std::isfinite(trace.points.back().objective));

@@ -85,7 +85,7 @@ TEST(Schedule, NamesRoundTrip) {
                             ScheduleKind::kInvSqrtEpoch}) {
     EXPECT_EQ(schedule_from_name(schedule_name(kind)), kind);
   }
-  EXPECT_THROW(schedule_from_name("cosine"), std::invalid_argument);
+  EXPECT_THROW((void)schedule_from_name("cosine"), std::invalid_argument);
 }
 
 TEST(TheoryStep, MatchesLemma2Formula) {
@@ -109,10 +109,14 @@ TEST(TheoryStep, TighterTargetShrinksStep) {
 }
 
 TEST(TheoryStep, RejectsInvalidInputs) {
-  EXPECT_THROW(theory_step_size(0.0, 1.0, 1.0, 0.0), std::invalid_argument);
-  EXPECT_THROW(theory_step_size(1.0, -1.0, 1.0, 0.0), std::invalid_argument);
-  EXPECT_THROW(theory_step_size(1.0, 1.0, 0.0, 0.0), std::invalid_argument);
-  EXPECT_THROW(theory_step_size(1.0, 1.0, 1.0, -0.5), std::invalid_argument);
+  EXPECT_THROW((void)theory_step_size(0.0, 1.0, 1.0, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)theory_step_size(1.0, -1.0, 1.0, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)theory_step_size(1.0, 1.0, 0.0, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)theory_step_size(1.0, 1.0, 1.0, -0.5),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -379,7 +379,8 @@ TEST(AllSolvers, SquaredHingeObjectiveWorksEverywhere) {
                       .objective = loss,
                       .options = opt,
                       .eval = ev.as_fn(),
-                      .observer = nullptr});
+                      .observer = nullptr,
+                      .snapshot = {}});
     EXPECT_LT(final_rmse(t), initial_rmse(t)) << t.algorithm;
   }
 }

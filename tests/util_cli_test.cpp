@@ -97,13 +97,13 @@ TEST(CliParser, PositionalArgumentThrows) {
 TEST(CliParser, NonNumericValueThrows) {
   CliParser cli = make_parser();
   ASSERT_TRUE(parse(cli, {"--epochs", "abc"}));
-  EXPECT_THROW(cli.get_int("epochs"), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_int("epochs"), std::invalid_argument);
 }
 
 TEST(CliParser, NonBooleanValueThrows) {
   CliParser cli = make_parser();
   ASSERT_TRUE(parse(cli, {"--verbose", "maybe"}));
-  EXPECT_THROW(cli.get_bool("verbose"), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_bool("verbose"), std::invalid_argument);
 }
 
 TEST(CliParser, HelpReturnsFalse) {
