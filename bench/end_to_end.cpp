@@ -68,8 +68,9 @@ namespace {
 using namespace isasgd;
 
 /// Steady-state throughput floor an IS solver must hold against its uniform
-/// counterpart (same thread count). The alias draw costs a few ns against a
-/// margin pass of tens; anything under this floor means the sampling layer
+/// counterpart (same thread count). An alias draw costs about 13 ns, 3–4% of
+/// a step on the url analog's 12-nonzero rows (docs/PERF.md), less on
+/// longer rows. Anything under this floor means the sampling layer
 /// regressed structurally, not noisily.
 constexpr double kIsFloor = 0.5;
 

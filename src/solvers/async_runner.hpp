@@ -91,13 +91,14 @@ inline void prefetch_lines(const void* first, const void* last) noexcept {
 ///
 /// Why: on short rows a step waits on memory, not arithmetic. Its loads
 /// form a chain — row id → row_ptr → index and value lines → model lines —
-/// and each link waits for the one before, even when every line is in L2.
+/// and each link waits for the one before, even when the model fits in L2.
 /// Issuing each link a few steps early lets one step's arithmetic cover
 /// the next steps' misses. The distances follow the chain: row_ptr 8 steps
 /// ahead, so it is cached when the row's lines are hinted 4 ahead, so those
 /// are cached when the model lines, whose addresses are the row's indices,
-/// are hinted 2 ahead. Doubling them all measured the same; quadrupling
-/// them lost a fifth of the gain (docs/PERF.md).
+/// are hinted 2 ahead. Doubling them all measured the same and quadrupling
+/// them slightly worse; the row hints or the model hints alone gave less
+/// than half the gain (docs/PERF.md).
 ///
 /// Only hints are issued and only `step` touches the model's values, so no
 /// arithmetic moves: the results are bit-identical to the plain loop.
