@@ -4,6 +4,7 @@
 #include <cmath>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 
 #include "util/timer.hpp"
 
@@ -30,6 +31,15 @@ void Solver::validate(SolverOptions& options) const {
 Trace Solver::train(SolverContext ctx) const {
   validate(ctx.options);
   const std::string solver_name(name());
+  // Workers size their batch scratch by batch_size, and in-memory SGD and
+  // ASGD draw whole batches, so a batch is bounded by the data before any
+  // of that is allocated.
+  if (ctx.options.batch_size > ctx.source.rows()) {
+    throw std::invalid_argument(
+        solver_name + ": batch_size " +
+        std::to_string(ctx.options.batch_size) + " exceeds the data's " +
+        std::to_string(ctx.source.rows()) + " rows");
+  }
   if (ctx.snapshot.active() && !capabilities().checkpointable) {
     throw std::invalid_argument(
         solver_name +

@@ -162,6 +162,7 @@ class Solver {
   virtual void validate(SolverOptions& options) const;
 
   /// Validates ctx.options, then runs with observer begin/end bracketing.
+  /// Throws std::invalid_argument when batch_size exceeds the source's rows.
   [[nodiscard]] Trace train(SolverContext ctx) const;
 
  protected:

@@ -160,27 +160,34 @@ TEST(Observer, ValidationFailureFiresNoCallbacks) {
 
 TEST(Observer, NonFiniteStepOrBadStrengthFiresNoCallbacks) {
   // Every case trained to completion (or, for l2(inf), failed by accident
-  // inside the alias build) before Solver::validate checked it.
+  // inside the alias build) before Solver::validate checked it; a batch one
+  // row larger than the data sized each worker's scratch by it.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   using objectives::Regularization;
   struct Case {
     double step;
     Regularization reg;
+    std::size_t batch;
     const char* field;
   };
   const Fixture f;
-  for (const Case& c : {Case{kNaN, Regularization::l2(1e-5), "step_size"},
-                        Case{kInf, Regularization::l2(1e-5), "step_size"},
-                        Case{0.2, Regularization::l1(-1.0), "reg.eta"},
-                        Case{0.2, Regularization::l1(kNaN), "reg.eta"},
-                        Case{0.2, Regularization::l2(kInf), "reg.eta"},
-                        Case{0.2, Regularization::l2(-1e-3), "reg.eta"}}) {
+  const std::size_t too_big = f.data.rows() + 1;
+  for (const Case& c :
+       {Case{kNaN, Regularization::l2(1e-5), 1, "step_size"},
+        Case{kInf, Regularization::l2(1e-5), 1, "step_size"},
+        Case{0.2, Regularization::l1(-1.0), 1, "reg.eta"},
+        Case{0.2, Regularization::l1(kNaN), 1, "reg.eta"},
+        Case{0.2, Regularization::l2(kInf), 1, "reg.eta"},
+        Case{0.2, Regularization::l2(-1e-3), 1, "reg.eta"},
+        Case{0.2, Regularization::l2(1e-5), too_big, "batch_size"}}) {
     SCOPED_TRACE(std::string(c.field) + " step=" + std::to_string(c.step) +
-                 " " + c.reg.name() + "(" + std::to_string(c.reg.eta) + ")");
+                 " " + c.reg.name() + "(" + std::to_string(c.reg.eta) +
+                 ") batch=" + std::to_string(c.batch));
     const Trainer trainer(f.data, f.loss, c.reg, 2);
     solvers::SolverOptions opt;
     opt.step_size = c.step;
+    opt.batch_size = c.batch;
     CountingObserver obs;
     try {
       (void)trainer.train("is_asgd", opt, &obs);
