@@ -11,7 +11,10 @@
 //      respawns threads (instrumentation counters).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/execution.hpp"
@@ -22,7 +25,9 @@
 #include "partition/balancer.hpp"
 #include "partition/partition.hpp"
 #include "sampling/sequence.hpp"
+#include "solvers/asgd.hpp"
 #include "solvers/importance_weights.hpp"
+#include "solvers/is_asgd.hpp"
 #include "solvers/schedule.hpp"
 #include "util/rng.hpp"
 
@@ -96,6 +101,42 @@ solvers::SolverOptions base_options() {
 
 const objectives::Regularization kReg = objectives::Regularization::l2(1e-3);
 
+/// The batch sizes the single-thread loops are pinned at. 3 and 7 do not
+/// divide 1,024, so on the 2,150-row input batches straddle draw blocks; 7
+/// is larger than the 5-row input, so IS-ASGD and streaming ASGD take one
+/// short batch there and in-memory ASGD one full batch of 7 draws.
+constexpr std::size_t kBatchSizes[] = {1, 3, 7};
+
+solvers::SolverOptions pinned_options(std::size_t batch_size) {
+  auto opt = base_options();
+  opt.threads = 1;
+  opt.batch_size = batch_size;
+  opt.reg = kReg;  // the IS importance reads the regularizer's L term
+  return opt;
+}
+
+/// w·x accumulated left to right, as every frozen loop below gathers it.
+double frozen_margin(const std::vector<double>& w, sparse::SparseVectorView x) {
+  double margin = 0;
+  const auto idx = x.indices();
+  const auto val = x.values();
+  for (std::size_t k = 0; k < idx.size(); ++k) margin += w[idx[k]] * val[k];
+  return margin;
+}
+
+/// The worker's relaxed load/add/store update of one row, replayed on a
+/// plain vector (sequentially they are the same arithmetic).
+void frozen_update(std::vector<double>& w, sparse::SparseVectorView x,
+                   double step, double g) {
+  const auto idx = x.indices();
+  const auto val = x.values();
+  for (std::size_t j = 0; j < idx.size(); ++j) {
+    const std::size_t c = idx[j];
+    const double wc = w[c];
+    w[c] = wc + -step * (g * val[j] + kReg.subgradient(wc));
+  }
+}
+
 /// Frozen pre-refactor serial SGD inner loop (seed sgd.cpp, batch = 1):
 /// margin accumulation and `g·x + reg.subgradient(w)` update, verbatim.
 std::vector<double> reference_sgd_model(const sparse::CsrMatrix& data,
@@ -127,44 +168,41 @@ std::vector<double> reference_sgd_model(const sparse::CsrMatrix& data,
 }
 
 /// Frozen pre-refactor ASGD inner loop at threads = 1 (seed asgd.cpp): one
-/// shard covering all rows, the worker's relaxed load/add/store sequence
-/// replayed on a plain vector (sequentially they are the same arithmetic).
+/// shard covering all rows and ⌈n/b⌉ batches of b uniform draws each (the
+/// last one full too); every gradient scale of a batch is gathered before
+/// the batch is applied at step λ / b.
 std::vector<double> reference_asgd1_model(
     const sparse::CsrMatrix& data, const objectives::Objective& objective,
     const solvers::SolverOptions& opt) {
   const std::size_t n = data.rows();
+  const std::size_t b = opt.batch_size;
   std::vector<double> w(data.dim(), 0.0);
   const std::vector<std::uint32_t> order =
       partition::random_shuffle(n, opt.seed ^ 0xa5a5);
   util::Rng rng(util::derive_seed(opt.seed, 0));
+  std::vector<std::pair<std::size_t, double>> batch(b);
   for (std::size_t epoch = 1; epoch <= opt.epochs; ++epoch) {
     const double lambda = solvers::epoch_step(opt, epoch);
-    for (std::size_t u = 0; u < n; ++u) {
-      const std::size_t i = order[util::uniform_index(rng, n)];
-      const auto x = data.row(i);
-      double margin = 0;
-      const auto idx = x.indices();
-      const auto val = x.values();
-      for (std::size_t k = 0; k < idx.size(); ++k) {
-        margin += w[idx[k]] * val[k];
+    for (std::size_t u = 0; u < (n + b - 1) / b; ++u) {
+      for (auto& [i, g] : batch) {
+        i = order[util::uniform_index(rng, n)];
+        g = objective.gradient_scale(frozen_margin(w, data.row(i)),
+                                     data.label(i));
       }
-      const double g = objective.gradient_scale(margin, data.label(i));
-      const double batch_step = lambda / 1.0;
-      for (std::size_t j = 0; j < idx.size(); ++j) {
-        const std::size_t c = idx[j];
-        const double wc = w[c];
-        w[c] = wc + -batch_step * (g * val[j] + kReg.subgradient(wc));
+      const double batch_step = lambda / static_cast<double>(b);
+      for (const auto& [i, g] : batch) {
+        frozen_update(w, data.row(i), batch_step, g);
       }
     }
   }
   return w;
 }
 
-/// Frozen IS-ASGD inner loop at threads = 1 (is_asgd.cpp, b = 1, fixed
+/// Frozen IS-ASGD inner loop at threads = 1 (is_asgd.cpp, fixed
 /// importance): importance → PartitionPlan → the shard's i.i.d. stream
-/// (the materialized SampleSequence that BlockSequence reproduces) → per
-/// draw the margin, the gradient scale and the update at step
-/// λ / (N·p_slot), replayed on a plain vector.
+/// (the materialized SampleSequence that BlockSequence reproduces) → batches
+/// of b consecutive draws, the last one shorter: every draw's margin and
+/// gradient scale, then every update at step λ / (N·p_slot) / |batch|.
 std::vector<double> reference_is_asgd1_model(
     const sparse::CsrMatrix& data, const objectives::Objective& objective,
     const solvers::SolverOptions& opt) {
@@ -176,29 +214,28 @@ std::vector<double> reference_is_asgd1_model(
   const partition::Shard shard = plan.shard(0);
   const std::size_t n = shard.rows.size();
   const std::uint64_t seed = util::derive_seed(opt.seed, 101);
+  const std::size_t b = opt.batch_size;
   std::vector<double> w(data.dim(), 0.0);
+  std::vector<std::pair<std::size_t, double>> batch(b);
   for (std::size_t epoch = 1; epoch <= opt.epochs; ++epoch) {
     const double lambda = solvers::epoch_step(opt, epoch);
     const auto draws = sampling::SampleSequence::weighted(
         shard.probabilities, n, util::derive_seed(seed, epoch - 1));
-    for (std::size_t t = 0; t < n; ++t) {
-      const std::size_t slot = draws[t];
-      const std::size_t i = shard.rows[slot];
-      const auto x = data.row(i);
-      double margin = 0;
-      const auto idx = x.indices();
-      const auto val = x.values();
-      for (std::size_t k = 0; k < idx.size(); ++k) {
-        margin += w[idx[k]] * val[k];
+    for (std::size_t base = 0; base < n; base += b) {
+      const std::size_t bsize = std::min(b, n - base);
+      for (std::size_t k = 0; k < bsize; ++k) {
+        const std::size_t slot = draws[base + k];
+        const std::size_t i = shard.rows[slot];
+        batch[k] = {slot, objective.gradient_scale(
+                              frozen_margin(w, data.row(i)), data.label(i))};
       }
-      const double g = objective.gradient_scale(margin, data.label(i));
-      const double p = shard.probabilities[slot];
-      const double weight = p > 0 ? 1.0 / (static_cast<double>(n) * p) : 1.0;
-      const double step = lambda * weight;
-      for (std::size_t j = 0; j < idx.size(); ++j) {
-        const std::size_t c = idx[j];
-        const double wc = w[c];
-        w[c] = wc + -step * (g * val[j] + kReg.subgradient(wc));
+      for (std::size_t k = 0; k < bsize; ++k) {
+        const auto [slot, g] = batch[k];
+        const double p = shard.probabilities[slot];
+        const double weight =
+            p > 0 ? 1.0 / (static_cast<double>(n) * p) : 1.0;
+        const double step = lambda * weight / static_cast<double>(bsize);
+        frozen_update(w, data.row(shard.rows[slot]), step, g);
       }
     }
   }
@@ -207,37 +244,63 @@ std::vector<double> reference_is_asgd1_model(
 
 /// Frozen streaming ASGD inner loop at threads = 1 (asgd.cpp's shard
 /// worker): every epoch visits the shards, and each shard's rows, in
-/// ShardedSequence order, one update per row at step λ / 1.
+/// ShardedSequence order, in batches of b consecutive rows (the shard's last
+/// one shorter), each gathered and then applied at step λ / |batch|.
 std::vector<double> reference_asgd1_streaming_model(
     const data::DataSource& source, const objectives::Objective& objective,
     const solvers::SolverOptions& opt) {
+  const std::size_t b = opt.batch_size;
   std::vector<double> w(source.dim(), 0.0);
   sampling::ShardedSequence schedule(source.shard_sizes(), opt.seed);
+  std::vector<std::pair<std::size_t, double>> batch(b);
   for (std::size_t epoch = 1; epoch <= opt.epochs; ++epoch) {
     schedule.begin_epoch(epoch);
     const double lambda = solvers::epoch_step(opt, epoch);
     for (const std::uint32_t s : schedule.shard_order()) {
       const data::ShardPtr shard = source.shard(s);
       const sparse::CsrMatrix& rows = *shard->matrix;
-      for (const std::uint32_t i : schedule.rows(s)) {
-        const auto x = rows.row(i);
-        double margin = 0;
-        const auto idx = x.indices();
-        const auto val = x.values();
-        for (std::size_t k = 0; k < idx.size(); ++k) {
-          margin += w[idx[k]] * val[k];
+      const auto row_order = schedule.rows(s);
+      for (std::size_t at = 0; at < row_order.size(); at += b) {
+        const std::size_t count = std::min(b, row_order.size() - at);
+        for (std::size_t k = 0; k < count; ++k) {
+          const std::size_t i = row_order[at + k];
+          batch[k] = {i, objective.gradient_scale(
+                             frozen_margin(w, rows.row(i)), rows.label(i))};
         }
-        const double g = objective.gradient_scale(margin, rows.label(i));
-        const double batch_step = lambda / 1.0;
-        for (std::size_t j = 0; j < idx.size(); ++j) {
-          const std::size_t c = idx[j];
-          const double wc = w[c];
-          w[c] = wc + -batch_step * (g * val[j] + kReg.subgradient(wc));
+        const double batch_step = lambda / static_cast<double>(count);
+        for (std::size_t k = 0; k < count; ++k) {
+          frozen_update(w, rows.row(batch[k].first), batch_step,
+                        batch[k].second);
         }
       }
     }
   }
   return w;
+}
+
+/// The final model of `solver` on `source` under `opt`, through the
+/// registry. Solver::train refuses a batch larger than the data, so such a
+/// batch reaches the loop through `run(opt, eval)`, the solver's run_*
+/// entry point.
+template <class RunFn>
+std::vector<double> final_model(const data::DataSource& source,
+                                const char* solver,
+                                const objectives::Objective& objective,
+                                const solvers::SolverOptions& opt,
+                                RunFn&& run) {
+  if (opt.batch_size > source.rows()) {
+    const solvers::EvalFn no_score = [](std::span<const double>) {
+      return solvers::EvalResult{};
+    };
+    return run(opt, no_score).final_model;
+  }
+  const auto trainer = core::TrainerBuilder()
+                           .source(source)
+                           .objective(objective)
+                           .regularization(kReg)
+                           .eval_threads(1)
+                           .build();
+  return trainer.train(solver, opt).final_model;
 }
 
 void expect_bitwise_equal(const std::vector<double>& a,
@@ -266,59 +329,53 @@ TEST(PoolParity, SgdRegistryPathMatchesPreRefactorReference) {
 TEST(PoolParity, AsgdSingleThreadMatchesPreRefactorReference) {
   objectives::LogisticLoss loss;
   for (const ParityInput& input : parity_inputs()) {
-    SCOPED_TRACE(input.name);
-    const auto trainer = core::TrainerBuilder()
-                             .data(input.data)
-                             .objective(loss)
-                             .regularization(kReg)
-                             .eval_threads(1)
-                             .build();
-    auto opt = base_options();
-    opt.threads = 1;
-    const auto trace = trainer.train("asgd", opt);
-    expect_bitwise_equal(
-        trace.final_model,
-        reference_asgd1_model(input.data, loss, base_options()));
+    const data::InMemorySource whole(input.data);
+    for (const std::size_t b : kBatchSizes) {
+      SCOPED_TRACE(input.name + " b=" + std::to_string(b));
+      const auto opt = pinned_options(b);
+      expect_bitwise_equal(
+          final_model(whole, "asgd", loss, opt,
+                      [&](const auto& o, const auto& eval) {
+                        return solvers::run_asgd(input.data, loss, o, eval);
+                      }),
+          reference_asgd1_model(input.data, loss, opt));
+    }
   }
 }
 
 TEST(PoolParity, IsAsgdSingleThreadMatchesFrozenLoop) {
   objectives::LogisticLoss loss;
   for (const ParityInput& input : parity_inputs()) {
-    SCOPED_TRACE(input.name);
-    const auto trainer = core::TrainerBuilder()
-                             .data(input.data)
-                             .objective(loss)
-                             .regularization(kReg)
-                             .eval_threads(1)
-                             .build();
-    auto opt = base_options();
-    opt.threads = 1;
-    const auto trace = trainer.train("is_asgd", opt);
-    opt.reg = kReg;  // the importance reads the regularizer's L term
-    expect_bitwise_equal(trace.final_model,
-                         reference_is_asgd1_model(input.data, loss, opt));
+    const data::InMemorySource whole(input.data);
+    for (const std::size_t b : kBatchSizes) {
+      SCOPED_TRACE(input.name + " b=" + std::to_string(b));
+      const auto opt = pinned_options(b);
+      expect_bitwise_equal(
+          final_model(whole, "is_asgd", loss, opt,
+                      [&](const auto& o, const auto& eval) {
+                        return solvers::run_is_asgd(input.data, loss, o, eval);
+                      }),
+          reference_is_asgd1_model(input.data, loss, opt));
+    }
   }
 }
 
 TEST(PoolParity, StreamingAsgdSingleThreadMatchesFrozenLoop) {
   objectives::LogisticLoss loss;
   for (const ParityInput& input : parity_inputs()) {
-    SCOPED_TRACE(input.name);
     const data::InMemorySource chunked(input.data, input.shard_rows);
     ASSERT_GT(chunked.shard_count(), 1u);  // the shard-major loop runs
-    const auto trainer = core::TrainerBuilder()
-                             .source(chunked)
-                             .objective(loss)
-                             .regularization(kReg)
-                             .eval_threads(1)
-                             .build();
-    auto opt = base_options();
-    opt.threads = 1;
-    const auto trace = trainer.train("asgd", opt);
-    expect_bitwise_equal(
-        trace.final_model,
-        reference_asgd1_streaming_model(chunked, loss, base_options()));
+    for (const std::size_t b : kBatchSizes) {
+      SCOPED_TRACE(input.name + " b=" + std::to_string(b));
+      const auto opt = pinned_options(b);
+      expect_bitwise_equal(
+          final_model(chunked, "asgd", loss, opt,
+                      [&](const auto& o, const auto& eval) {
+                        return solvers::run_asgd_streaming(chunked, loss, o,
+                                                           eval);
+                      }),
+          reference_asgd1_streaming_model(chunked, loss, opt));
+    }
   }
 }
 

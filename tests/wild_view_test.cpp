@@ -169,6 +169,10 @@ TEST_F(WildViewSolverParity, AsgdSerialWildEqualsAtomic) {
   expect_parity("asgd");
 }
 
+TEST_F(WildViewSolverParity, AsgdMiniBatchSerialWildEqualsAtomic) {
+  expect_parity("asgd", /*batch_size=*/3);
+}
+
 TEST_F(WildViewSolverParity, SvrgAsgdSerialWildEqualsAtomic) {
   expect_parity("svrg_asgd");
 }
