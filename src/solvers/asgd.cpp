@@ -16,24 +16,6 @@
 
 namespace isasgd::solvers {
 
-namespace {
-
-/// Applies one gathered mini-batch to the shared model — each row through
-/// detail::apply_update, the single home of the Hogwild coordinate update
-/// (wild fast lane included). Shared by the in-memory and streaming
-/// drivers so the update rule can only ever change in one place.
-inline void apply_batch(SharedModel& model, const sparse::CsrMatrix& rows,
-                        std::span<const std::pair<std::size_t, double>> batch,
-                        double batch_step,
-                        const objectives::Regularization& reg,
-                        UpdatePolicy policy) {
-  for (const auto& [i, g] : batch) {
-    detail::apply_update(model, rows.row(i), batch_step, g, reg, policy);
-  }
-}
-
-}  // namespace
-
 Trace run_asgd(const sparse::CsrMatrix& data,
                const objectives::Objective& objective,
                const SolverOptions& options, const EvalFn& eval,
@@ -71,17 +53,16 @@ Trace run_asgd(const sparse::CsrMatrix& data,
   for (std::size_t tid = 0; tid < threads; ++tid) {
     rngs[tid].value.reseed(util::derive_seed(options.seed, tid));
   }
-  const UpdatePolicy policy = options.update_policy;
-  const bool wild = policy == UpdatePolicy::kWild;
-  // Per-worker gather scratch, allocated once for the run — the epoch body
-  // must stay allocation-free.
+  // Per-worker batch scratch and a block of draws, allocated once for the
+  // run — the epoch body must stay allocation-free. Rows are drawn a block
+  // ahead so the step driver can prefetch them.
   const std::size_t b = std::max<std::size_t>(1, options.batch_size);
-  std::vector<std::vector<std::pair<std::size_t, double>>> batches(threads);
-  for (auto& scratch : batches) scratch.resize(b);
-  // b = 1 draws its rows a block ahead, so the step driver can prefetch.
-  constexpr std::size_t kDrawBlock = 1024;
-  std::vector<std::vector<std::uint32_t>> draws(b == 1 ? threads : 0);
-  for (auto& scratch : draws) scratch.resize(kDrawBlock);
+  std::vector<std::vector<detail::Gathered>> batches(threads);
+  std::vector<std::vector<std::uint32_t>> draws(threads);
+  for (std::size_t tid = 0; tid < threads; ++tid) {
+    batches[tid].resize(b);
+    draws[tid].resize(sampling::BlockSequence::kDefaultBlockSize);
+  }
 
   const double train_seconds = detail::run_epoch_fenced(
       detail::pool_or_default(pool), model, recorder, options.epochs, threads,
@@ -90,47 +71,26 @@ Trace run_asgd(const sparse::CsrMatrix& data,
         const std::size_t local_n = end - begin;
         if (local_n == 0) return;
         util::Rng& rng = rngs[tid].value;
+        std::vector<std::uint32_t>& ids = draws[tid];
+        // ⌈local_n/b⌉ full batches of uniform draws from the worker's shard,
+        // drawn at most a block early and never past the epoch's last batch,
+        // so the next epoch's stream does not shift.
+        std::size_t left = (local_n + b - 1) / b * b;
         // The schedule is a pure function of the epoch, so every worker
         // derives the same λ locally — no shared decay state to race on.
-        const double lambda = epoch_step(options, epoch);
-        if (b == 1) {
-          // The paper's kernel: the same draws in the same order as the
-          // loop below, at most a block early and never past the epoch's
-          // local_n, and step λ (λ / 1 is λ bit for bit).
-          std::uint32_t* ids = draws[tid].data();
-          for (std::size_t done = 0; done < local_n;) {
-            const std::size_t m = std::min(kDrawBlock, local_n - done);
-            for (std::size_t k = 0; k < m; ++k) {
-              ids[k] = order[begin + util::uniform_index(rng, local_n)];
-            }
-            detail::prefetched_steps(
-                data, model, m, [&](std::size_t k) { return ids[k]; },
-                [&](std::size_t k) {
-                  const auto x = data.row(ids[k]);
-                  const double margin = detail::gather_margin(model, x, wild);
-                  detail::apply_update(
-                      model, x, lambda,
-                      objective.gradient_scale(margin, data.label(ids[k])),
-                      options.reg, policy);
-                });
-            done += m;
-          }
-          return;
-        }
-        const std::size_t updates = (local_n + b - 1) / b;
-        std::vector<std::pair<std::size_t, double>>& batch = batches[tid];
-        for (std::size_t u = 0; u < updates; ++u) {
-          // Gather the mini-batch's gradient scales against the current
-          // (racy) model state, then apply; b = 1 is the paper's kernel.
-          for (std::size_t k = 0; k < b; ++k) {
-            const std::size_t i =
-                order[begin + util::uniform_index(rng, local_n)];
-            const double margin = detail::gather_margin(model, data.row(i), wild);
-            batch[k] = {i, objective.gradient_scale(margin, data.label(i))};
-          }
-          apply_batch(model, data, batch, lambda / static_cast<double>(b),
-                      options.reg, policy);
-        }
+        detail::hogwild_epoch(
+            data, model, objective, options, epoch_step(options, epoch),
+            batches[tid],
+            [&]() -> std::span<const std::uint32_t> {
+              const std::size_t m = std::min(ids.size(), left);
+              for (std::size_t k = 0; k < m; ++k) {
+                ids[k] = order[begin + util::uniform_index(rng, local_n)];
+              }
+              left -= m;
+              return {ids.data(), m};
+            },
+            [](std::uint32_t i) { return i; },
+            [](std::uint32_t, double) { return 1.0; });
       });
   if (options.keep_final_model) recorder.set_final_model(model.snapshot());
   return std::move(recorder).finish(train_seconds);
@@ -145,13 +105,11 @@ Trace run_asgd_streaming(const data::DataSource& source,
   TraceRecorder recorder("ASGD", threads,
                          options.step_size, eval, observer);
   sampling::ShardedSequence schedule(source.shard_sizes(), options.seed);
-  const UpdatePolicy policy = options.update_policy;
-  const bool wild = policy == UpdatePolicy::kWild;
   const std::size_t b = std::max<std::size_t>(1, options.batch_size);
-  // Per-worker gather scratch, allocated once for the whole run: the shard
+  // Per-worker batch scratch, allocated once for the whole run: the shard
   // loop is inside the timed window, so per-shard allocations would tax the
   // very throughput bench/streaming measures.
-  std::vector<std::vector<std::pair<std::size_t, double>>> batches(threads);
+  std::vector<std::vector<detail::Gathered>> batches(threads);
   for (auto& scratch : batches) scratch.resize(b);
 
   const double train_seconds = detail::run_epoch_fenced_sharded(
@@ -166,35 +124,16 @@ Trace run_asgd_streaming(const data::DataSource& source,
         const std::size_t begin = local_n * tid / threads;
         const std::size_t end = local_n * (tid + 1) / threads;
         if (begin == end) return;
-        const sparse::CsrMatrix& rows = *shard.matrix;
-        const double lambda = epoch_step(options, epoch);
-        if (b == 1) {
-          detail::prefetched_steps(
-              rows, model, end - begin,
-              [&](std::size_t k) { return row_order[begin + k]; },
-              [&](std::size_t k) {
-                const std::size_t i = row_order[begin + k];
-                const auto x = rows.row(i);
-                const double margin = detail::gather_margin(model, x, wild);
-                detail::apply_update(
-                    model, x, lambda,
-                    objective.gradient_scale(margin, rows.label(i)),
-                    options.reg, policy);
-              });
-          return;
-        }
-        std::vector<std::pair<std::size_t, double>>& batch = batches[tid];
-        for (std::size_t at = begin; at < end; at += b) {
-          const std::size_t count = std::min(b, end - at);
-          for (std::size_t k = 0; k < count; ++k) {
-            const std::size_t i = row_order[at + k];
-            const double margin = detail::gather_margin(model, rows.row(i), wild);
-            batch[k] = {i, objective.gradient_scale(margin, rows.label(i))};
-          }
-          apply_batch(model, rows, {batch.data(), count},
-                      lambda / static_cast<double>(count), options.reg,
-                      policy);
-        }
+        // The slice is the worker's one block of draws; its last batch is
+        // whatever remains of it.
+        std::span<const std::uint32_t> slice =
+            row_order.subspan(begin, end - begin);
+        detail::hogwild_epoch(
+            *shard.matrix, model, objective, options,
+            epoch_step(options, epoch), batches[tid],
+            [&] { return std::exchange(slice, {}); },
+            [](std::uint32_t i) { return i; },
+            [](std::uint32_t, double) { return 1.0; });
       });
   if (options.keep_final_model) recorder.set_final_model(model.snapshot());
   return std::move(recorder).finish(train_seconds);

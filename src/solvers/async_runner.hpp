@@ -16,8 +16,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "objectives/objective.hpp"
 #include "sampling/sequence.hpp"
 #include "solvers/model.hpp"
 #include "solvers/trace.hpp"
@@ -83,11 +85,10 @@ inline void prefetch_lines(const void* first, const void* last) noexcept {
   }
 }
 
-/// Runs `step(k)` for k = 0 … m − 1 — the b = 1 Hogwild loop shared by
-/// IS-ASGD and ASGD — while prefetching what later steps will load.
-/// `row_at(k)` is the row of `rows` that step k trains on; the caller knows
-/// it a whole block ahead (a BlockSequence block, a buffer of RNG draws, a
-/// shard's row order).
+/// Runs `step(k)` for k = 0 … m − 1 while prefetching what later steps will
+/// load. `row_at(k)` is the row of `rows` that step k trains on; the caller
+/// knows it a whole block ahead (a BlockSequence block, a buffer of RNG
+/// draws, a shard's row order).
 ///
 /// Why: on short rows a step waits on memory, not arithmetic. Its loads
 /// form a chain — row id → row_ptr → index and value lines → model lines —
@@ -129,6 +130,57 @@ inline void prefetched_steps(const sparse::CsrMatrix& rows,
     }
     step(k);
   }
+}
+
+/// One gathered draw of an open mini-batch: its row, its gradient scale
+/// against the live model, and its step weight.
+struct Gathered {
+  sparse::SparseVectorView x;
+  double g;
+  double weight;
+};
+
+/// One worker's share of a Hogwild epoch — the ONE worker loop of IS-ASGD
+/// and ASGD (in memory and streaming), at every batch size b = batch.size().
+/// `next_block()` hands out the worker's draws a block at a time and ends
+/// the epoch with an empty span; `row_of(draw)` is the draw's row of `rows`
+/// and `weigh(draw, g)` its step weight, given its gradient scale g (which
+/// adaptive IS records). Consecutive draws form the batches, across block
+/// boundaries, and the epoch's last batch is whatever remains. Every draw
+/// of a batch is gathered against the live model before the batch is
+/// applied at step λ·weight/|batch|; b = 1 is a batch of one, and ÷1 is
+/// exact, so it is the paper's one-sample step bit for bit.
+template <class NextBlock, class RowOf, class Weigh>
+void hogwild_epoch(const sparse::CsrMatrix& rows, SharedModel& model,
+                   const objectives::Objective& objective,
+                   const SolverOptions& options, double lambda,
+                   std::span<Gathered> batch, NextBlock&& next_block,
+                   RowOf&& row_of, Weigh&& weigh) {
+  const UpdatePolicy policy = options.update_policy;
+  const bool wild = policy == UpdatePolicy::kWild;
+  std::size_t open = 0;  // draws gathered into the current batch
+  const auto apply = [&] {
+    const double size = static_cast<double>(open);
+    for (const Gathered& d : batch.first(open)) {
+      apply_update(model, d.x, lambda * d.weight / size, d.g, options.reg,
+                   policy);
+    }
+    open = 0;
+  };
+  for (auto block = next_block(); !block.empty(); block = next_block()) {
+    prefetched_steps(
+        rows, model, block.size(),
+        [&](std::size_t k) { return row_of(block[k]); },
+        [&](std::size_t k) {
+          const std::size_t i = row_of(block[k]);
+          const sparse::SparseVectorView x = rows.row(i);
+          const double g = objective.gradient_scale(
+              gather_margin(model, x, wild), rows.label(i));
+          batch[open++] = {x, g, weigh(block[k], g)};
+          if (open == batch.size()) apply();
+        });
+  }
+  if (open > 0) apply();
 }
 
 /// The ONE translation from the option-level sequence mode to the sampling

@@ -69,7 +69,7 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
   struct WorkerState {
     std::vector<double> weight;  // indexed by local slot
     std::unique_ptr<sampling::BlockSequence> seq;
-    std::vector<std::pair<std::size_t, double>> batch;  // (slot, g) scratch
+    std::vector<detail::Gathered> batch;  // the open mini-batch's scratch
     /// Adaptive-importance extension (Eq. 11) state, all thread-local —
     /// each worker refreshes only its own shard, nothing to race on:
     std::vector<double> row_norm;  // ‖x_i‖ per local slot, cached at setup
@@ -120,13 +120,12 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
   }
   recorder.add_setup_seconds(setup.seconds());
 
-  const UpdatePolicy policy = options.update_policy;
   // Wild-policy fast lane: under kWild (and in serial runs) the margin dot
   // and the fused update run on the raw wild_view through the
   // ISASGD_RESTRICT kernels (detail::gather_margin / detail::apply_update)
   // — bit-identical arithmetic to the atomic-load path
   // (tests/wild_view_test.cpp), minus the per-element atomic calls.
-  const bool wild = policy == UpdatePolicy::kWild;
+  const bool wild = options.update_policy == UpdatePolicy::kWild;
   const bool adaptive = options.adaptive_importance;
 
   // Eq.-11 adaptive refresh (extension): re-estimate this worker's local
@@ -191,57 +190,16 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
         } else {
           ws.seq->begin_epoch(epoch);
         }
-        const double lambda = epoch_step(options, epoch);
-        const std::size_t len = ws.seq->epoch_length();
-        const std::size_t updates = (len + b - 1) / b;
-        sampling::BlockSequence& seq = *ws.seq;
-        if (b == 1) {
-          // The paper's kernel (one sample per update): no batch buffer, no
-          // second row decode, no ÷bsize (÷1 is the identity) — same
-          // per-coordinate arithmetic as the general loop below. A block
-          // at a time, so the driver sees the draws it prefetches for.
-          for (auto block = seq.next_block(); !block.empty();
-               block = seq.next_block()) {
-            detail::prefetched_steps(
-                data, model, block.size(),
-                [&](std::size_t k) { return shard.rows[block[k]]; },
-                [&](std::size_t k) {
-                  const std::size_t slot = block[k];
-                  const std::size_t i = shard.rows[slot];
-                  const auto x = data.row(i);
-                  const double margin = detail::gather_margin(model, x, wild);
-                  const double g =
-                      objective.gradient_scale(margin, data.label(i));
-                  if (adaptive) ws.last_g[slot] = std::abs(g);
-                  const double scaled_step = lambda * ws.weight[slot];
-                  detail::apply_update(model, x, scaled_step, g, options.reg,
-                                       policy);
-                });
-          }
-          return;
-        }
-        for (std::size_t u = 0; u < updates; ++u) {
-          const std::size_t base = u * b;
-          const std::size_t bsize = std::min(b, len - base);
-          for (std::size_t k = 0; k < bsize; ++k) {
-            const std::size_t slot = seq.next();
-            const std::size_t i = shard.rows[slot];
-            const auto x = data.row(i);
-            const double margin = detail::gather_margin(model, x, wild);
-            const double g = objective.gradient_scale(margin, data.label(i));
-            if (adaptive) ws.last_g[slot] = std::abs(g);
-            ws.batch[k] = {slot, g};
-          }
-          for (std::size_t k = 0; k < bsize; ++k) {
-            const auto [slot, g] = ws.batch[k];
-            const std::size_t i = shard.rows[slot];
-            const auto x = data.row(i);
-            const double scaled_step =
-                lambda * ws.weight[slot] / static_cast<double>(bsize);
-            detail::apply_update(model, x, scaled_step, g, options.reg,
-                                 policy);
-          }
-        }
+        // The epoch's draws are the sequence's blocks of local slots; a
+        // slot's step weight is 1/(N_tid·p_slot).
+        detail::hogwild_epoch(
+            data, model, objective, options, epoch_step(options, epoch),
+            ws.batch, [&] { return ws.seq->next_block(); },
+            [&](std::uint32_t slot) { return shard.rows[slot]; },
+            [&](std::uint32_t slot, double g) {
+              if (adaptive) ws.last_g[slot] = std::abs(g);
+              return ws.weight[slot];
+            });
       });
   if (options.keep_final_model) recorder.set_final_model(model.snapshot());
   return std::move(recorder).finish(train_seconds);

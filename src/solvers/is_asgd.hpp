@@ -6,13 +6,15 @@
 //      Random_Shuffling adaptively against ζ,
 //   3. contiguous-split the rearranged data into numT shards; each worker
 //      builds its local distribution P_tid = {L_i / Φ_tid},
-//   4. pre-generate each worker's sample sequence S_tid,
+//   4. build each worker's sampler for S_tid: one alias table, from which
+//      sampling::BlockSequence streams each epoch's sequence in blocks,
 //   5. Hogwild training: workers iterate their sequences, updating the
 //      shared model with step λ/(N_tid·p_i) — which under importance balance
 //      equals the paper's λ/(n·p_it) (line 15).
 //
 // The computation kernel is identical to ASGD's — that identity is the whole
-// point, and the ablation benches verify it empirically.
+// point: both run every worker through detail::hogwild_epoch
+// (async_runner.hpp), and the ablation benches verify it empirically.
 #pragma once
 
 #include "data/data_source.hpp"

@@ -58,11 +58,16 @@ struct SolverOptions {
   /// sweeps hold many traces and d can be millions).
   bool keep_final_model = false;
 
-  /// Mini-batch size b: each update averages b (importance-weighted)
-  /// gradients evaluated against one model snapshot. b = 1 reproduces the
-  /// paper exactly; b > 1 implements the mini-batch IS extension the paper
-  /// cites (Csiba & Richtárik 2016) — lower gradient variance per update at
-  /// b× the per-update cost.
+  /// Mini-batch size b: each update averages a batch's (importance-
+  /// weighted) gradients, all evaluated against one model state. b = 1
+  /// reproduces the paper exactly; b > 1 implements the mini-batch IS
+  /// extension the paper cites (Csiba & Richtárik 2016) — lower gradient
+  /// variance per update at b× the per-update cost. Epoch shapes: in-memory
+  /// SGD and ASGD draw ⌈n/b⌉ full batches with replacement (n = rows, or
+  /// the worker's shard for ASGD); IS-SGD, IS-ASGD and the shard-major
+  /// loops cut their epoch's draws into consecutive batches of b, the last
+  /// one shorter. Solver::train rejects b above the data's rows (b = rows
+  /// is legal), since every worker sizes its batch scratch by b.
   std::size_t batch_size = 1;
 
   // ---- IS-specific ----
