@@ -133,8 +133,10 @@ inline void prefetched_steps(const sparse::CsrMatrix& rows,
 }
 
 /// One gathered draw of an open mini-batch: its row, its gradient scale
-/// against the live model, and its step weight.
-struct Gathered {
+/// against the live model, and its step weight. A cache line each: every
+/// worker writes its open batch at every step, and two workers' scratch
+/// vectors can be neighbours on the heap, so no line may hold two entries.
+struct alignas(util::kCacheLineSize) Gathered {
   sparse::SparseVectorView x;
   double g;
   double weight;
