@@ -28,7 +28,9 @@
 #include "solvers/asgd.hpp"
 #include "solvers/importance_weights.hpp"
 #include "solvers/is_asgd.hpp"
+#include "solvers/is_sgd.hpp"
 #include "solvers/schedule.hpp"
+#include "solvers/sgd.hpp"
 #include "util/rng.hpp"
 
 namespace isasgd {
@@ -103,8 +105,9 @@ const objectives::Regularization kReg = objectives::Regularization::l2(1e-3);
 
 /// The batch sizes the single-thread loops are pinned at. 3 and 7 do not
 /// divide 1,024, so on the 2,150-row input batches straddle draw blocks; 7
-/// is larger than the 5-row input, so IS-ASGD and streaming ASGD take one
-/// short batch there and in-memory ASGD one full batch of 7 draws.
+/// is larger than the 5-row input, so the importance-sampled and shard-major
+/// loops take one short batch there, and in-memory SGD and ASGD one full
+/// batch of 7 draws.
 constexpr std::size_t kBatchSizes[] = {1, 3, 7};
 
 solvers::SolverOptions pinned_options(std::size_t batch_size) {
@@ -137,30 +140,73 @@ void frozen_update(std::vector<double>& w, sparse::SparseVectorView x,
   }
 }
 
-/// Frozen pre-refactor serial SGD inner loop (seed sgd.cpp, batch = 1):
-/// margin accumulation and `g·x + reg.subgradient(w)` update, verbatim.
+/// Frozen serial SGD inner loop (sgd.cpp): ⌈n/b⌉ batches of b uniform
+/// draws each (the last one full too); every gradient scale of a batch is
+/// gathered before the batch is applied at step λ / b.
 std::vector<double> reference_sgd_model(const sparse::CsrMatrix& data,
                                         const objectives::Objective& objective,
                                         const solvers::SolverOptions& opt) {
   const std::size_t n = data.rows();
+  const std::size_t b = opt.batch_size;
   std::vector<double> w(data.dim(), 0.0);
   util::Rng rng(opt.seed);
+  std::vector<std::pair<std::size_t, double>> batch(b);
   for (std::size_t epoch = 1; epoch <= opt.epochs; ++epoch) {
-    const double step = solvers::epoch_step(opt, epoch);
-    for (std::size_t u = 0; u < n; ++u) {
-      const std::size_t i = util::uniform_index(rng, n);
-      const auto x = data.row(i);
-      double margin = 0;
-      const auto idx = x.indices();
-      const auto val = x.values();
-      for (std::size_t j = 0; j < idx.size(); ++j) {
-        margin += w[idx[j]] * val[j];
+    const double lambda = solvers::epoch_step(opt, epoch);
+    for (std::size_t u = 0; u < (n + b - 1) / b; ++u) {
+      for (auto& [i, g] : batch) {
+        i = util::uniform_index(rng, n);
+        g = objective.gradient_scale(frozen_margin(w, data.row(i)),
+                                     data.label(i));
       }
-      const double g = objective.gradient_scale(margin, data.label(i));
-      const double batch_step = step / 1.0;
-      for (std::size_t j = 0; j < idx.size(); ++j) {
-        const std::size_t c = idx[j];
-        w[c] -= batch_step * (g * val[j] + kReg.subgradient(w[c]));
+      const double batch_step = lambda / static_cast<double>(b);
+      for (const auto& [i, g] : batch) {
+        frozen_update(w, data.row(i), batch_step, g);
+      }
+    }
+  }
+  return w;
+}
+
+/// Frozen serial IS-SGD inner loop (is_sgd.cpp, fixed importance): the
+/// 1/(n·p_i) step weights of the importance, and each epoch's draws from a
+/// BlockSequence built as run_is_sgd builds it, taken one next() at a time
+/// in batches of b consecutive draws, the last one shorter: every draw's
+/// gradient scale, then every update at step λ·weight[i] / |batch|.
+std::vector<double> reference_is_sgd_model(
+    const sparse::CsrMatrix& data, const objectives::Objective& objective,
+    const solvers::SolverOptions& opt) {
+  const std::size_t n = data.rows();
+  const std::size_t b = opt.batch_size;
+  const std::vector<double> importance =
+      solvers::detail::importance_weights(data, objective, opt);
+  double total = 0;
+  for (const double l : importance) total += l;
+  std::vector<double> weight(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    weight[i] = importance[i] > 0
+                    ? total / (static_cast<double>(n) * importance[i])
+                    : 1.0;
+  }
+  sampling::BlockSequence seq(sampling::BlockSequence::Mode::kIid, importance,
+                              n, opt.seed);
+  std::vector<double> w(data.dim(), 0.0);
+  std::vector<std::pair<std::size_t, double>> batch(b);
+  for (std::size_t epoch = 1; epoch <= opt.epochs; ++epoch) {
+    const double lambda = solvers::epoch_step(opt, epoch);
+    seq.begin_epoch(epoch, util::derive_seed(opt.seed, epoch - 1));
+    const std::size_t len = seq.epoch_length();
+    for (std::size_t base = 0; base < len; base += b) {
+      const std::size_t bsize = std::min(b, len - base);
+      for (std::size_t k = 0; k < bsize; ++k) {
+        const std::size_t i = seq.next();
+        batch[k] = {i, objective.gradient_scale(frozen_margin(w, data.row(i)),
+                                                data.label(i))};
+      }
+      for (std::size_t k = 0; k < bsize; ++k) {
+        const auto [i, g] = batch[k];
+        frozen_update(w, data.row(i),
+                      lambda * weight[i] / static_cast<double>(bsize), g);
       }
     }
   }
@@ -242,10 +288,11 @@ std::vector<double> reference_is_asgd1_model(
   return w;
 }
 
-/// Frozen streaming ASGD inner loop at threads = 1 (asgd.cpp's shard
-/// worker): every epoch visits the shards, and each shard's rows, in
-/// ShardedSequence order, in batches of b consecutive rows (the shard's last
-/// one shorter), each gathered and then applied at step λ / |batch|.
+/// Frozen shard-major loop: streaming ASGD at threads = 1 (asgd.cpp's shard
+/// worker) and streaming SGD (sgd.cpp). Every epoch visits the shards, and
+/// each shard's rows, in ShardedSequence order, in batches of b consecutive
+/// rows (the shard's last one shorter), each gathered and then applied at
+/// step λ / |batch|.
 std::vector<double> reference_asgd1_streaming_model(
     const data::DataSource& source, const objectives::Objective& objective,
     const solvers::SolverOptions& opt) {
@@ -313,17 +360,37 @@ void expect_bitwise_equal(const std::vector<double>& a,
 }
 
 TEST(PoolParity, SgdRegistryPathMatchesPreRefactorReference) {
-  const auto data = small_data();
   objectives::LogisticLoss loss;
-  const auto trainer = core::TrainerBuilder()
-                           .data(data)
-                           .objective(loss)
-                           .regularization(kReg)
-                           .eval_threads(1)
-                           .build();
-  const auto trace = trainer.train("sgd", base_options());
-  expect_bitwise_equal(trace.final_model,
-                       reference_sgd_model(data, loss, base_options()));
+  for (const ParityInput& input : parity_inputs()) {
+    const data::InMemorySource whole(input.data);
+    for (const std::size_t b : kBatchSizes) {
+      SCOPED_TRACE(input.name + " b=" + std::to_string(b));
+      const auto opt = pinned_options(b);
+      expect_bitwise_equal(
+          final_model(whole, "sgd", loss, opt,
+                      [&](const auto& o, const auto& eval) {
+                        return solvers::run_sgd(input.data, loss, o, eval);
+                      }),
+          reference_sgd_model(input.data, loss, opt));
+    }
+  }
+}
+
+TEST(PoolParity, IsSgdMatchesFrozenLoop) {
+  objectives::LogisticLoss loss;
+  for (const ParityInput& input : parity_inputs()) {
+    const data::InMemorySource whole(input.data);
+    for (const std::size_t b : kBatchSizes) {
+      SCOPED_TRACE(input.name + " b=" + std::to_string(b));
+      const auto opt = pinned_options(b);
+      expect_bitwise_equal(
+          final_model(whole, "is_sgd", loss, opt,
+                      [&](const auto& o, const auto& eval) {
+                        return solvers::run_is_sgd(input.data, loss, o, eval);
+                      }),
+          reference_is_sgd_model(input.data, loss, opt));
+    }
+  }
 }
 
 TEST(PoolParity, AsgdSingleThreadMatchesPreRefactorReference) {
@@ -373,6 +440,25 @@ TEST(PoolParity, StreamingAsgdSingleThreadMatchesFrozenLoop) {
                       [&](const auto& o, const auto& eval) {
                         return solvers::run_asgd_streaming(chunked, loss, o,
                                                            eval);
+                      }),
+          reference_asgd1_streaming_model(chunked, loss, opt));
+    }
+  }
+}
+
+TEST(PoolParity, StreamingSgdMatchesFrozenLoop) {
+  objectives::LogisticLoss loss;
+  for (const ParityInput& input : parity_inputs()) {
+    const data::InMemorySource chunked(input.data, input.shard_rows);
+    ASSERT_GT(chunked.shard_count(), 1u);  // the shard-major loop runs
+    for (const std::size_t b : kBatchSizes) {
+      SCOPED_TRACE(input.name + " b=" + std::to_string(b));
+      const auto opt = pinned_options(b);
+      expect_bitwise_equal(
+          final_model(chunked, "sgd", loss, opt,
+                      [&](const auto& o, const auto& eval) {
+                        return solvers::run_sgd_streaming(chunked, loss, o,
+                                                          eval);
                       }),
           reference_asgd1_streaming_model(chunked, loss, opt));
     }
