@@ -79,8 +79,8 @@ Trace run_asgd(const sparse::CsrMatrix& data,
         // The schedule is a pure function of the epoch, so every worker
         // derives the same λ locally — no shared decay state to race on.
         detail::hogwild_epoch(
-            data, model, objective, options, epoch_step(options, epoch),
-            batches[tid],
+            data, model, objective, options.reg, options.update_policy,
+            epoch_step(options, epoch), batches[tid],
             [&]() -> std::span<const std::uint32_t> {
               const std::size_t m = std::min(ids.size(), left);
               for (std::size_t k = 0; k < m; ++k) {
@@ -114,7 +114,7 @@ Trace run_asgd_streaming(const data::DataSource& source,
 
   const double train_seconds = detail::run_epoch_fenced_sharded(
       detail::pool_or_default(pool), source, schedule, model, recorder,
-      options.epochs, threads,
+      /*first_epoch=*/1, options.epochs, threads,
       [&](std::size_t tid, const data::Shard& shard,
           std::span<const std::uint32_t> row_order, std::size_t epoch) {
         // Worker tid owns the contiguous slice [begin, end) of this shard's
@@ -129,12 +129,13 @@ Trace run_asgd_streaming(const data::DataSource& source,
         std::span<const std::uint32_t> slice =
             row_order.subspan(begin, end - begin);
         detail::hogwild_epoch(
-            *shard.matrix, model, objective, options,
-            epoch_step(options, epoch), batches[tid],
+            *shard.matrix, model, objective, options.reg,
+            options.update_policy, epoch_step(options, epoch), batches[tid],
             [&] { return std::exchange(slice, {}); },
             [](std::uint32_t i) { return i; },
             [](std::uint32_t, double) { return 1.0; });
-      });
+      },
+      [](std::size_t) {});
   if (options.keep_final_model) recorder.set_final_model(model.snapshot());
   return std::move(recorder).finish(train_seconds);
 }

@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "objectives/objective.hpp"
 #include "sampling/sequence.hpp"
@@ -142,8 +141,10 @@ struct alignas(util::kCacheLineSize) Gathered {
   double weight;
 };
 
-/// One worker's share of a Hogwild epoch — the ONE worker loop of IS-ASGD
-/// and ASGD (in memory and streaming), at every batch size b = batch.size().
+/// One worker's share of a Hogwild epoch — the ONE step loop of every
+/// SGD-family solver at every batch size b = batch.size(): each IS-ASGD and
+/// ASGD worker (in memory and streaming), and serial SGD (in memory and
+/// shard-major) and IS-SGD as the one worker of their run.
 /// `next_block()` hands out the worker's draws a block at a time and ends
 /// the epoch with an empty span; `row_of(draw)` is the draw's row of `rows`
 /// and `weigh(draw, g)` its step weight, given its gradient scale g (which
@@ -151,21 +152,22 @@ struct alignas(util::kCacheLineSize) Gathered {
 /// boundaries, and the epoch's last batch is whatever remains. Every draw
 /// of a batch is gathered against the live model before the batch is
 /// applied at step λ·weight/|batch|; b = 1 is a batch of one, and ÷1 is
-/// exact, so it is the paper's one-sample step bit for bit.
+/// exact, so it is the paper's one-sample step bit for bit. `policy` is the
+/// write discipline: the parallel solvers pass options.update_policy, the
+/// serial ones kWild, since a serial run has no concurrent writer (see
+/// SharedModel::wild_view).
 template <class NextBlock, class RowOf, class Weigh>
 void hogwild_epoch(const sparse::CsrMatrix& rows, SharedModel& model,
                    const objectives::Objective& objective,
-                   const SolverOptions& options, double lambda,
-                   std::span<Gathered> batch, NextBlock&& next_block,
-                   RowOf&& row_of, Weigh&& weigh) {
-  const UpdatePolicy policy = options.update_policy;
+                   const objectives::Regularization& reg, UpdatePolicy policy,
+                   double lambda, std::span<Gathered> batch,
+                   NextBlock&& next_block, RowOf&& row_of, Weigh&& weigh) {
   const bool wild = policy == UpdatePolicy::kWild;
   std::size_t open = 0;  // draws gathered into the current batch
   const auto apply = [&] {
     const double size = static_cast<double>(open);
     for (const Gathered& d : batch.first(open)) {
-      apply_update(model, d.x, lambda * d.weight / size, d.g, options.reg,
-                   policy);
+      apply_update(model, d.x, lambda * d.weight / size, d.g, reg, policy);
     }
     open = 0;
   };
@@ -236,17 +238,17 @@ double run_epoch_fenced(util::ThreadPool& pool, SharedModel& model,
 }
 
 /// Serial counterpart: `epoch_body(epoch)` performs one epoch's iterations
-/// on `w`; the driver manages clock pausing and recording symmetrically to
-/// the async version so serial and async traces are directly comparable.
-/// The range form exists for checkpoint resume (snapshot.hpp): a restored
-/// run starts its fence loop at `first_epoch` = fence + 1, records the
-/// restored model as its initial point (epoch first_epoch − 1), and runs the
-/// remaining epochs — the epoch indices the bodies see are identical to the
-/// uninterrupted run's, which is what keeps per-epoch seed derivations and
-/// refresh cadences bit-compatible. first_epoch > epochs runs zero epochs
-/// (a checkpoint taken at the final fence restores to a finished run).
+/// on the model `w` views; the driver manages clock pausing and recording
+/// symmetrically to the async version so serial and async traces are
+/// directly comparable. A checkpoint resume (snapshot.hpp) starts the fence
+/// loop at `first_epoch` = fence + 1, records the restored model as its
+/// initial point (epoch first_epoch − 1), and runs the remaining epochs —
+/// the epoch indices the bodies see are identical to the uninterrupted
+/// run's, which is what keeps per-epoch seed derivations and refresh
+/// cadences bit-compatible. first_epoch > epochs runs zero epochs (a
+/// checkpoint taken at the final fence restores to a finished run).
 template <class EpochBodyFn>
-double run_epoch_fenced_serial_range(std::vector<double>& w,
+double run_epoch_fenced_serial_range(std::span<const double> w,
                                      TraceRecorder& recorder,
                                      std::size_t first_epoch,
                                      std::size_t epochs,
@@ -261,13 +263,6 @@ double run_epoch_fenced_serial_range(std::vector<double>& w,
     recorder.record(epoch, clock.seconds(), w);
   }
   return clock.seconds();
-}
-
-template <class EpochBodyFn>
-double run_epoch_fenced_serial(std::vector<double>& w, TraceRecorder& recorder,
-                               std::size_t epochs, EpochBodyFn&& epoch_body) {
-  return run_epoch_fenced_serial_range(w, recorder, 1, epochs,
-                                       std::forward<EpochBodyFn>(epoch_body));
 }
 
 }  // namespace isasgd::solvers::detail

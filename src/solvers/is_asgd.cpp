@@ -193,8 +193,9 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
         // The epoch's draws are the sequence's blocks of local slots; a
         // slot's step weight is 1/(N_tid·p_slot).
         detail::hogwild_epoch(
-            data, model, objective, options, epoch_step(options, epoch),
-            ws.batch, [&] { return ws.seq->next_block(); },
+            data, model, objective, options.reg, options.update_policy,
+            epoch_step(options, epoch), ws.batch,
+            [&] { return ws.seq->next_block(); },
             [&](std::uint32_t slot) { return shard.rows[slot]; },
             [&](std::uint32_t slot, double g) {
               if (adaptive) ws.last_g[slot] = std::abs(g);

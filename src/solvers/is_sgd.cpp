@@ -6,6 +6,7 @@
 #include "sampling/sequence.hpp"
 #include "solvers/async_runner.hpp"
 #include "solvers/importance_weights.hpp"
+#include "solvers/model.hpp"
 #include "solvers/solver.hpp"
 #include "sparse/kernels.hpp"
 #include "util/timer.hpp"
@@ -47,7 +48,8 @@ Trace run_is_sgd(const sparse::CsrMatrix& data,
                  const data::RowStats* stats) {
   const std::size_t n = data.rows();
   const std::size_t b = std::max<std::size_t>(1, options.batch_size);
-  std::vector<double> w(data.dim(), 0.0);
+  SharedModel model(data.dim());
+  const std::span<const double> w = model.wild_view();
   TraceRecorder recorder("IS-SGD", 1,
                          options.step_size, eval, observer);
 
@@ -106,7 +108,7 @@ Trace run_is_sgd(const sparse::CsrMatrix& data,
     // i.i.d. stream reseeds per epoch; only the shuffled modes hold state,
     // replayed through rewind_to. Adaptive mode restores its live vectors
     // and rebuilds the stream from the restored distribution.
-    w = hooks.resume->model;
+    model.assign(hooks.resume->model);
     if (options.adaptive_importance) {
       last_g = hooks.resume->real_section("is.last_g");
       importance = hooks.resume->real_section("is.importance");
@@ -120,15 +122,12 @@ Trace run_is_sgd(const sparse::CsrMatrix& data,
     if (seq) seq->rewind_to(hooks.resume->epoch);
   }
 
-  // ---- Training: kernel identical to SGD except index source + weight ----
-  const double eta_l1 = options.reg.eta_l1();
-  const double eta_l2 = options.reg.eta_l2();
+  // ---- Training: SGD's step loop, only the index source + weight differ ----
   const bool adaptive = options.adaptive_importance;
-  std::vector<std::pair<std::size_t, double>> batch(b);
+  std::vector<detail::Gathered> batch(b);
   const double train_seconds = detail::run_epoch_fenced_serial_range(
       w, recorder, hooks.first_epoch(), options.epochs,
       [&](std::size_t epoch) {
-        const double step = epoch_step(options, epoch);
         if (adaptive) {
           // Eq. 11 extension: refresh P from the live gradient norms,
           // inside the timed window on purpose — it is the cost the paper's
@@ -165,26 +164,18 @@ Trace run_is_sgd(const sparse::CsrMatrix& data,
         } else {
           seq->begin_epoch(epoch);
         }
-        const std::size_t len = seq->epoch_length();
-        const std::size_t updates = (len + b - 1) / b;
-        for (std::size_t u = 0; u < updates; ++u) {
-          const std::size_t base = u * b;
-          const std::size_t bsize = std::min(b, len - base);
-          for (std::size_t k = 0; k < bsize; ++k) {
-            const std::size_t i = seq->next();
-            const double margin = sparse::sparse_dot(w, data.row(i));
-            const double g = objective.gradient_scale(margin, data.label(i));
-            if (adaptive) last_g[i] = std::abs(g);
-            batch[k] = {i, g};
-          }
-          for (std::size_t k = 0; k < bsize; ++k) {
-            const auto [i, g] = batch[k];
-            const double scaled_step =
-                step * weight[i] / static_cast<double>(bsize);
-            sparse::sparse_dot_residual_axpy(w, data.row(i), scaled_step, g,
-                                             eta_l1, eta_l2);
-          }
-        }
+        // The epoch's draws are the sequence's blocks; a draw's step weight
+        // is 1/(n·p_i). A serial run has no concurrent writer: kWild
+        // whatever the option.
+        detail::hogwild_epoch(
+            data, model, objective, options.reg, UpdatePolicy::kWild,
+            epoch_step(options, epoch), batch,
+            [&] { return seq->next_block(); },
+            [](std::uint32_t i) { return i; },
+            [&](std::uint32_t i, double g) {
+              if (adaptive) last_g[i] = std::abs(g);
+              return weight[i];
+            });
         detail::maybe_capture(
             hooks, "IS-SGD", epoch, options.seed, options.epochs, w,
             [&](SnapshotState& state) {
@@ -195,7 +186,7 @@ Trace run_is_sgd(const sparse::CsrMatrix& data,
               }
             });
       });
-  if (options.keep_final_model) recorder.set_final_model(w);
+  if (options.keep_final_model) recorder.set_final_model(model.snapshot());
   return std::move(recorder).finish(train_seconds);
 }
 

@@ -1,8 +1,10 @@
 // IS-SGD — Algorithm 2: serial SGD with importance sampling.
 //
-// Sampling distribution P = {p_i ∝ L_i} is constructed once (Eq. 12); sample
-// sequences are pre-generated so the training kernel is byte-for-byte the
-// SGD kernel; updates are re-weighted by 1/(n·p_i) for unbiasedness (Eq. 8).
+// Sampling distribution P = {p_i ∝ L_i} is constructed once (Eq. 12) as an
+// alias table; each epoch's sample sequence is drawn from it a block at a
+// time inside the epoch (sampling::BlockSequence) and fed to SGD's step loop
+// (detail::hogwild_epoch), with updates re-weighted by 1/(n·p_i) for
+// unbiasedness (Eq. 8).
 #pragma once
 
 #include "data/data_source.hpp"
@@ -14,9 +16,9 @@
 
 namespace isasgd::solvers {
 
-/// Runs serial importance-sampled SGD. Sequence generation and distribution
-/// construction are accounted to Trace::setup_seconds, exactly the cost the
-/// paper's §4.2 overhead discussion covers.
+/// Runs serial importance-sampled SGD. The importance pass and the alias
+/// build are accounted to Trace::setup_seconds, the cost the paper's §4.2
+/// overhead discussion covers; the draws themselves land in the epochs.
 ///
 /// Checkpointing (`hooks`, snapshot.hpp): in static mode the importance
 /// distribution is recomputed at setup (a pure function of the dataset and

@@ -48,7 +48,9 @@ struct SolverOptions {
   std::size_t epochs = 15;
   /// Worker count for the async solvers (ignored by serial ones).
   std::size_t threads = 4;
-  /// Shared-model write discipline for async solvers.
+  /// Shared-model write discipline for async solvers. Serial solvers ignore
+  /// it: a serial run has no concurrent writer, so it takes the kWild
+  /// kernels.
   UpdatePolicy update_policy = UpdatePolicy::kWild;
   /// Regularizer η·r(w) of Eq. 1.
   objectives::Regularization reg = objectives::Regularization::none();
@@ -86,8 +88,10 @@ struct SolverOptions {
   partition::PartitionOptions partition;
   /// How IS sample sequences are produced per epoch.
   enum class SequenceMode {
-    /// One i.i.d. weighted sequence per epoch, all generated offline
-    /// ("beforehand", §1.3) — the faithful Algorithm-2/4 scheme.
+    /// One i.i.d. weighted sequence per epoch — the faithful Algorithm-2/4
+    /// scheme, which generates it "beforehand" (§1.3). Here it is streamed:
+    /// a BlockSequence draws each epoch's indices a block at a time from
+    /// the alias table built at setup, bit-identical to the whole sequence.
     kPregenerate,
     /// §4.2 optimisation: one i.i.d. draw, Fisher–Yates-reshuffled per
     /// epoch. Zero marginal cost, but the fixed multiset never visits ~1/e

@@ -7,28 +7,10 @@
 #include "solvers/async_runner.hpp"
 #include "solvers/solver.hpp"
 #include "solvers/streaming_runner.hpp"
-#include "sparse/kernels.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace isasgd::solvers {
-
-namespace {
-
-/// Applies one gathered mini-batch to `w` — the serial SGD update. Shared
-/// by the in-memory and streaming drivers so the update rule can only ever
-/// change in one place. The step is divided by the *actual* batch size, so
-/// a streaming tail batch shorter than b keeps per-sample scaling.
-inline void apply_batch(std::vector<double>& w, const sparse::CsrMatrix& rows,
-                        std::span<const std::pair<std::size_t, double>> batch,
-                        double step, double eta_l1, double eta_l2) {
-  const double batch_step = step / static_cast<double>(batch.size());
-  for (const auto& [i, g] : batch) {
-    sparse::sparse_dot_residual_axpy(w, rows.row(i), batch_step, g, eta_l1,
-                                     eta_l2);
-  }
-}
-
-}  // namespace
 
 Trace run_sgd(const sparse::CsrMatrix& data,
               const objectives::Objective& objective,
@@ -36,7 +18,8 @@ Trace run_sgd(const sparse::CsrMatrix& data,
               TrainingObserver* observer, const SnapshotHooks& hooks) {
   const std::size_t n = data.rows();
   const std::size_t b = std::max<std::size_t>(1, options.batch_size);
-  std::vector<double> w(data.dim(), 0.0);
+  SharedModel model(data.dim());
+  const std::span<const double> w = model.wild_view();
   TraceRecorder recorder("SGD", 1, options.step_size,
                          eval, observer);
 
@@ -44,35 +27,43 @@ Trace run_sgd(const sparse::CsrMatrix& data,
   // epochs, so the RNG words travel with every checkpoint.
   util::Rng rng(options.seed);
   if (hooks.resume) {
-    w = hooks.resume->model;
+    model.assign(hooks.resume->model);
     rng = hooks.resume->get_rng("rng");
   }
-  // Scratch for one mini-batch: (row id, gradient scale). All margins are
-  // computed against the same model state, then all updates applied — the
-  // standard mini-batch semantics (b = 1 degenerates to plain SGD).
-  std::vector<std::pair<std::size_t, double>> batch(b);
-  const std::size_t updates_per_epoch = (n + b - 1) / b;
+  // The one worker's batch scratch and block of draws, allocated once for
+  // the run. Rows are drawn a block ahead so the step driver can prefetch
+  // them.
+  std::vector<detail::Gathered> batch(b);
+  std::vector<std::uint32_t> ids(sampling::BlockSequence::kDefaultBlockSize);
 
-  const double eta_l1 = options.reg.eta_l1();
-  const double eta_l2 = options.reg.eta_l2();
   const double train_seconds = detail::run_epoch_fenced_serial_range(
       w, recorder, hooks.first_epoch(), options.epochs,
       [&](std::size_t epoch) {
-        const double step = epoch_step(options, epoch);
-        for (std::size_t u = 0; u < updates_per_epoch; ++u) {
-          for (std::size_t k = 0; k < b; ++k) {
-            const std::size_t i = util::uniform_index(rng, n);
-            const double margin = sparse::sparse_dot(w, data.row(i));
-            batch[k] = {i, objective.gradient_scale(margin, data.label(i))};
-          }
-          apply_batch(w, data, batch, step, eta_l1, eta_l2);
-        }
+        // ⌈n/b⌉ full batches of uniform draws, drawn at most a block early
+        // and never past the epoch's last batch, so the RNG words a
+        // checkpoint captures are the epoch's own.
+        std::size_t left = (n + b - 1) / b * b;
+        // A serial run has no concurrent writer: kWild whatever the option.
+        detail::hogwild_epoch(
+            data, model, objective, options.reg, UpdatePolicy::kWild,
+            epoch_step(options, epoch), batch,
+            [&]() -> std::span<const std::uint32_t> {
+              const std::size_t m = std::min(ids.size(), left);
+              for (std::size_t k = 0; k < m; ++k) {
+                ids[k] =
+                    static_cast<std::uint32_t>(util::uniform_index(rng, n));
+              }
+              left -= m;
+              return {ids.data(), m};
+            },
+            [](std::uint32_t i) { return i; },
+            [](std::uint32_t, double) { return 1.0; });
         detail::maybe_capture(hooks, "SGD", epoch, options.seed,
                               options.epochs, w, [&](SnapshotState& state) {
                                 state.put_rng("rng", rng);
                               });
       });
-  if (options.keep_final_model) recorder.set_final_model(w);
+  if (options.keep_final_model) recorder.set_final_model(model.snapshot());
   return std::move(recorder).finish(train_seconds);
 }
 
@@ -82,40 +73,37 @@ Trace run_sgd_streaming(const data::DataSource& source,
                         TrainingObserver* observer,
                         const SnapshotHooks& hooks) {
   const std::size_t b = std::max<std::size_t>(1, options.batch_size);
-  std::vector<double> w(source.dim(), 0.0);
+  SharedModel model(source.dim());
   TraceRecorder recorder("SGD", 1, options.step_size,
                          eval, observer);
   sampling::ShardedSequence schedule(source.shard_sizes(), options.seed);
   // Cross-epoch state is w alone: the schedule reseeds per epoch from
   // (seed, epoch) and there is no draw RNG on this path.
-  if (hooks.resume) w = hooks.resume->model;
+  if (hooks.resume) model.assign(hooks.resume->model);
 
-  const double eta_l1 = options.reg.eta_l1();
-  const double eta_l2 = options.reg.eta_l2();
-  std::vector<std::pair<std::size_t, double>> batch(b);
-  const double train_seconds = detail::run_epoch_fenced_serial_sharded_range(
-      source, schedule, w, recorder, hooks.first_epoch(), options.epochs,
-      [&](const data::Shard& shard, std::span<const std::uint32_t> row_order,
-          std::size_t epoch) {
-        const sparse::CsrMatrix& rows = *shard.matrix;
-        const double step = epoch_step(options, epoch);
-        for (std::size_t at = 0; at < row_order.size(); at += b) {
-          const std::size_t count = std::min(b, row_order.size() - at);
-          // Same mini-batch semantics as the in-memory kernel: all margins
-          // against one model state, then all updates.
-          for (std::size_t k = 0; k < count; ++k) {
-            const std::size_t i = row_order[at + k];
-            const double margin = sparse::sparse_dot(w, rows.row(i));
-            batch[k] = {i, objective.gradient_scale(margin, rows.label(i))};
-          }
-          apply_batch(w, rows, {batch.data(), count}, step, eta_l1, eta_l2);
-        }
+  std::vector<detail::Gathered> batch(b);
+  // One worker: the pool runs a team of 1 inline on this thread, so the
+  // default pool spawns nothing.
+  const double train_seconds = detail::run_epoch_fenced_sharded(
+      util::default_thread_pool(), source, schedule, model, recorder,
+      hooks.first_epoch(), options.epochs, /*threads=*/1,
+      [&](std::size_t, const data::Shard& shard,
+          std::span<const std::uint32_t> row_order, std::size_t epoch) {
+        // The shard's row order is the one block of draws; its last batch
+        // is whatever remains of it, so batches never span shards.
+        detail::hogwild_epoch(
+            *shard.matrix, model, objective, options.reg, UpdatePolicy::kWild,
+            epoch_step(options, epoch), batch,
+            [&] { return std::exchange(row_order, {}); },
+            [](std::uint32_t i) { return i; },
+            [](std::uint32_t, double) { return 1.0; });
       },
       [&](std::size_t epoch) {
         detail::maybe_capture(hooks, "SGD", epoch, options.seed,
-                              options.epochs, w, [](SnapshotState&) {});
+                              options.epochs, model.wild_view(),
+                              [](SnapshotState&) {});
       });
-  if (options.keep_final_model) recorder.set_final_model(w);
+  if (options.keep_final_model) recorder.set_final_model(model.snapshot());
   return std::move(recorder).finish(train_seconds);
 }
 

@@ -11,10 +11,11 @@
 namespace isasgd::solvers {
 
 /// Runs serial SGD with uniform sampling: w ← w − λ·∇f_i(w), i ~ U[0, n).
-/// One epoch = n update iterations. The regularizer's subgradient is applied
-/// on the active row's support (the standard sparse-SGD discipline; see
-/// DESIGN.md §5). Cross-epoch state is {model, sampling RNG}; `hooks`
-/// captures/restores both at epoch fences (snapshot.hpp).
+/// One epoch = ⌈n/b⌉ mini-batches of b draws (n update iterations at
+/// b = 1). The regularizer's subgradient is applied on the active row's
+/// support (the standard sparse-SGD discipline; see DESIGN.md §5).
+/// Cross-epoch state is {model, sampling RNG}; `hooks` captures/restores
+/// both at epoch fences (snapshot.hpp).
 Trace run_sgd(const sparse::CsrMatrix& data,
               const objectives::Objective& objective,
               const SolverOptions& options, const EvalFn& eval,

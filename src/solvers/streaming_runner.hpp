@@ -1,5 +1,5 @@
-// Shard-major epoch drivers: the out-of-core counterparts of
-// async_runner.hpp's epoch-fenced loops.
+// The shard-major epoch driver: the out-of-core counterpart of
+// async_runner.hpp's epoch-fenced loops, shared by serial and parallel runs.
 //
 // One epoch = one pass over every shard of a data::DataSource, shards and
 // within-shard rows both visited in the ShardedSequence order (a pure
@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "data/data_source.hpp"
 #include "sampling/sequence.hpp"
@@ -28,77 +27,39 @@
 
 namespace isasgd::solvers::detail {
 
-/// Serial shard-major epochs. `shard_body(shard, row_order, epoch)` performs
-/// the updates for one shard: `shard.matrix->row(r)` for each shard-local r
-/// in `row_order` (global row id = shard.row_begin + r). Returns total
-/// training seconds; records one trace point per epoch like
-/// run_epoch_fenced_serial. `fence(epoch)` runs after each epoch's shards
-/// complete, outside the clock — checkpoint capture lands there. The range
-/// form mirrors run_epoch_fenced_serial_range: the ShardedSequence schedule
-/// is a pure function of (seed, epoch, shard), so a resumed run starting at
-/// `first_epoch` replays exactly the shard/row orders the uninterrupted run
-/// would have used — no sampler state to restore.
-template <class ShardBodyFn, class FenceFn>
-double run_epoch_fenced_serial_sharded_range(
-    const data::DataSource& source, sampling::ShardedSequence& schedule,
-    std::vector<double>& w, TraceRecorder& recorder, std::size_t first_epoch,
-    std::size_t epochs, ShardBodyFn&& shard_body, FenceFn&& fence) {
-  recorder.record(first_epoch - 1, 0.0, w);
-  util::AccumulatingTimer clock;
-  for (std::size_t epoch = first_epoch;
-       epoch <= epochs && !recorder.stop_requested(); ++epoch) {
-    schedule.begin_epoch(epoch);
-    const auto order = schedule.shard_order();
-    const std::size_t depth = source.prefetch_depth();
-    clock.start();
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      for (std::size_t d = 1; d <= depth && k + d < order.size(); ++d) {
-        source.prefetch(order[k + d]);
-      }
-      const data::ShardPtr shard = source.shard(order[k]);
-      shard_body(*shard, schedule.rows(order[k]), epoch);
-    }
-    clock.stop();
-    source.end_epoch();
-    fence(epoch);
-    recorder.record(epoch, clock.seconds(), w);
-  }
-  return clock.seconds();
-}
-
-template <class ShardBodyFn>
-double run_epoch_fenced_serial_sharded(const data::DataSource& source,
-                                       sampling::ShardedSequence& schedule,
-                                       std::vector<double>& w,
-                                       TraceRecorder& recorder,
-                                       std::size_t epochs,
-                                       ShardBodyFn&& shard_body) {
-  return run_epoch_fenced_serial_sharded_range(
-      source, schedule, w, recorder, 1, epochs,
-      std::forward<ShardBodyFn>(shard_body), [](std::size_t) {});
-}
-
-/// Parallel counterpart: per shard, `threads` workers run
+/// Shard-major epochs: per shard, `threads` workers run
 /// `worker_shard(tid, shard, row_order, epoch)` concurrently on the shared
 /// model (lock-free within the shard, exactly Hogwild inside a bounded
 /// working set); the pool fence between shards is what lets the next shard
 /// rotate in while the model stays consistent enough to evict the previous
-/// one. Workers split `row_order` by contiguous slices of tid.
-template <class WorkerShardFn>
+/// one. Workers split `row_order` by contiguous slices of tid; a team of 1
+/// is the serial pass, run inline on the calling thread. Returns total
+/// training seconds and records one trace point per epoch.
+///
+/// `fence(epoch)` runs after each epoch's shards complete, outside the
+/// clock and before the epoch's record — checkpoint capture lands there.
+/// A resumed run starts at `first_epoch` = fence + 1 and records the
+/// restored model as its initial point, like run_epoch_fenced_serial_range:
+/// the ShardedSequence schedule is a pure function of (seed, epoch, shard),
+/// so the remaining epochs replay exactly the shard/row orders the
+/// uninterrupted run would have used — no sampler state to restore.
+template <class WorkerShardFn, class FenceFn>
 double run_epoch_fenced_sharded(util::ThreadPool& pool,
                                 const data::DataSource& source,
                                 sampling::ShardedSequence& schedule,
                                 SharedModel& model, TraceRecorder& recorder,
-                                std::size_t epochs, std::size_t threads,
-                                WorkerShardFn&& worker_shard) {
+                                std::size_t first_epoch, std::size_t epochs,
+                                std::size_t threads,
+                                WorkerShardFn&& worker_shard,
+                                FenceFn&& fence) {
   // Fence-time scoring reads the raw wild_view (pool quiescent ⇒ exact):
   // the epoch loop never allocates a snapshot vector.
-  recorder.record(0, 0.0, model.wild_view());
+  recorder.record(first_epoch - 1, 0.0, model.wild_view());
   if (recorder.stop_requested()) return 0.0;
   pool.reserve(threads);
 
   util::AccumulatingTimer clock;
-  for (std::size_t epoch = 1; epoch <= epochs; ++epoch) {
+  for (std::size_t epoch = first_epoch; epoch <= epochs; ++epoch) {
     schedule.begin_epoch(epoch);
     const auto order = schedule.shard_order();
     const std::size_t depth = source.prefetch_depth();
@@ -115,6 +76,7 @@ double run_epoch_fenced_sharded(util::ThreadPool& pool,
     }
     clock.stop();  // fence: all workers arrived, clock paused for scoring
     source.end_epoch();
+    fence(epoch);
     recorder.record(epoch, clock.seconds(), model.wild_view());
     if (recorder.stop_requested()) break;
   }
