@@ -1,7 +1,9 @@
 #include "service/training_service.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -11,6 +13,8 @@
 #include "data/data_source.hpp"
 #include "io/checkpoint.hpp"
 #include "objectives/objective.hpp"
+#include "sampling/sequence.hpp"
+#include "solvers/async_runner.hpp"
 #include "solvers/snapshot.hpp"
 #include "solvers/solver.hpp"
 #include "util/logging.hpp"
@@ -22,11 +26,32 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
+/// a + b and a·b, or SIZE_MAX where they would wrap.
+std::size_t saturating_add(std::size_t a, std::size_t b) {
+  std::size_t sum = 0;
+  return __builtin_add_overflow(a, b, &sum) ? SIZE_MAX : sum;
+}
+std::size_t saturating_mul(std::size_t a, std::size_t b) {
+  std::size_t product = 0;
+  return __builtin_mul_overflow(a, b, &product) ? SIZE_MAX : product;
+}
+
 /// Solver working-set estimate beyond the data source itself: the SAG/SAGA
 /// family is the ceiling — per-row gradient memory (alpha, n doubles) plus a
-/// handful of dim-length vectors (model, aggregate, anchors, importance).
-std::size_t working_set_bytes(std::size_t rows, std::size_t dim) {
-  return rows * sizeof(double) + 6 * dim * sizeof(double);
+/// handful of dim-length vectors (model, aggregate, anchors, importance) —
+/// plus each SGD-family worker's step scratch (solvers/async_runner.hpp):
+/// min(b, rows) batch entries and a block of row draws. `workers` and
+/// `batch` arrive from the wire as any u64, so the sum saturates instead of
+/// wrapping, and an absurd job fails admission.
+std::size_t working_set_bytes(std::size_t rows, std::size_t dim,
+                              std::size_t workers, std::size_t batch) {
+  const std::size_t scratch =
+      std::min(std::max<std::size_t>(1, batch), rows) *
+          sizeof(solvers::detail::Gathered) +
+      sampling::BlockSequence::kDefaultBlockSize * sizeof(std::uint32_t);
+  return saturating_add(rows * sizeof(double) + 6 * dim * sizeof(double),
+                        saturating_mul(std::max<std::size_t>(1, workers),
+                                       scratch));
 }
 
 }  // namespace
@@ -183,8 +208,12 @@ std::uint64_t TrainingService::submit(JobSpec spec) {
     job->source = std::move(source);
   }
   job->dataset_fingerprint = job->source->fingerprint();
-  job->reserved_bytes +=
-      working_set_bytes(job->source->rows(), job->source->dim());
+  const std::size_t workers =
+      solver.capabilities().parallel ? job->spec.options.threads : 1;
+  job->reserved_bytes = saturating_add(
+      job->reserved_bytes,
+      working_set_bytes(job->source->rows(), job->source->dim(), workers,
+                        job->spec.options.batch_size));
 
   if (!job->spec.resume_from.empty()) {
     solvers::SnapshotState state = io::load_checkpoint(job->spec.resume_from);

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -193,6 +194,34 @@ TEST(TrainingService, JobsThatFitTheBudgetButNotNowAreQueuedFifo) {
   EXPECT_EQ(svc.status(second).state, service::JobState::kCompleted)
       << svc.status(second).message;
   EXPECT_LT(f.gap(svc.status(second)), 2e-3);
+}
+
+TEST(TrainingService, AdmissionCountsEachWorkersStepScratch) {
+  // An asgd worker holds min(b, rows) 64-byte batch entries beside its
+  // block of draws, so at batch = rows each of the job's two workers holds
+  // rows − 1 entries more than at batch = 1.
+  Fixture f;
+  service::TrainingService svc(f.service_options());
+  service::JobSpec single = f.job("asgd");
+  single.options.epochs = 1;
+  service::JobSpec whole = single;
+  whole.options.batch_size = kRows;
+  const std::size_t single_bytes =
+      svc.status(svc.submit(single)).reserved_bytes;
+  const std::size_t whole_bytes = svc.status(svc.submit(whole)).reserved_bytes;
+  EXPECT_EQ(whole_bytes - single_bytes, 2 * (kRows - 1) * 64);
+  svc.wait_all();
+}
+
+TEST(TrainingService, AbsurdThreadCountFailsAdmission) {
+  // threads arrives from the wire as any u64: its scratch estimate must
+  // saturate, not wrap to a reservation that admits the job.
+  Fixture f;
+  service::TrainingService svc(f.service_options());
+  service::JobSpec spec = f.job("asgd");
+  spec.options.threads = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW((void)svc.submit(spec), service::AdmissionError);
+  EXPECT_EQ(svc.governor().used(), 0u);
 }
 
 TEST(TrainingService, CancelLeavesThePoolReusable) {
