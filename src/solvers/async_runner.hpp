@@ -141,10 +141,10 @@ struct alignas(util::kCacheLineSize) Gathered {
   double weight;
 };
 
-/// One worker's share of a Hogwild epoch — the ONE step loop of every
-/// SGD-family solver at every batch size b = batch.size(): each IS-ASGD and
-/// ASGD worker (in memory and streaming), and serial SGD (in memory and
-/// shard-major) and IS-SGD as the one worker of their run.
+/// One worker's share of a Hogwild epoch — the ONE step loop of SGD,
+/// IS-SGD, ASGD and IS-ASGD at every batch size b = batch.size(): each
+/// IS-ASGD and ASGD worker (in memory and streaming), and serial SGD (in
+/// memory and shard-major) and IS-SGD as the one worker of their run.
 /// `next_block()` hands out the worker's draws a block at a time and ends
 /// the epoch with an empty span; `row_of(draw)` is the draw's row of `rows`
 /// and `weigh(draw, g)` its step weight, given its gradient scale g (which
@@ -238,15 +238,15 @@ double run_epoch_fenced(util::ThreadPool& pool, SharedModel& model,
 }
 
 /// Serial counterpart: `epoch_body(epoch)` performs one epoch's iterations
-/// on the model `w` views; the driver manages clock pausing and recording
-/// symmetrically to the async version so serial and async traces are
-/// directly comparable. A checkpoint resume (snapshot.hpp) starts the fence
-/// loop at `first_epoch` = fence + 1, records the restored model as its
-/// initial point (epoch first_epoch − 1), and runs the remaining epochs —
-/// the epoch indices the bodies see are identical to the uninterrupted
-/// run's, which is what keeps per-epoch seed derivations and refresh
-/// cadences bit-compatible. first_epoch > epochs runs zero epochs (a
-/// checkpoint taken at the final fence restores to a finished run).
+/// on `w`; the driver manages clock pausing and recording symmetrically to
+/// the async version so serial and async traces are directly comparable.
+/// The range form exists for checkpoint resume (snapshot.hpp): a restored
+/// run starts its fence loop at `first_epoch` = fence + 1, records the
+/// restored model as its initial point (epoch first_epoch − 1), and runs the
+/// remaining epochs — the epoch indices the bodies see are identical to the
+/// uninterrupted run's, which is what keeps per-epoch seed derivations and
+/// refresh cadences bit-compatible. first_epoch > epochs runs zero epochs
+/// (a checkpoint taken at the final fence restores to a finished run).
 template <class EpochBodyFn>
 double run_epoch_fenced_serial_range(std::span<const double> w,
                                      TraceRecorder& recorder,

@@ -43,8 +43,9 @@ struct SolverOptions {
   ScheduleKind step_schedule = ScheduleKind::kConstant;
   /// e0 offset of the decaying schedules: λ_e = λ0/(1+(e−1)/e0) etc.
   double schedule_offset = 1.0;
-  /// Number of passes; each epoch performs n total update iterations
-  /// (divided across threads for the async solvers).
+  /// Number of passes; each epoch draws about n samples in all, divided
+  /// across threads for the async solvers (batch_size gives the exact
+  /// epoch shapes).
   std::size_t epochs = 15;
   /// Worker count for the async solvers (ignored by serial ones).
   std::size_t threads = 4;

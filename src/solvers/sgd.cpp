@@ -5,6 +5,7 @@
 
 #include "sampling/sequence.hpp"
 #include "solvers/async_runner.hpp"
+#include "solvers/model.hpp"
 #include "solvers/solver.hpp"
 #include "solvers/streaming_runner.hpp"
 #include "util/rng.hpp"
@@ -77,8 +78,8 @@ Trace run_sgd_streaming(const data::DataSource& source,
   TraceRecorder recorder("SGD", 1, options.step_size,
                          eval, observer);
   sampling::ShardedSequence schedule(source.shard_sizes(), options.seed);
-  // Cross-epoch state is w alone: the schedule reseeds per epoch from
-  // (seed, epoch) and there is no draw RNG on this path.
+  // Cross-epoch state is the model alone: the schedule reseeds per epoch
+  // from (seed, epoch) and there is no draw RNG on this path.
   if (hooks.resume) model.assign(hooks.resume->model);
 
   std::vector<detail::Gathered> batch(b);

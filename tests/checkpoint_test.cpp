@@ -161,6 +161,8 @@ struct ResumeCase {
   const char* solver;
   std::size_t shard_rows;  ///< 0: the whole fixture as one in-memory shard
   std::size_t batch;
+
+  friend void PrintTo(const ResumeCase& c, std::ostream* os) { *os << c.name; }
 };
 
 constexpr ResumeCase kResumeCases[] = {
