@@ -6,7 +6,9 @@
 //     (unrolled dense_dot, sparse_dot_pair, sparse_dot_residual_axpy,
 //     scale_then_sparse_axpy) — the contract is "fused never loses",
 //   * alias vs CDF vs uniform sampling — "IS adds no per-iteration cost",
-//   * SharedModel wild vs atomic add under a single writer.
+//   * SharedModel wild vs atomic add under a single writer,
+//   * io::crc32's table loop vs its folded carry-less-multiply body, over
+//     one packed-ooc shard's bytes — the check every cold shard fault runs.
 //
 // Self-contained timing harness (no google-benchmark): every entry reports
 // ns/op and Mitems/s, and the whole table is written as machine-readable
@@ -29,7 +31,9 @@
 //               noise on shared runners cannot flake the job; locally the
 //               fused kernels should simply win) — or (b) any available
 //               vector backend produces results that are not bit-identical
-//               to the scalar backend on randomized inputs.
+//               to the scalar backend on randomized inputs, or (c) the two
+//               CRC-32 bodies disagree. A scalar-pinned run has no folded
+//               CRC body to time or compare, and skips its row.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -41,8 +45,10 @@
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "io/crc32.hpp"
 #include "objectives/objective.hpp"
 #include "sampling/alias_table.hpp"
 #include "sampling/cdf_sampler.hpp"
@@ -528,6 +534,44 @@ void bench_shared_model() {
   }
 }
 
+/// Filler bytes for the CRC rows and their check (an LCG's top byte).
+std::vector<unsigned char> crc_bytes(std::size_t size) {
+  std::vector<unsigned char> buf(size);
+  std::uint32_t x = 0x9e3779b9u;
+  for (unsigned char& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  return buf;
+}
+
+/// One packed-ooc shard block: the bytes a cold fault checks.
+constexpr std::size_t kCrcShardBytes = 612 * 1024;
+
+void bench_crc32() {
+  // io::crc32 picks its body from the kernel backend: scalar runs the
+  // table loop, the others the folded body where the CPU has PCLMULQDQ.
+  // The table row pins scalar for its window; the fold row runs under the
+  // backend the process selected, and exists only where that is folded.
+  namespace k = sparse::kernels;
+  const std::vector<unsigned char> buf = crc_bytes(kCrcShardBytes);
+  const auto crc_loop = [&](std::size_t it) {
+    std::uint32_t crc = 0;
+    for (std::size_t i = 0; i < it; ++i) {
+      crc = io::crc32(buf.data(), buf.size(), crc);
+    }
+    g_sink += crc;
+  };
+  const k::Backend selected = k::active_backend();
+  k::set_backend(k::Backend::kScalar);
+  bench("crc32_table", "", static_cast<double>(buf.size()), crc_loop);
+  k::set_backend(selected);
+  if (io::crc32_folded()) {
+    bench("crc32_fold", "crc32_table", static_cast<double>(buf.size()),
+          crc_loop);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Output + regression gate
 // ---------------------------------------------------------------------------
@@ -632,6 +676,35 @@ int check_backend_parity() {
   return failures;
 }
 
+/// Under --check: the folded CRC body returns the table loop's value for
+/// the shard-sized buffer and for lengths and offsets around its 64- and
+/// 16-byte blocks. Nothing to compare when the folded body is not selected.
+int check_crc_paths() {
+  namespace k = sparse::kernels;
+  if (!io::crc32_folded()) return 0;
+  const std::vector<unsigned char> buf = crc_bytes(kCrcShardBytes + 16);
+  std::vector<std::pair<std::size_t, std::size_t>> spans = {
+      {0, kCrcShardBytes}, {7, kCrcShardBytes}};
+  for (std::size_t n = 0; n <= 300; ++n) spans.emplace_back(n % 16, n);
+  std::vector<std::uint32_t> folded;
+  for (const auto& [offset, n] : spans) {
+    folded.push_back(io::crc32(buf.data() + offset, n));
+  }
+  const k::Backend selected = k::active_backend();
+  k::set_backend(k::Backend::kScalar);
+  int failures = 0;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const auto& [offset, n] = spans[i];
+    if (io::crc32(buf.data() + offset, n) != folded[i]) {
+      util::log_error() << "PARITY: folded crc32 differs from the table loop "
+                        << "at offset " << offset << " length " << n;
+      ++failures;
+    }
+  }
+  k::set_backend(selected);
+  return failures;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -678,6 +751,7 @@ int main(int argc, char** argv) {
   bench_samplers();
   bench_backend_ladder();
   bench_shared_model();
+  bench_crc32();
 
   write_json(out_path);
   if (g_sink == 12345.6789) std::cout << " ";  // keep the sink observable
@@ -692,7 +766,11 @@ int main(int argc, char** argv) {
     if (!parity) {
       std::cout << "all available backends bit-identical to scalar\n";
     }
-    if (failures + parity) return 1;
+    const int crc = check_crc_paths();
+    if (!crc && io::crc32_folded()) {
+      std::cout << "folded crc32 equals the table loop\n";
+    }
+    if (failures + parity + crc) return 1;
   }
   return 0;
 }

@@ -229,10 +229,16 @@ int main(int argc, char** argv) {
     for (const LaneResult& lane : lanes) {
       if (!lane.cache) continue;
       const data::CacheStats& s = *lane.cache;
+      const auto mean_us = [](std::uint64_t ns, std::uint64_t count) {
+        return count ? static_cast<double>(ns) / 1e3 /
+                           static_cast<double>(count)
+                     : 0.0;
+      };
       std::printf(
           "%-8s loads=%llu hits=%llu misses=%llu evictions=%llu "
           "prefetch_issued=%llu prefetch_hits=%llu prefetch_races=%llu "
-          "prefetch_wasted=%llu resident=%llu/%llu shards\n",
+          "prefetch_wasted=%llu resident=%llu/%llu shards "
+          "load_us=%.1f race_wait_us=%.1f\n",
           lane.label.c_str(), static_cast<unsigned long long>(s.loads),
           static_cast<unsigned long long>(s.hits),
           static_cast<unsigned long long>(s.misses),
@@ -242,7 +248,9 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(s.prefetch_races),
           static_cast<unsigned long long>(s.prefetch_wasted),
           static_cast<unsigned long long>(s.resident_bytes),
-          static_cast<unsigned long long>(s.resident_shards));
+          static_cast<unsigned long long>(s.resident_shards),
+          mean_us(s.load_ns, s.loads),
+          mean_us(s.race_wait_ns, s.prefetch_races));
     }
     std::printf("packed   prefetch_depth=%zu autotune_adjustments=%llu "
                 "buffer_reuses=%llu\n",

@@ -57,16 +57,16 @@ sparse::CsrMatrix slice_rows(const sparse::CsrMatrix& data,
   const auto& ptr = data.row_ptr();
   const std::size_t nnz_begin = ptr[row_begin];
   const std::size_t nnz_end = ptr[row_begin + rows];
-  std::vector<std::size_t> row_ptr(rows + 1);
+  sparse::Array<std::size_t> row_ptr(rows + 1);
   for (std::size_t r = 0; r <= rows; ++r) {
     row_ptr[r] = ptr[row_begin + r] - nnz_begin;
   }
-  std::vector<sparse::index_t> col(data.col_idx().begin() + nnz_begin,
-                                   data.col_idx().begin() + nnz_end);
-  std::vector<sparse::value_t> val(data.values().begin() + nnz_begin,
-                                   data.values().begin() + nnz_end);
-  std::vector<sparse::value_t> lab(data.labels().begin() + row_begin,
-                                   data.labels().begin() + row_begin + rows);
+  sparse::Array<sparse::index_t> col(data.col_idx().begin() + nnz_begin,
+                                     data.col_idx().begin() + nnz_end);
+  sparse::Array<sparse::value_t> val(data.values().begin() + nnz_begin,
+                                     data.values().begin() + nnz_end);
+  sparse::Array<sparse::value_t> lab(data.labels().begin() + row_begin,
+                                     data.labels().begin() + row_begin + rows);
   return sparse::CsrMatrix(data.dim(), std::move(row_ptr), std::move(col),
                            std::move(val), std::move(lab));
 }

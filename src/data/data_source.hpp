@@ -59,6 +59,13 @@ struct CacheStats {
   /// a load that fails past its retry budget is dropped as before, and the
   /// blocking shard() reload surfaces the error.
   std::uint64_t prefetch_retries = 0;
+  /// Nanoseconds the completed loads took, demand and background alike
+  /// (load_ns / loads is the mean cost of one shard load).
+  std::uint64_t load_ns = 0;
+  /// Nanoseconds shard() calls spent blocked on prefetches they raced: for
+  /// each race, the wait of the call that raced it, until the load ended
+  /// (race_wait_ns / prefetch_races is the mean wait of one race).
+  std::uint64_t race_wait_ns = 0;
   /// Background loads in flight right now (gauge, not monotonic).
   std::uint64_t prefetch_inflight = 0;
   std::size_t resident_bytes = 0;  ///< current estimated cache footprint

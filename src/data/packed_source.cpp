@@ -14,10 +14,10 @@ namespace isasgd::data {
 /// starts from capacity-warm vectors and the data path stops allocating.
 struct PackedSource::BufferPool {
   struct Buffers {
-    std::vector<std::size_t> row_ptr;
-    std::vector<sparse::index_t> col_idx;
-    std::vector<sparse::value_t> values;
-    std::vector<sparse::value_t> labels;
+    sparse::Array<std::size_t> row_ptr;
+    sparse::Array<sparse::index_t> col_idx;
+    sparse::Array<sparse::value_t> values;
+    sparse::Array<sparse::value_t> labels;
   };
 
   Buffers acquire() {
@@ -124,17 +124,21 @@ const sparse::CsrMatrix& PackedSource::materialize() const {
   try {
     // Every shard decodes straight into its slice of the final arrays, at
     // the row and nnz offsets the directory fixes. A shard writes only its
-    // own row ends (row_ptr[0] stays 0), so no element has two writers.
-    // Open-time validation bounded the header totals by the file size.
+    // own row ends, so no element has two writers. The arrays are sized
+    // without being written: the decodes write every element but
+    // row_ptr[0] exactly once, and the first write to a page is its first
+    // touch, on whichever decode thread owns it. Open-time validation
+    // bounded the header totals by the file size.
     const std::size_t shards = reader_.shard_count();
     std::vector<std::size_t> nnz_begin(shards);
     for (std::size_t s = 1; s < shards; ++s) {
       nnz_begin[s] = nnz_begin[s - 1] + reader_.shard_nnz(s - 1);
     }
-    std::vector<std::size_t> row_ptr(reader_.rows() + 1);
-    std::vector<sparse::index_t> col_idx(reader_.nnz());
-    std::vector<sparse::value_t> values(reader_.nnz());
-    std::vector<sparse::value_t> labels(reader_.rows());
+    sparse::Array<std::size_t> row_ptr(reader_.rows() + 1);
+    sparse::Array<sparse::index_t> col_idx(reader_.nnz());
+    sparse::Array<sparse::value_t> values(reader_.nnz());
+    sparse::Array<sparse::value_t> labels(reader_.rows());
+    row_ptr[0] = 0;
     const std::size_t team = std::min<std::size_t>(
         shards, std::max(1u, std::thread::hardware_concurrency()));
     const auto decode_stride = [&](std::size_t tid) {

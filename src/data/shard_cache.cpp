@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -12,6 +13,20 @@
 namespace isasgd::data {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+std::uint64_t ns_since(Clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           start)
+          .count());
+}
+
+double mean(std::uint64_t total, std::uint64_t count) {
+  return static_cast<double>(total) /
+         static_cast<double>(std::max<std::uint64_t>(1, count));
+}
 
 /// Default resident-footprint estimate of one shard, matching what
 /// StreamingSource has always charged the budget: the four CSR arrays plus
@@ -48,12 +63,16 @@ std::size_t PrefetchAutotuner::update(const CacheStats& delta,
       static_cast<double>(std::max<std::uint64_t>(1, delta.prefetch_issued));
   const double waste_rate = static_cast<double>(delta.prefetch_wasted) / issued;
   const double race_rate = static_cast<double>(delta.prefetch_races) / issued;
-  if (delta.prefetch_issued > 0 && race_rate > options_.severe_race_rate) {
-    // The consumer blocked on nearly every prefetch — lookahead is not
-    // hiding I/O, it is adding hand-off latency (typical when there is no
-    // spare core for the background decode). A run of such epochs proves
+  if (delta.prefetch_issued > 0 && race_rate > options_.severe_race_rate &&
+      mean(delta.race_wait_ns, delta.prefetch_races) >=
+          mean(delta.load_ns, delta.loads)) {
+    // The consumer blocked on nearly every prefetch, each time for at least
+    // as long as loading the shard itself takes — lookahead is not hiding
+    // I/O, it is adding hand-off latency (typical when there is no spare
+    // core for the background decode). A run of such epochs proves
     // deepening cannot help; turn prefetch off for good so demand loads
-    // decode inline on the consumer.
+    // decode inline on the consumer. A consumer that got faster than the
+    // decode also races, but waits less than a load: it deepens below.
     if (++severe_epochs_ >= options_.futility_epochs) {
       depth_ = 0;
       disabled_ = true;
@@ -101,7 +120,7 @@ std::size_t ShardCache::capacity_shards_locked() const {
 }
 
 void ShardCache::install_locked(std::size_t s, ShardPtr shard,
-                                bool prefetched) {
+                                bool prefetched, std::uint64_t load_ns) {
   const std::size_t bytes = options_.shard_bytes
                                 ? options_.shard_bytes(*shard)
                                 : default_shard_bytes(*shard);
@@ -112,6 +131,7 @@ void ShardCache::install_locked(std::size_t s, ShardPtr shard,
   entry.prefetched = prefetched;
   entry.last_used = ++tick_;
   ++stats_.loads;
+  stats_.load_ns += load_ns;
   stats_.resident_bytes += entry.bytes;
   ++stats_.resident_shards;
   // Feed the capacity estimate the autotuner clamps against.
@@ -151,9 +171,17 @@ ShardPtr ShardCache::get(std::size_t s) {
                             " of " + std::to_string(shard_count_));
   }
   std::unique_lock<std::mutex> lock(mu_);
+  // Set while this call waits on a prefetch it raced; the wait ends when
+  // the load installs the shard or drops its claim.
+  std::optional<Clock::time_point> race_start;
+  const auto end_race_wait = [&] {
+    if (race_start) stats_.race_wait_ns += ns_since(*race_start);
+    race_start.reset();
+  };
   for (;;) {
     auto it = cache_.find(s);
     if (it != cache_.end() && it->second.shard) {
+      end_race_wait();
       ++stats_.hits;
       if (it->second.prefetched) {
         // Count the prefetch as useful once; later hits on the same entry
@@ -170,22 +198,26 @@ ShardPtr ShardCache::get(std::size_t s) {
         // too late to hide the read. Once per prefetch, not per waiter.
         it->second.raced = true;
         ++stats_.prefetch_races;
+        race_start = Clock::now();
       }
       // A prefetch (or another caller) is already reading it; wait.
       cv_.wait(lock);
       continue;
     }
+    end_race_wait();  // the raced prefetch failed and dropped its claim
     ++stats_.misses;
     cache_[s].loading = true;
     ++inflight_;
     lock.unlock();
     ShardPtr loaded;
     std::exception_ptr error;
+    const Clock::time_point start = Clock::now();
     try {
       loaded = loader_(s);
     } catch (...) {
       error = std::current_exception();
     }
+    const std::uint64_t load_ns = ns_since(start);
     lock.lock();
     --inflight_;
     if (error) {
@@ -193,7 +225,7 @@ ShardPtr ShardCache::get(std::size_t s) {
       cv_.notify_all();
       std::rethrow_exception(error);
     }
-    install_locked(s, std::move(loaded), /*prefetched=*/false);
+    install_locked(s, std::move(loaded), /*prefetched=*/false, load_ns);
     cv_.notify_all();
     return cache_[s].shard;
   }
@@ -220,9 +252,12 @@ void ShardCache::prefetch(std::size_t s) {
     util::Backoff backoff(bopt);
     ShardPtr loaded;
     bool failed = false;
+    std::uint64_t load_ns = 0;
     for (std::size_t attempt = 0;; ++attempt) {
       try {
+        const Clock::time_point start = Clock::now();
         loaded = loader_(s);
+        load_ns = ns_since(start);
         failed = false;
         break;
       } catch (...) {
@@ -245,7 +280,7 @@ void ShardCache::prefetch(std::size_t s) {
     if (failed) {
       cache_.erase(s);
     } else {
-      install_locked(s, std::move(loaded), /*prefetched=*/true);
+      install_locked(s, std::move(loaded), /*prefetched=*/true, load_ns);
     }
     cv_.notify_all();
   });
@@ -264,6 +299,8 @@ void ShardCache::end_epoch() {
   delta.prefetch_wasted = stats_.prefetch_wasted - epoch_mark_.prefetch_wasted;
   delta.prefetch_retries =
       stats_.prefetch_retries - epoch_mark_.prefetch_retries;
+  delta.load_ns = stats_.load_ns - epoch_mark_.load_ns;
+  delta.race_wait_ns = stats_.race_wait_ns - epoch_mark_.race_wait_ns;
   tuner_.update(delta, capacity_shards_locked());
   epoch_mark_ = stats_;
 }

@@ -50,8 +50,11 @@ class PrefetchAutotuner {
     /// Fraction of an epoch's prefetches that may be evicted unused before
     /// the tuner backs off.
     double waste_tolerance = 0.25;
-    /// Race rate above which an epoch counts as *severely* racing: the
-    /// consumer blocked on nearly every prefetch, so lookahead hid nothing.
+    /// Race rate above which an epoch counts as *severely* racing, when
+    /// also its mean race wait is at least its mean load time: the
+    /// consumer blocked on nearly every prefetch for as long as a load of
+    /// its own would have taken, so lookahead hid nothing. Races whose
+    /// waits are shorter than a load still hide part of it; they deepen.
     double severe_race_rate = 0.5;
     /// After this many consecutive severely-racing epochs (deepening had
     /// its chance and changed nothing — e.g. no spare core to decode on),
@@ -153,7 +156,8 @@ class ShardCache {
     bool raced = false;       ///< a get() already blocked on this prefetch
   };
 
-  void install_locked(std::size_t s, ShardPtr shard, bool prefetched);
+  void install_locked(std::size_t s, ShardPtr shard, bool prefetched,
+                      std::uint64_t load_ns);
   void evict_to_budget_locked(std::size_t keep);
   [[nodiscard]] std::size_t capacity_shards_locked() const;
 

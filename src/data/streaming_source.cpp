@@ -109,7 +109,7 @@ StreamingSource::~StreamingSource() = default;
 
 void StreamingSource::apply_label_map(sparse::CsrMatrix& shard) const {
   if (!map_labels_) return;
-  std::vector<sparse::value_t> mapped;
+  sparse::Array<sparse::value_t> mapped;
   mapped.reserve(shard.rows());
   for (double y : shard.labels()) {
     mapped.push_back(y == label_lo_ ? -1.0 : 1.0);
@@ -155,13 +155,13 @@ sparse::CsrMatrix StreamingSource::load_shard_binary(std::size_t s) const {
   const std::uint64_t val_off = col_off + nnz_ * sizeof(sparse::index_t);
   const std::uint64_t lab_off = val_off + nnz_ * sizeof(sparse::value_t);
 
-  std::vector<std::size_t> row_ptr(r1 - r0 + 1);
+  sparse::Array<std::size_t> row_ptr(r1 - r0 + 1);
   for (std::size_t r = r0; r <= r1; ++r) {
     row_ptr[r - r0] = binary_row_ptr_[r] - p0;
   }
-  std::vector<sparse::index_t> col(p1 - p0);
-  std::vector<sparse::value_t> val(p1 - p0);
-  std::vector<sparse::value_t> lab(r1 - r0);
+  sparse::Array<sparse::index_t> col(p1 - p0);
+  sparse::Array<sparse::value_t> val(p1 - p0);
+  sparse::Array<sparse::value_t> lab(r1 - r0);
   read_at(in, col_off + p0 * sizeof(sparse::index_t), col.data(),
           col.size() * sizeof(sparse::index_t), path_);
   read_at(in, val_off + p0 * sizeof(sparse::value_t), val.data(),

@@ -37,20 +37,21 @@ T read_value(std::istream& in) {
   return v;
 }
 
-template <class T>
-void write_vector(std::ostream& out, const std::vector<T>& v) {
+template <class T, class A>
+void write_vector(std::ostream& out, const std::vector<T, A>& v) {
   write_raw(out, v.data(), v.size() * sizeof(T));
 }
 
-template <class T>
-std::vector<T> read_vector(std::istream& in, std::size_t count) {
+/// `count` elements into a fresh V (a std::vector or a sparse::Array).
+template <class V>
+V read_vector(std::istream& in, std::size_t count) {
   // Guard against header-driven overallocation on corrupt files.
   constexpr std::size_t kMaxElements = std::size_t{1} << 34;
   if (count > kMaxElements) {
     throw std::runtime_error("binary read failed: implausible element count");
   }
-  std::vector<T> v(count);
-  read_raw(in, v.data(), count * sizeof(T));
+  V v(count);
+  read_raw(in, v.data(), count * sizeof(typename V::value_type));
   return v;
 }
 
@@ -99,11 +100,11 @@ sparse::CsrMatrix read_dataset_binary(std::istream& in) {
   if (nnz / std::max<std::uint64_t>(1, dim) > rows) {
     throw std::runtime_error("read_dataset_binary: nnz exceeds rows*dim");
   }
-  const auto ptr64 = read_vector<std::uint64_t>(in, rows + 1);
-  auto col = read_vector<sparse::index_t>(in, nnz);
-  auto val = read_vector<sparse::value_t>(in, nnz);
-  auto lab = read_vector<sparse::value_t>(in, rows);
-  std::vector<std::size_t> ptr(ptr64.begin(), ptr64.end());
+  const auto ptr64 = read_vector<sparse::Array<std::uint64_t>>(in, rows + 1);
+  auto col = read_vector<sparse::Array<sparse::index_t>>(in, nnz);
+  auto val = read_vector<sparse::Array<sparse::value_t>>(in, nnz);
+  auto lab = read_vector<sparse::Array<sparse::value_t>>(in, rows);
+  sparse::Array<std::size_t> ptr(ptr64.begin(), ptr64.end());
   // CsrMatrix's constructor re-validates every CSR invariant.
   return sparse::CsrMatrix(dim, std::move(ptr), std::move(col),
                            std::move(val), std::move(lab));
@@ -141,7 +142,7 @@ std::vector<double> read_model_binary(std::istream& in) {
     throw std::runtime_error("read_model_binary: bad magic");
   }
   const auto dim = read_value<std::uint64_t>(in);
-  return read_vector<double>(in, dim);
+  return read_vector<std::vector<double>>(in, dim);
 }
 
 std::vector<double> read_model_binary_file(const std::string& path) {

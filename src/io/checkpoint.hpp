@@ -53,12 +53,6 @@ class CheckpointError : public std::runtime_error {
 inline constexpr std::uint32_t kCheckpointVersion = 1;
 inline constexpr char kCheckpointMagic[4] = {'I', 'S', 'C', 'K'};
 
-/// CRC-32 (reflected, polynomial 0xEDB88320 — the zlib/PNG polynomial) of
-/// `size` bytes at `data`, continued from `seed` (pass a previous return
-/// value to checksum discontiguous spans as one stream; 0 starts fresh).
-[[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size,
-                                  std::uint32_t seed = 0) noexcept;
-
 /// Serialises `state` to `path` atomically (tmp + rename). Throws
 /// CheckpointError when the file cannot be written.
 void save_checkpoint(const std::string& path,

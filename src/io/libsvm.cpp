@@ -128,7 +128,7 @@ sparse::CsrMatrix read_libsvm(std::istream& in,
     const double lo = *distinct.begin();
     const double hi = *std::next(distinct.begin());
     if (!(lo == -1.0 && hi == 1.0)) {
-      std::vector<sparse::value_t> mapped;
+      sparse::Array<sparse::value_t> mapped;
       mapped.reserve(raw_labels.size());
       for (double y : raw_labels) mapped.push_back(y == lo ? -1.0 : 1.0);
       data = sparse::CsrMatrix(data.dim(), data.row_ptr(), data.col_idx(),

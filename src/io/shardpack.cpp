@@ -13,7 +13,7 @@
 #include <utility>
 
 #include "data/data_source.hpp"
-#include "io/checkpoint.hpp"  // io::crc32
+#include "io/crc32.hpp"
 
 namespace isasgd::io {
 
@@ -442,11 +442,11 @@ const ShardPackReader::ShardMeta& ShardPackReader::meta(std::size_t s) const {
   return shards_[s];
 }
 
-void ShardPackReader::decode_shard(std::size_t s,
-                                   std::vector<std::size_t>& row_ptr,
-                                   std::vector<sparse::index_t>& col_idx,
-                                   std::vector<sparse::value_t>& values,
-                                   std::vector<sparse::value_t>& labels) const {
+void ShardPackReader::decode_shard(
+    std::size_t s, sparse::Array<std::size_t>& row_ptr,
+    sparse::Array<sparse::index_t>& col_idx,
+    sparse::Array<sparse::value_t>& values,
+    sparse::Array<sparse::value_t>& labels) const {
   const ShardMeta& m = meta(s);
   row_ptr.resize(m.row_count + 1);
   col_idx.resize(m.nnz);

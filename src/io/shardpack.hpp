@@ -158,10 +158,10 @@ class ShardPackReader {
   /// Decodes shard s into the given CSR buffers (resized as needed; capacity
   /// is reused across calls — the pooling hook). Verifies the block CRC on
   /// the shard's first decode. Throws ShardPackError on corruption.
-  void decode_shard(std::size_t s, std::vector<std::size_t>& row_ptr,
-                    std::vector<sparse::index_t>& col_idx,
-                    std::vector<sparse::value_t>& values,
-                    std::vector<sparse::value_t>& labels) const;
+  void decode_shard(std::size_t s, sparse::Array<std::size_t>& row_ptr,
+                    sparse::Array<sparse::index_t>& col_idx,
+                    sparse::Array<sparse::value_t>& values,
+                    sparse::Array<sparse::value_t>& labels) const;
 
   /// The decode body behind decode_shard, writing into caller-owned slices
   /// of a larger CSR image: row_ends[r] = nnz_base + (end of row r within

@@ -42,10 +42,10 @@ class CsrBuilder {
 
  private:
   std::size_t dim_;
-  std::vector<std::size_t> row_ptr_{0};
-  std::vector<index_t> col_idx_;
-  std::vector<value_t> values_;
-  std::vector<value_t> labels_;
+  Array<std::size_t> row_ptr_{0};
+  Array<index_t> col_idx_;
+  Array<value_t> values_;
+  Array<value_t> labels_;
 };
 
 }  // namespace isasgd::sparse

@@ -5,9 +5,9 @@
 
 namespace isasgd::sparse {
 
-CsrMatrix::CsrMatrix(std::size_t dim, std::vector<std::size_t> row_ptr,
-                     std::vector<index_t> col_idx, std::vector<value_t> values,
-                     std::vector<value_t> labels)
+CsrMatrix::CsrMatrix(std::size_t dim, Array<std::size_t> row_ptr,
+                     Array<index_t> col_idx, Array<value_t> values,
+                     Array<value_t> labels)
     : dim_(dim),
       row_ptr_(std::move(row_ptr)),
       col_idx_(std::move(col_idx)),
@@ -42,10 +42,10 @@ CsrMatrix::CsrMatrix(std::size_t dim, std::vector<std::size_t> row_ptr,
 }
 
 CsrMatrix CsrMatrix::from_trusted_parts(std::size_t dim,
-                                        std::vector<std::size_t> row_ptr,
-                                        std::vector<index_t> col_idx,
-                                        std::vector<value_t> values,
-                                        std::vector<value_t> labels) {
+                                        Array<std::size_t> row_ptr,
+                                        Array<index_t> col_idx,
+                                        Array<value_t> values,
+                                        Array<value_t> labels) {
   if (row_ptr.empty() || row_ptr.front() != 0 ||
       row_ptr.size() != labels.size() + 1 ||
       row_ptr.back() != col_idx.size() || col_idx.size() != values.size()) {
@@ -61,10 +61,9 @@ CsrMatrix CsrMatrix::from_trusted_parts(std::size_t dim,
   return m;
 }
 
-void CsrMatrix::release(std::vector<std::size_t>& row_ptr,
-                        std::vector<index_t>& col_idx,
-                        std::vector<value_t>& values,
-                        std::vector<value_t>& labels) {
+void CsrMatrix::release(Array<std::size_t>& row_ptr,
+                        Array<index_t>& col_idx, Array<value_t>& values,
+                        Array<value_t>& labels) {
   row_ptr = std::move(row_ptr_);
   col_idx = std::move(col_idx_);
   values = std::move(values_);
@@ -86,12 +85,12 @@ double CsrMatrix::mean_row_nnz() const noexcept {
 }
 
 CsrMatrix CsrMatrix::select_rows(const std::vector<std::size_t>& order) const {
-  std::vector<std::size_t> new_ptr;
+  Array<std::size_t> new_ptr;
   new_ptr.reserve(order.size() + 1);
   new_ptr.push_back(0);
-  std::vector<index_t> new_col;
-  std::vector<value_t> new_val;
-  std::vector<value_t> new_lab;
+  Array<index_t> new_col;
+  Array<value_t> new_val;
+  Array<value_t> new_lab;
   new_lab.reserve(order.size());
   for (std::size_t i : order) {
     if (i >= rows()) {

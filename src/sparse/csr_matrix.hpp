@@ -6,12 +6,47 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sparse/sparse_vector.hpp"
 
 namespace isasgd::sparse {
+
+/// std::allocator whose argument-less construct() default-initialises, so
+/// sizing a vector of a trivial type leaves its new elements unwritten
+/// instead of zero-filling them. Every construct() with arguments (copies,
+/// fills, push_back) behaves as std::allocator's.
+template <class T>
+struct DefaultInit : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = DefaultInit<U>;
+  };
+
+  DefaultInit() noexcept = default;
+  template <class U>
+  DefaultInit(const DefaultInit<U>&) noexcept {}
+
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
+  }
+};
+
+/// The storage of a CSR array. `Array<T> a(n)` and `a.resize(n)` allocate
+/// without writing, so a producer that fills every element itself (a pack
+/// decode, a parser) writes each page once, and the first write is the
+/// first touch. The caller must write every element it sized.
+template <class T>
+using Array = std::vector<T, DefaultInit<T>>;
 
 /// Immutable CSR matrix with per-row labels. Build with CsrBuilder or the
 /// explicit-array constructor (which validates all invariants).
@@ -24,9 +59,9 @@ class CsrMatrix {
   ///   col_idx: strictly increasing within each row, all < dim
   ///   labels : size n (±1 for classification, arbitrary for regression)
   /// Throws std::invalid_argument on any violation.
-  CsrMatrix(std::size_t dim, std::vector<std::size_t> row_ptr,
-            std::vector<index_t> col_idx, std::vector<value_t> values,
-            std::vector<value_t> labels);
+  CsrMatrix(std::size_t dim, Array<std::size_t> row_ptr,
+            Array<index_t> col_idx, Array<value_t> values,
+            Array<value_t> labels);
 
   /// Adopts the arrays without the O(nnz) invariant walk of the validating
   /// constructor. Only for producers whose output is an invariant by
@@ -35,15 +70,14 @@ class CsrMatrix {
   /// express a non-increasing row. Size consistency (the O(1) checks) is
   /// still enforced.
   [[nodiscard]] static CsrMatrix from_trusted_parts(
-      std::size_t dim, std::vector<std::size_t> row_ptr,
-      std::vector<index_t> col_idx, std::vector<value_t> values,
-      std::vector<value_t> labels);
+      std::size_t dim, Array<std::size_t> row_ptr, Array<index_t> col_idx,
+      Array<value_t> values, Array<value_t> labels);
 
   /// Moves the four arrays out, leaving the matrix empty. The recycling
   /// half of buffer pooling: a cache evicting a decoded shard reclaims its
   /// allocations for the next decode instead of freeing them.
-  void release(std::vector<std::size_t>& row_ptr, std::vector<index_t>& col_idx,
-               std::vector<value_t>& values, std::vector<value_t>& labels);
+  void release(Array<std::size_t>& row_ptr, Array<index_t>& col_idx,
+               Array<value_t>& values, Array<value_t>& labels);
 
   [[nodiscard]] std::size_t rows() const noexcept {
     return labels_.size();
@@ -63,16 +97,16 @@ class CsrMatrix {
     return labels_[i];
   }
 
-  [[nodiscard]] const std::vector<value_t>& labels() const noexcept {
+  [[nodiscard]] const Array<value_t>& labels() const noexcept {
     return labels_;
   }
-  [[nodiscard]] const std::vector<std::size_t>& row_ptr() const noexcept {
+  [[nodiscard]] const Array<std::size_t>& row_ptr() const noexcept {
     return row_ptr_;
   }
-  [[nodiscard]] const std::vector<index_t>& col_idx() const noexcept {
+  [[nodiscard]] const Array<index_t>& col_idx() const noexcept {
     return col_idx_;
   }
-  [[nodiscard]] const std::vector<value_t>& values() const noexcept {
+  [[nodiscard]] const Array<value_t>& values() const noexcept {
     return values_;
   }
 
@@ -94,10 +128,10 @@ class CsrMatrix {
 
  private:
   std::size_t dim_ = 0;
-  std::vector<std::size_t> row_ptr_{0};
-  std::vector<index_t> col_idx_;
-  std::vector<value_t> values_;
-  std::vector<value_t> labels_;
+  Array<std::size_t> row_ptr_{0};
+  Array<index_t> col_idx_;
+  Array<value_t> values_;
+  Array<value_t> labels_;
 };
 
 }  // namespace isasgd::sparse

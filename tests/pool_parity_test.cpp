@@ -48,9 +48,9 @@ sparse::CsrMatrix small_data() {
 /// kept): zero-nonzero rows inside the matrix and at its end.
 sparse::CsrMatrix with_empty_rows(const sparse::CsrMatrix& data,
                                   std::size_t stride) {
-  std::vector<std::size_t> row_ptr{0};
-  std::vector<sparse::index_t> col;
-  std::vector<sparse::value_t> val;
+  sparse::Array<std::size_t> row_ptr{0};
+  sparse::Array<sparse::index_t> col;
+  sparse::Array<sparse::value_t> val;
   for (std::size_t i = 0; i < data.rows(); ++i) {
     if (i % stride != 0 && i + 1 != data.rows()) {
       const auto x = data.row(i);

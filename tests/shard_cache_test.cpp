@@ -2,14 +2,17 @@
 // background lane without ever blocking a consumer; a persistent one still
 // falls through to get()'s synchronous reload, which surfaces it unchanged.
 // The retry budget is Options::prefetch_retries (0 = the legacy drop-on-
-// first-failure behaviour) with util::Backoff pacing the attempts.
+// first-failure behaviour) with util::Backoff pacing the attempts. Plus the
+// load and race-wait times the cache adds up for the prefetch autotuner.
 #include "data/shard_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -22,9 +25,9 @@ ShardPtr make_shard(std::size_t s) {
   shard->index = s;
   shard->row_begin = s;
   shard->matrix = std::make_shared<sparse::CsrMatrix>(
-      /*dim=*/2, std::vector<std::size_t>{0, 1},
-      std::vector<sparse::index_t>{0}, std::vector<sparse::value_t>{1.0},
-      std::vector<sparse::value_t>{1.0});
+      /*dim=*/2, sparse::Array<std::size_t>{0, 1},
+      sparse::Array<sparse::index_t>{0}, sparse::Array<sparse::value_t>{1.0},
+      sparse::Array<sparse::value_t>{1.0});
   return shard;
 }
 
@@ -124,6 +127,42 @@ TEST(ShardCachePrefetchRetry, EpochDeltaCoversRetriesWithoutPerturbingDepth) {
   // cache trouble to the autotuner (no misses, no races: depth holds).
   EXPECT_EQ(cache.prefetch_depth(), depth_before);
   EXPECT_EQ(cache.stats().prefetch_retries, 1u);
+}
+
+TEST(ShardCacheTiming, LoadsAndRaceWaitsAreTimed) {
+  util::ThreadPool pool;
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  ShardCache cache(
+      4, ShardCache::Options{},
+      [&](std::size_t s) {
+        entered = true;
+        while (!release) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+        return make_shard(s);
+      },
+      &pool);
+  // A demand get() arrives while the prefetch of its shard is still
+  // loading: a race, whose wait lasts until the load ends.
+  cache.prefetch(1);
+  while (!entered) std::this_thread::yield();
+  std::thread consumer([&] { (void)cache.get(1); });
+  while (cache.stats().prefetch_races == 0) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  release = true;
+  consumer.join();
+  pool.drain_background();
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.loads, 1u);
+  EXPECT_EQ(stats.prefetch_races, 1u);
+  EXPECT_GE(stats.load_ns, 2'000'000u);
+  EXPECT_GE(stats.race_wait_ns, 2'000'000u);
+  // A demand miss adds its own load time, and no race wait.
+  (void)cache.get(2);
+  EXPECT_EQ(cache.stats().loads, 2u);
+  EXPECT_GT(cache.stats().load_ns, stats.load_ns);
+  EXPECT_EQ(cache.stats().race_wait_ns, stats.race_wait_ns);
 }
 
 }  // namespace

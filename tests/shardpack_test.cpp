@@ -12,14 +12,16 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "data/shard_cache.hpp"
 #include "data/synthetic.hpp"
-#include "io/checkpoint.hpp"  // io::crc32
+#include "io/crc32.hpp"
 #include "io/shardpack.hpp"
 #include "sparse/csr_matrix.hpp"
+#include "sparse/dispatch.hpp"
 
 namespace isasgd {
 namespace {
@@ -54,10 +56,10 @@ void expect_pack_equals(const io::ShardPackReader& reader,
   ASSERT_EQ(reader.rows(), expected.rows());
   ASSERT_EQ(reader.dim(), expected.dim());
   ASSERT_EQ(reader.nnz(), expected.nnz());
-  std::vector<std::size_t> row_ptr;
-  std::vector<sparse::index_t> col_idx;
-  std::vector<sparse::value_t> values;
-  std::vector<sparse::value_t> labels;
+  sparse::Array<std::size_t> row_ptr;
+  sparse::Array<sparse::index_t> col_idx;
+  sparse::Array<sparse::value_t> values;
+  sparse::Array<sparse::value_t> labels;
   for (std::size_t s = 0; s < reader.shard_count(); ++s) {
     reader.decode_shard(s, row_ptr, col_idx, values, labels);
     const std::size_t base = reader.shard_begin(s);
@@ -115,10 +117,10 @@ TEST(ShardPackFormat, F32PackRoundTripsThroughFloat) {
                       {.shard_rows = 48, .values = io::PackValueKind::kF32});
   const io::ShardPackReader reader(path);
   EXPECT_EQ(reader.value_kind(), io::PackValueKind::kF32);
-  std::vector<std::size_t> row_ptr;
-  std::vector<sparse::index_t> col_idx;
-  std::vector<sparse::value_t> values;
-  std::vector<sparse::value_t> labels;
+  sparse::Array<std::size_t> row_ptr;
+  sparse::Array<sparse::index_t> col_idx;
+  sparse::Array<sparse::value_t> values;
+  sparse::Array<sparse::value_t> labels;
   for (std::size_t s = 0; s < reader.shard_count(); ++s) {
     reader.decode_shard(s, row_ptr, col_idx, values, labels);
     const std::size_t base = reader.shard_begin(s);
@@ -213,10 +215,10 @@ TEST(ShardPackFormat, FlippedBlockByteIsRejectedAtDecode) {
       static_cast<char>(bytes[bytes.size() - 16] ^ 0x40);
   spit(path, bytes);
   const io::ShardPackReader reader(path);
-  std::vector<std::size_t> row_ptr;
-  std::vector<sparse::index_t> col_idx;
-  std::vector<sparse::value_t> values;
-  std::vector<sparse::value_t> labels;
+  sparse::Array<std::size_t> row_ptr;
+  sparse::Array<sparse::index_t> col_idx;
+  sparse::Array<sparse::value_t> values;
+  sparse::Array<sparse::value_t> labels;
   // Clean shards still decode.
   reader.decode_shard(0, row_ptr, col_idx, values, labels);
   try {
@@ -326,7 +328,50 @@ TEST(ShardPackFormat, DirectoryGeometryIsBoundedAtOpen) {
 // ---------------------------------------------------------------------------
 // io::crc32: the reflected 0xEDB88320 CRC-32. Writers and readers share the
 // function, so round trips cannot catch a wrong but self-consistent
-// implementation; these pin its values.
+// implementation; these pin its values, under each of its two bodies. The
+// kernel backend selects the body: scalar runs the table loop, any other
+// backend the folded body where the CPU has PCLMULQDQ.
+
+namespace k = sparse::kernels;
+
+enum class CrcPath { kTable, kFolded };
+
+const char* path_name(CrcPath path) {
+  return path == CrcPath::kTable ? "Table" : "Folded";
+}
+
+void PrintTo(CrcPath path, std::ostream* os) { *os << path_name(path); }
+
+/// Pins the kernel backend that selects the path under test; skips when
+/// this host has no folded body. Restores the previous backend after.
+class Crc32 : public ::testing::TestWithParam<CrcPath> {
+ protected:
+  void SetUp() override { select(GetParam()); }
+  void TearDown() override { k::set_backend(previous_); }
+
+  void select(CrcPath path) {
+    if (path == CrcPath::kTable) {
+      ASSERT_TRUE(k::set_backend(k::Backend::kScalar));
+      ASSERT_FALSE(io::crc32_folded());
+      return;
+    }
+    const std::vector<k::Backend> menu = k::available_backends();
+    if (menu.back() == k::Backend::kScalar) {
+      GTEST_SKIP() << "no vector kernel backend, so no folded CRC path";
+    }
+    ASSERT_TRUE(k::set_backend(menu.back()));
+    if (!io::crc32_folded()) GTEST_SKIP() << "no PCLMULQDQ on this host";
+  }
+
+ private:
+  k::Backend previous_ = k::active_backend();
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, Crc32, ::testing::Values(CrcPath::kTable, CrcPath::kFolded),
+    [](const ::testing::TestParamInfo<CrcPath>& info) {
+      return std::string(path_name(info.param));
+    });
 
 /// Bitwise reference: eight shift-and-xor steps per byte, no tables.
 std::uint32_t reference_crc32(const unsigned char* p, std::size_t n,
@@ -334,35 +379,80 @@ std::uint32_t reference_crc32(const unsigned char* p, std::size_t n,
   std::uint32_t c = ~seed;
   for (std::size_t i = 0; i < n; ++i) {
     c ^= p[i];
-    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
   }
   return ~c;
 }
 
-TEST(Crc32, KnownAnswer) {
-  const char* check = "123456789";
-  EXPECT_EQ(io::crc32(check, 9), 0xCBF43926u);
-  EXPECT_EQ(io::crc32(check, 0), 0u);
-}
-
-TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
-  std::vector<unsigned char> buf(1024 + 8);
+/// Deterministic filler bytes (an LCG's top byte).
+std::vector<unsigned char> crc_input(std::size_t size) {
+  std::vector<unsigned char> buf(size);
   std::uint32_t x = 0x12345678u;
   for (unsigned char& b : buf) {
     x = x * 1664525u + 1013904223u;
     b = static_cast<unsigned char>(x >> 24);
   }
-  for (std::size_t offset = 0; offset < 8; ++offset) {
+  return buf;
+}
+
+TEST_P(Crc32, KnownAnswer) {
+  const char* check = "123456789";
+  EXPECT_EQ(io::crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(io::crc32(check, 0), 0u);
+  // Long enough for the folded body: 64 ASCII '1's, then 100 zero bytes.
+  const std::string ones(64, '1');
+  EXPECT_EQ(io::crc32(ones.data(), ones.size()),
+            reference_crc32(reinterpret_cast<const unsigned char*>(
+                                ones.data()), ones.size(), 0));
+  const std::vector<unsigned char> zeros(100, 0);
+  EXPECT_EQ(io::crc32(zeros.data(), zeros.size()),
+            reference_crc32(zeros.data(), zeros.size(), 0));
+}
+
+TEST_P(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Every length to 1 KiB, then a packed-ooc shard's 612 KB and 1 MiB + 3,
+  // at every offset within 16 bytes: the folded body loads 16 bytes at a
+  // time, unaligned.
+  std::vector<std::size_t> lengths(1025);
+  for (std::size_t n = 0; n <= 1024; ++n) lengths[n] = n;
+  lengths.push_back(612 * 1024);
+  lengths.push_back((std::size_t{1} << 20) + 3);
+  const std::vector<unsigned char> buf = crc_input(lengths.back() + 16);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
     const unsigned char* p = buf.data() + offset;
-    for (std::size_t n = 0; n <= 1024; ++n) {
+    for (const std::size_t n : lengths) {
       const std::uint32_t want = reference_crc32(p, n, 0);
       ASSERT_EQ(io::crc32(p, n), want) << "offset " << offset << " length " << n;
-      // Split in two and chained through the seed: one stream.
-      const std::size_t cut = n * 3 / 7;
-      ASSERT_EQ(io::crc32(p + cut, n - cut, io::crc32(p, cut)), want)
-          << "offset " << offset << " length " << n << " cut " << cut;
+      // Split in two and chained through the seed: one stream. The cuts
+      // fall just short of, at, and just past the first 64-byte block,
+      // inside the second, and at an arbitrary point.
+      for (const std::size_t cut : {std::size_t{63}, std::size_t{64},
+                                    std::size_t{65}, std::size_t{100},
+                                    n * 3 / 7}) {
+        if (cut > n) continue;
+        ASSERT_EQ(io::crc32(p + cut, n - cut, io::crc32(p, cut)), want)
+            << "offset " << offset << " length " << n << " cut " << cut;
+      }
     }
   }
+}
+
+/// A pack written under one CRC body opens and decodes under the other:
+/// both compute one function, so every existing file stays readable.
+TEST_P(Crc32, PackWrittenUnderTheOtherPathOpensAndDecodes) {
+  const CrcPath other =
+      GetParam() == CrcPath::kTable ? CrcPath::kFolded : CrcPath::kTable;
+  const sparse::CsrMatrix data = small_data(300, 64);
+  const std::string path = temp_path("crosspath.issp");
+  select(other);
+  if (IsSkipped()) return;
+  io::write_shardpack(path, data, {.shard_rows = 64});
+  select(GetParam());
+  const io::ShardPackReader reader(path);
+  expect_pack_equals(reader, data);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -379,6 +469,18 @@ data::CacheStats delta(std::uint64_t hits, std::uint64_t misses,
   d.prefetch_wasted = wasted;
   return d;
 }
+
+/// `d` with each of its races waiting `wait_ns` and each of its loads (one
+/// per miss and per prefetch) taking `load_ns`.
+data::CacheStats timed(data::CacheStats d, std::uint64_t wait_ns,
+                       std::uint64_t load_ns) {
+  d.loads = d.misses + d.prefetch_issued;
+  d.load_ns = d.loads * load_ns;
+  d.race_wait_ns = d.prefetch_races * wait_ns;
+  return d;
+}
+
+constexpr std::uint64_t kLoadNs = 400'000;
 
 TEST(PrefetchAutotuner, DeepensWhileDemandStillMisses) {
   data::PrefetchAutotuner tuner;
@@ -430,11 +532,13 @@ TEST(PrefetchAutotuner, IdleWindowLeavesDepthAlone) {
 
 TEST(PrefetchAutotuner, FutileRacingDisablesPrefetch) {
   data::PrefetchAutotuner tuner;
-  // Nearly every prefetch raced a demand get (no spare core to decode on):
-  // one severe epoch deepens as usual, a second proves futility and latches
-  // prefetch off — depth 0, permanently.
-  EXPECT_EQ(tuner.update(delta(10, 0, 10, 8, 0), 8), 2u);
-  EXPECT_EQ(tuner.update(delta(10, 0, 10, 8, 0), 8), 0u);
+  // Nearly every prefetch raced a demand get, and each wait lasted a whole
+  // load (no spare core to decode on): one severe epoch deepens as usual, a
+  // second proves futility and latches prefetch off — depth 0, permanently.
+  const data::CacheStats severe =
+      timed(delta(10, 0, 10, 8, 0), kLoadNs, kLoadNs);
+  EXPECT_EQ(tuner.update(severe, 8), 2u);
+  EXPECT_EQ(tuner.update(severe, 8), 0u);
   // The latch is sticky: later misses (inevitable at depth 0) must not
   // re-deepen, or the cache would oscillate off/on forever.
   EXPECT_EQ(tuner.update(delta(0, 10, 0, 0, 0), 8), 0u);
@@ -445,9 +549,25 @@ TEST(PrefetchAutotuner, RecoveredRacingResetsTheFutilityStreak) {
   data::PrefetchAutotuner tuner;
   // One severe epoch followed by a healthy one: the streak resets, so a
   // single bad epoch later still does not disable prefetch.
-  (void)tuner.update(delta(10, 0, 10, 8, 0), 8);
-  (void)tuner.update(delta(20, 0, 10, 0, 0), 8);
-  EXPECT_GE(tuner.update(delta(10, 0, 10, 8, 0), 8), 1u);
+  const data::CacheStats severe =
+      timed(delta(10, 0, 10, 8, 0), kLoadNs, kLoadNs);
+  (void)tuner.update(severe, 8);
+  (void)tuner.update(timed(delta(20, 0, 10, 0, 0), 0, kLoadNs), 8);
+  EXPECT_GE(tuner.update(severe, 8), 1u);
+}
+
+TEST(PrefetchAutotuner, RacingThatStillHidesLoadsNeverLatches) {
+  data::PrefetchAutotuner tuner;
+  // Nearly every prefetch raced, but the consumer waited half a load on
+  // each: the lookahead still hid the other half (a consumer faster than
+  // the background decode, not a host without a spare core). That is a
+  // reason to look further ahead, never to turn prefetch off.
+  const data::CacheStats racing =
+      timed(delta(10, 0, 10, 8, 0), kLoadNs / 2, kLoadNs);
+  for (int epoch = 0; epoch < 10; ++epoch) {
+    EXPECT_GE(tuner.update(racing, 8), 1u) << "epoch " << epoch;
+  }
+  EXPECT_EQ(tuner.depth(), 7u) << "deepened to capacity - 1";
 }
 
 TEST(PrefetchAutotuner, TinyCacheNeverLooksAhead) {
