@@ -1,11 +1,15 @@
 // Real-backend cross-validation: the process group (1 PS + k workers over a
 // real transport) must produce the SAME BITS as the fenced simulator — per
 // solver, per transport — and must actually train (closed-form optimum on an
-// identity-design least-squares problem).
+// identity-design least-squares problem). The parameter-server cases run
+// on several inputs (tests/ps_inputs.hpp), so steps that never share a
+// coordinate, steps that always do, and ranks that leave the rotation in
+// different rounds are all pinned.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/trainer.hpp"
@@ -19,9 +23,20 @@
 #include "metrics/evaluator.hpp"
 #include "objectives/least_squares.hpp"
 #include "objectives/logistic.hpp"
+#include "ps_inputs.hpp"
 
 namespace isasgd::distributed {
 namespace {
+
+sparse::CsrMatrix synthetic(std::size_t rows, std::size_t dim) {
+  data::SyntheticSpec spec;
+  spec.rows = rows;
+  spec.dim = dim;
+  spec.mean_row_nnz = 6;
+  spec.target_psi = 0.85;
+  spec.label_noise = 0.02;
+  return data::generate(spec);
+}
 
 struct Fixture {
   sparse::CsrMatrix data;
@@ -29,16 +44,24 @@ struct Fixture {
   metrics::Evaluator evaluator;
 
   explicit Fixture(std::size_t rows = 300, std::size_t dim = 60)
-      : data([&] {
-          data::SyntheticSpec spec;
-          spec.rows = rows;
-          spec.dim = dim;
-          spec.mean_row_nnz = 6;
-          spec.target_psi = 0.85;
-          spec.label_noise = 0.02;
-          return data::generate(spec);
-        }()),
+      : Fixture(synthetic(rows, dim)) {}
+  explicit Fixture(sparse::CsrMatrix m)
+      : data(std::move(m)),
         evaluator(data, loss, objectives::Regularization::none(), 1) {}
+};
+
+/// The inputs every parameter-server case of PsProcessSuite runs on.
+struct Input {
+  const char* name;
+  sparse::CsrMatrix (*make)();
+};
+
+const Input kPsInputs[] = {
+    {"synthetic", [] { return synthetic(300, 60); }},
+    {"disjoint rows, one empty", [] { return test::disjoint_rows(60); }},
+    {"one coordinate in every row",
+     [] { return test::shared_coordinate_rows(60); }},
+    {"odd row count", [] { return synthetic(301, 60); }},
 };
 
 solvers::SolverOptions small_options() {
@@ -78,35 +101,41 @@ void expect_bit_identical(const solvers::Trace& real,
 class PsProcessSuite : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PsProcessSuite, IsAsgdMatchesFencedSimulatorBitForBit) {
-  Fixture fx;
-  const auto opt = small_options();
-  ClusterSpec spec = process_spec(GetParam());
-  ParamServerReport real_report;
-  const solvers::Trace real = run_param_server_process(
-      fx.data, fx.loss, opt, spec, /*use_importance=*/true,
-      fx.evaluator.as_fn(), &real_report);
-  spec.backend = Backend::kSimulate;
-  const solvers::Trace sim = run_param_server(
-      data::InMemorySource(fx.data), fx.loss, opt, spec,
-      /*use_importance=*/true, fx.evaluator.as_fn());
-  expect_bit_identical(real, sim, "ps_is_asgd");
-  // 2 nodes × 3 epochs over 300 rows: every sample became one push.
-  EXPECT_EQ(real_report.messages, 3u * fx.data.rows());
-  EXPECT_EQ(real_report.mean_staleness_updates, 0.0);
+  for (const Input& in : kPsInputs) {
+    SCOPED_TRACE(in.name);
+    Fixture fx(in.make());
+    const auto opt = small_options();
+    ClusterSpec spec = process_spec(GetParam());
+    ParamServerReport real_report;
+    const solvers::Trace real = run_param_server_process(
+        fx.data, fx.loss, opt, spec, /*use_importance=*/true,
+        fx.evaluator.as_fn(), &real_report);
+    spec.backend = Backend::kSimulate;
+    const solvers::Trace sim = run_param_server(
+        data::InMemorySource(fx.data), fx.loss, opt, spec,
+        /*use_importance=*/true, fx.evaluator.as_fn());
+    expect_bit_identical(real, sim, "ps_is_asgd");
+    // 2 nodes × 3 epochs: every sample became one push.
+    EXPECT_EQ(real_report.messages, 3u * fx.data.rows());
+    EXPECT_EQ(real_report.mean_staleness_updates, 0.0);
+  }
 }
 
 TEST_P(PsProcessSuite, AsgdUniformMatchesFencedSimulatorBitForBit) {
-  Fixture fx;
-  const auto opt = small_options();
-  ClusterSpec spec = process_spec(GetParam());
-  const solvers::Trace real = run_param_server_process(
-      fx.data, fx.loss, opt, spec, /*use_importance=*/false,
-      fx.evaluator.as_fn());
-  spec.backend = Backend::kSimulate;
-  const solvers::Trace sim = run_param_server(
-      data::InMemorySource(fx.data), fx.loss, opt, spec,
-      /*use_importance=*/false, fx.evaluator.as_fn());
-  expect_bit_identical(real, sim, "ps_asgd");
+  for (const Input& in : kPsInputs) {
+    SCOPED_TRACE(in.name);
+    Fixture fx(in.make());
+    const auto opt = small_options();
+    ClusterSpec spec = process_spec(GetParam());
+    const solvers::Trace real = run_param_server_process(
+        fx.data, fx.loss, opt, spec, /*use_importance=*/false,
+        fx.evaluator.as_fn());
+    spec.backend = Backend::kSimulate;
+    const solvers::Trace sim = run_param_server(
+        data::InMemorySource(fx.data), fx.loss, opt, spec,
+        /*use_importance=*/false, fx.evaluator.as_fn());
+    expect_bit_identical(real, sim, "ps_asgd");
+  }
 }
 
 TEST_P(PsProcessSuite, AllreduceMatchesFencedSimulatorBitForBit) {
@@ -128,17 +157,20 @@ TEST_P(PsProcessSuite, AllreduceMatchesFencedSimulatorBitForBit) {
 }
 
 TEST_P(PsProcessSuite, ThreeWorkersAlsoMatch) {
-  Fixture fx;
-  const auto opt = small_options();
-  ClusterSpec spec = process_spec(GetParam(), /*nodes=*/3);
-  const solvers::Trace real = run_param_server_process(
-      fx.data, fx.loss, opt, spec, /*use_importance=*/true,
-      fx.evaluator.as_fn());
-  spec.backend = Backend::kSimulate;
-  const solvers::Trace sim = run_param_server(
-      data::InMemorySource(fx.data), fx.loss, opt, spec,
-      /*use_importance=*/true, fx.evaluator.as_fn());
-  expect_bit_identical(real, sim, "ps_is_asgd k=3");
+  for (const Input& in : kPsInputs) {
+    SCOPED_TRACE(in.name);
+    Fixture fx(in.make());
+    const auto opt = small_options();
+    ClusterSpec spec = process_spec(GetParam(), /*nodes=*/3);
+    const solvers::Trace real = run_param_server_process(
+        fx.data, fx.loss, opt, spec, /*use_importance=*/true,
+        fx.evaluator.as_fn());
+    spec.backend = Backend::kSimulate;
+    const solvers::Trace sim = run_param_server(
+        data::InMemorySource(fx.data), fx.loss, opt, spec,
+        /*use_importance=*/true, fx.evaluator.as_fn());
+    expect_bit_identical(real, sim, "ps_is_asgd k=3");
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, PsProcessSuite,

@@ -11,6 +11,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/data_source.hpp"
@@ -23,6 +24,7 @@
 #include "metrics/evaluator.hpp"
 #include "objectives/least_squares.hpp"
 #include "objectives/logistic.hpp"
+#include "ps_inputs.hpp"
 #include "sparse/csr_builder.hpp"
 
 namespace isasgd::distributed {
@@ -136,21 +138,25 @@ TEST(ClusterSpecFaults, AllreduceEnginesRejectFaultInjection) {
 
 // ---- Real runtime vs sim mirror, per transport ------------------------------
 
+sparse::CsrMatrix synthetic(std::size_t rows, std::size_t dim) {
+  data::SyntheticSpec spec;
+  spec.rows = rows;
+  spec.dim = dim;
+  spec.mean_row_nnz = 6;
+  spec.target_psi = 0.85;
+  spec.label_noise = 0.02;
+  return data::generate(spec);
+}
+
 struct Fixture {
   sparse::CsrMatrix data;
   objectives::LogisticLoss loss;
   metrics::Evaluator evaluator;
 
   explicit Fixture(std::size_t rows = 120, std::size_t dim = 40)
-      : data([&] {
-          data::SyntheticSpec spec;
-          spec.rows = rows;
-          spec.dim = dim;
-          spec.mean_row_nnz = 6;
-          spec.target_psi = 0.85;
-          spec.label_noise = 0.02;
-          return data::generate(spec);
-        }()),
+      : Fixture(synthetic(rows, dim)) {}
+  explicit Fixture(sparse::CsrMatrix m)
+      : data(std::move(m)),
         evaluator(data, loss, objectives::Regularization::none(), 1) {}
 };
 
@@ -207,26 +213,42 @@ TEST_P(FaultRecoverySuite, WireFaultsRetryToTheFaultFreeBits) {
   // Drops, delays, torn writes and resets on every stream — yet the final
   // model must equal the fault-free simulator's bits exactly. Any lost or
   // twice-applied push breaks this, so passing proves the sequence-numbered
-  // retry protocol delivers exactly-once application.
-  Fixture fx;
-  const auto opt = small_options(3);
-  ClusterSpec spec = faulty_spec(GetParam());
-  spec.wire_faults.seed = 2026;
-  spec.wire_faults.drop_rate = 0.02;
-  spec.wire_faults.delay_rate = 0.04;
-  spec.wire_faults.torn_rate = 0.01;
-  spec.wire_faults.reset_rate = 0.01;
-  spec.wire_faults.max_delay_ms = 2;
-  ParamServerReport report;
-  const solvers::Trace real = run_param_server_process(
-      fx.data, fx.loss, opt, spec, /*use_importance=*/true,
-      fx.evaluator.as_fn(), &report);
-  const solvers::Trace sim = run_param_server(
-      data::InMemorySource(fx.data), fx.loss, opt, sim_twin(spec),
-      /*use_importance=*/true, fx.evaluator.as_fn());
-  expect_bit_identical(real, sim, "wire faults");
-  EXPECT_GT(report.wire_retries, 0u)
-      << "the schedule injected nothing — rates or seed are off";
+  // retry protocol delivers exactly-once application. Besides the synthetic
+  // set it runs on rows that never share a coordinate and on rows that all
+  // share one (tests/ps_inputs.hpp), so retransmits meet replies sent both
+  // before and after the pushes ahead of their step have landed.
+  struct Input {
+    const char* name;
+    sparse::CsrMatrix (*make)();
+  };
+  const Input inputs[] = {
+      {"synthetic", [] { return synthetic(120, 40); }},
+      {"disjoint rows, one empty", [] { return test::disjoint_rows(120); }},
+      {"one coordinate in every row",
+       [] { return test::shared_coordinate_rows(120); }},
+  };
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    Fixture fx(in.make());
+    const auto opt = small_options(3);
+    ClusterSpec spec = faulty_spec(GetParam());
+    spec.wire_faults.seed = 2026;
+    spec.wire_faults.drop_rate = 0.02;
+    spec.wire_faults.delay_rate = 0.04;
+    spec.wire_faults.torn_rate = 0.01;
+    spec.wire_faults.reset_rate = 0.01;
+    spec.wire_faults.max_delay_ms = 2;
+    ParamServerReport report;
+    const solvers::Trace real = run_param_server_process(
+        fx.data, fx.loss, opt, spec, /*use_importance=*/true,
+        fx.evaluator.as_fn(), &report);
+    const solvers::Trace sim = run_param_server(
+        data::InMemorySource(fx.data), fx.loss, opt, sim_twin(spec),
+        /*use_importance=*/true, fx.evaluator.as_fn());
+    expect_bit_identical(real, sim, "wire faults");
+    EXPECT_GT(report.wire_retries, 0u)
+        << "the schedule injected nothing — rates or seed are off";
+  }
 }
 
 TEST_P(FaultRecoverySuite, CleanCrashWithReshardMatchesTheSimMirror) {
