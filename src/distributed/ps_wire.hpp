@@ -22,6 +22,9 @@
 //   controller → server  kHello{role=1, rank=0, resume=0}
 //   worker → server      kStep{seq, ncols, idx[ncols]}     coordinate get
 //   server → worker      kStepReply{seq, w[ncols]}         values, same order
+//   worker → server      kPushStep{seq, walk, gscale, sstep, nval, val[nval],
+//                                  ncols, idx[ncols]}
+//   server → worker      kStepReply{seq, w[ncols]}
 //   worker → server      kPush{seq, walk, gscale, sstep, nnz, (idx, val)[nnz]}
 //   server → worker      kPushAck{seq}
 //   worker → server      kEpochEnd{seq, retries}           quota exhausted
@@ -34,6 +37,17 @@
 //                               nwalks, (walk, ff)[nwalks]}
 //   worker → server      kReduce{count, (idx, val)[count]} all-reduce partial
 //   server → worker      kModelDelta{count, (idx, w)[count]} updated coords
+//
+// A worker keeps one step open: the draw whose coordinates it fetched and
+// whose push it owes. kStep opens its first step of an epoch. kPushStep
+// pushes the open step's update (values only, in the step's column order:
+// its coordinates are the open step's) and opens the next step on idx; its
+// kStepReply carries the next step's values and also confirms the push.
+// kPush pushes the open step with its coordinates spelled out and opens
+// nothing: it ends a rank's epoch, or precedes a scripted crash. So every
+// sample costs one round trip, and each rank still has one request in
+// flight. The server answers a step early when no push ahead of it in the
+// fenced order writes one of its coordinates (real_runtime.cpp, PsServer).
 //
 // The all-reduce group keeps the un-sequenced kReduce/kModelDelta exchange
 // (it has no retry layer — fault injection targets the PS runtime) but
@@ -64,6 +78,7 @@ enum MsgType : std::uint32_t {
   kEpochGo = 9,
   kReduce = 10,
   kModelDelta = 11,
+  kPushStep = 12,
 };
 
 inline constexpr std::uint32_t kRoleWorker = 0;

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -213,6 +214,21 @@ std::uint32_t read_coordinate(wire::Unpacker& u, std::size_t dim) {
   return c;
 }
 
+/// True when two strictly increasing column lists share a coordinate.
+bool share_coordinate(std::span<const std::uint32_t> a,
+                      std::span<const std::uint32_t> b) {
+  std::size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) return true;
+    if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return false;
+}
+
 /// Wire sizes of the repeated elements the count sites bound.
 constexpr std::size_t kGoEntryBytes =
     sizeof(std::uint32_t) + sizeof(std::uint64_t);  // (walk, ff)
@@ -261,22 +277,40 @@ class PsClient {
     connect();
   }
 
-  /// Coordinate get: returns w[c] for each requested column, in order. The
-  /// span is valid until the next call.
+  /// Opens the epoch's first step: returns w[c] for each of its columns, in
+  /// order. The span is valid until the next call.
   std::span<const double> step(std::span<const std::uint32_t> cols) {
     const std::uint64_t seq = ++seq_;
     out_.clear();
     out_.u64(seq).u32(static_cast<std::uint32_t>(cols.size()));
-    for (const std::uint32_t c : cols) out_.u32(c);
-    wire::Unpacker u(
-        request(wire::kStep, seq, wire::kStepReply, reply_timeout_ms_));
-    (void)u.u64();  // seq, already matched
-    values_.resize(cols.size());
-    for (double& v : values_) v = u.f64();
-    return values_;
+    out_.raw(cols.data(), cols.size() * sizeof(std::uint32_t));
+    return values(request(wire::kStep, seq, wire::kStepReply,
+                          reply_timeout_ms_),
+                  cols.size());
   }
 
-  /// Sparse push for `walk`, applied exactly once server-side.
+  /// Pushes the open step's update, as values in its column order, and
+  /// opens the next step on `next_cols`: one round trip, whose reply is the
+  /// next step's values (as step() returns them) and confirms the push.
+  std::span<const double> push_step(std::uint32_t walk, double gradient_scale,
+                                    double scaled_step,
+                                    std::span<const double> val,
+                                    std::span<const std::uint32_t> next_cols) {
+    const std::uint64_t seq = ++seq_;
+    out_.clear();
+    out_.u64(seq).u32(walk).f64(gradient_scale).f64(scaled_step);
+    out_.u32(static_cast<std::uint32_t>(val.size()));
+    out_.raw(val.data(), val.size() * sizeof(double));
+    out_.u32(static_cast<std::uint32_t>(next_cols.size()));
+    out_.raw(next_cols.data(), next_cols.size() * sizeof(std::uint32_t));
+    return values(request(wire::kPushStep, seq, wire::kStepReply,
+                          reply_timeout_ms_),
+                  next_cols.size());
+  }
+
+  /// Pushes the open step's update and opens no other: the last push of an
+  /// epoch, or the one before a scripted crash. Applied exactly once
+  /// server-side, like every push.
   void push(std::uint32_t walk, double gradient_scale, double scaled_step,
             std::span<const std::uint32_t> idx, std::span<const double> val) {
     const std::uint64_t seq = ++seq_;
@@ -319,6 +353,15 @@ class PsClient {
   [[nodiscard]] std::uint64_t retries() const noexcept { return retries_; }
 
  private:
+  /// Parses a kStepReply of `n` values into values_.
+  std::span<const double> values(const std::string& reply, std::size_t n) {
+    wire::Unpacker u(reply);
+    (void)u.u64();  // seq, already matched
+    values_.resize(n);
+    for (double& v : values_) v = u.f64();
+    return values_;
+  }
+
   void connect() {
     auto raw = net::connect(address_, kConnectTimeoutMs);
     raw->set_io_timeout(kConnectTimeoutMs);
@@ -412,6 +455,20 @@ class PsClient {
 /// Detects a dead worker by its liveness deadline expiring, reports
 /// per-rank liveness and per-walk applied-draw counts at each fence, and
 /// executes whatever assignment the controller replies with.
+///
+/// The workers compute at the same time all the same. The server keeps a
+/// window: the queue of open steps (a step whose coordinates a rank read
+/// and whose push it owes) in fenced order, at most one per live rank.
+/// Pushes apply only at the window's head, so the apply sequence is the
+/// simulator's. A newly read step is answered at once when no step ahead of
+/// it in the window shares a coordinate with it: no push still to land
+/// before it in the fenced order writes what it reads, so the values it
+/// gets are the ones the fenced schedule would give it. Otherwise it is
+/// answered when it reaches the head. A push must write exactly its step's
+/// coordinates, which is what makes an early read exact. The server blocks
+/// only on the head's rank, on an epoch's opening kStep and on a finished
+/// rank's kEpochEnd, never on a rank whose reply it has deferred, so it
+/// cannot deadlock.
 class PsServer {
  public:
   PsServer(int addr_fd, const std::string& bind, std::size_t k,
@@ -428,6 +485,7 @@ class PsServer {
         w_(dim, 0.0),
         walk_draws_(k, 0),
         ranks_(k) {
+    window_.reserve(k);
     listener_ = net::listen(bind);
     report_address(addr_fd, listener_->address());
     controller_ = accept_group(
@@ -439,19 +497,18 @@ class PsServer {
 
   void run() {
     for (std::size_t epoch = 1;; ++epoch) {
-      std::size_t ndone = 0;
-      for (RankState& rs : ranks_) {
-        rs.done = rs.dead;  // dead ranks have nothing to serve
-        if (rs.done) ++ndone;
+      // Every live rank opens the epoch with its first step (or ends it at
+      // once on an empty quota), read in rank order so that the window
+      // starts in fenced order.
+      for (std::size_t r = 0; r < k_; ++r) {
+        ranks_[r].ended = false;
+        if (!ranks_[r].dead) open_epoch(r);
       }
-      while (ndone < k_) {
-        for (std::size_t r = 0; r < k_; ++r) {
-          if (ranks_[r].done) continue;
-          if (serve_slot(r) != SlotResult::kApplied) {
-            ranks_[r].done = true;
-            ++ndone;
-          }
-        }
+      while (!window_.empty()) serve_head();
+      // A rank whose last push landed owes its kEpochEnd; one that never
+      // sends it (a scripted crash) is dead.
+      for (std::size_t r = 0; r < k_; ++r) {
+        if (!ranks_[r].dead && !ranks_[r].ended) end_epoch(r);
       }
       if (!fence(epoch)) break;
     }
@@ -459,12 +516,16 @@ class PsServer {
   }
 
  private:
-  enum class SlotResult { kApplied, kDone, kDead };
-
   struct RankState {
     std::unique_ptr<net::Endpoint> ep;
     bool dead = false;
-    bool done = false;
+    bool ended = false;  // sent this epoch's kEpochEnd
+    // The open step: its columns, whether they are strictly increasing (a
+    // list that is not shares a coordinate with every other, as far as the
+    // window knows), and whether its values went out.
+    std::vector<std::uint32_t> cols;
+    bool increasing = true;
+    bool answered = false;
     std::uint64_t last_seq = 0;
     std::uint32_t cached_type = 0;  // 0 = no cached reply
     wire::Packer cached_reply;
@@ -587,32 +648,18 @@ class PsServer {
     }
   }
 
-  /// Takes a rank's kEpochEnd (seq, cumulative wire retries): the kEpochGo
-  /// the fence sends becomes its cached reply.
-  void end_epoch(RankState& rs, std::uint64_t seq, wire::Unpacker& u) {
-    rs.retries = u.u64();
-    rs.last_seq = seq;
-    rs.go_seq = seq;
-    rs.cached_type = 0;
-    rs.cached_reply.clear();
-  }
-
-  /// Serves rank r until it contributes one applied push (kApplied), ends
-  /// its epoch (kDone), or its liveness deadline expires (kDead).
-  SlotResult serve_slot(std::size_t r) {
+  /// Reads rank r's next request: resends the cached reply to a retransmit
+  /// of the last one and skips older ones, so every request is executed
+  /// exactly once. Returns the request's payload past its seq, which becomes
+  /// the rank's last_seq; nullopt once the rank's liveness deadline passes.
+  std::optional<wire::Unpacker> next_request(std::size_t r) {
     RankState& rs = ranks_[r];
     const Clock::time_point deadline =
         Clock::now() + std::chrono::milliseconds(liveness_ms_);
-    while (true) {
-      if (!next_frame(r, deadline)) {
-        mark_dead(r);
-        return SlotResult::kDead;
-      }
+    while (next_frame(r, deadline)) {
       wire::Unpacker u(frame_.payload);
       const std::uint64_t seq = u.u64();
       if (seq <= rs.last_seq) {
-        // Retransmit of something already executed: resend the cached reply
-        // (exactly-once applies live here), ignore anything older.
         if (seq == rs.last_seq && rs.cached_type != 0) send_cached(rs);
         continue;
       }
@@ -622,56 +669,145 @@ class PsServer {
             "ps server: rank " + std::to_string(r) + " jumped from seq " +
                 std::to_string(rs.last_seq) + " to " + std::to_string(seq));
       }
-      switch (frame_.type) {
-        case wire::kStep: {
-          const std::uint32_t ncols = u.count(sizeof(std::uint32_t));
-          reply_.clear();
-          reply_.u64(seq);
-          for (std::uint32_t j = 0; j < ncols; ++j) {
-            reply_.f64(w_[read_coordinate(u, w_.size())]);
-          }
-          rs.last_seq = seq;
-          reply_cached(rs, wire::kStepReply);
-          continue;  // the step's push is still owed in this slot
-        }
-        case wire::kPush: {
-          const std::uint32_t walk = u.u32();
-          const double gradient_scale = u.f64();
-          const double scaled_step = u.f64();
-          const std::uint32_t nnz = u.count(kCoordValueBytes);
-          if (walk >= k_) {
-            throw net::TransportError(
-                net::TransportError::Kind::kProtocol,
-                "ps server: push for out-of-range walk " +
-                    std::to_string(walk));
-          }
-          idx_.resize(nnz);
-          val_.resize(nnz);
-          for (std::uint32_t j = 0; j < nnz; ++j) {
-            idx_[j] = read_coordinate(u, w_.size());
-            val_[j] = u.f64();
-          }
-          fenced::apply_push(idx_, val_, gradient_scale, scaled_step,
-                             options_.reg, w_);
-          ++applied_;
-          ++walk_draws_[walk];
-          bytes_ += static_cast<std::uint64_t>(nnz) * spec_.bytes_per_nnz;
-          rs.last_seq = seq;
-          reply_.clear();
-          reply_.u64(seq);
-          reply_cached(rs, wire::kPushAck);
-          return SlotResult::kApplied;
-        }
-        case wire::kEpochEnd:
-          end_epoch(rs, seq, u);
-          return SlotResult::kDone;
-        default:
-          throw net::TransportError(
-              net::TransportError::Kind::kProtocol,
-              "ps server: unexpected frame type " +
-                  std::to_string(frame_.type));
+      rs.last_seq = seq;
+      rs.cached_type = 0;  // no reply to this request yet
+      return u;
+    }
+    return std::nullopt;
+  }
+
+  [[noreturn]] void unexpected_frame() const {
+    throw net::TransportError(
+        net::TransportError::Kind::kProtocol,
+        "ps server: unexpected frame type " + std::to_string(frame_.type));
+  }
+
+  /// Takes a rank's kEpochEnd (cumulative wire retries): the kEpochGo the
+  /// fence sends becomes its cached reply.
+  void take_epoch_end(RankState& rs, wire::Unpacker& u) {
+    rs.retries = u.u64();
+    rs.go_seq = rs.last_seq;
+    rs.ended = true;
+  }
+
+  /// Reads rank r's first request of an epoch: a kStep opens its first
+  /// step, a kEpochEnd (an empty quota) ends its epoch at once.
+  void open_epoch(std::size_t r) {
+    std::optional<wire::Unpacker> u = next_request(r);
+    if (!u) return mark_dead(r);
+    switch (frame_.type) {
+      case wire::kStep:
+        return open_step(r, *u);
+      case wire::kEpochEnd:
+        return take_epoch_end(ranks_[r], *u);
+      default:
+        unexpected_frame();
+    }
+  }
+
+  /// Reads the kEpochEnd of rank r, whose last push has landed.
+  void end_epoch(std::size_t r) {
+    std::optional<wire::Unpacker> u = next_request(r);
+    if (!u) return mark_dead(r);
+    if (frame_.type != wire::kEpochEnd) unexpected_frame();
+    take_epoch_end(ranks_[r], *u);
+  }
+
+  /// Opens rank r's next step on the column list in u, at the window's
+  /// tail. It is answered at once unless a step ahead of it shares a
+  /// coordinate with it, decided by a sorted merge of the two lists.
+  void open_step(std::size_t r, wire::Unpacker& u) {
+    RankState& rs = ranks_[r];
+    const std::uint32_t ncols = u.count(sizeof(std::uint32_t));
+    rs.cols.resize(ncols);
+    rs.increasing = true;
+    for (std::uint32_t j = 0; j < ncols; ++j) {
+      rs.cols[j] = read_coordinate(u, w_.size());
+      if (j > 0 && rs.cols[j] <= rs.cols[j - 1]) rs.increasing = false;
+    }
+    bool clear = true;
+    for (const std::size_t a : window_) {
+      if (!rs.increasing || !ranks_[a].increasing ||
+          share_coordinate(ranks_[a].cols, rs.cols)) {
+        clear = false;
+        break;
       }
     }
+    window_.push_back(r);
+    rs.answered = false;
+    if (clear) answer(rs);
+  }
+
+  /// Sends rank r's open step its values, as the model holds them now.
+  void answer(RankState& rs) {
+    reply_.clear();
+    reply_.u64(rs.last_seq);
+    for (const std::uint32_t c : rs.cols) reply_.f64(w_[c]);
+    rs.answered = true;
+    reply_cached(rs, wire::kStepReply);
+  }
+
+  /// Serves the window's head: answers it if its reply was deferred, reads
+  /// its rank's push and applies it. A kPushStep puts the rank's next step
+  /// at the tail; after a kPush the rank owes its kEpochEnd. A rank that
+  /// misses its liveness deadline is dead and its push is never applied.
+  void serve_head() {
+    const std::size_t r = window_.front();
+    RankState& rs = ranks_[r];
+    if (!rs.answered) answer(rs);
+    std::optional<wire::Unpacker> u = next_request(r);
+    window_.erase(window_.begin());
+    if (!u) return mark_dead(r);
+    switch (frame_.type) {
+      case wire::kPushStep:
+        apply(rs, *u, /*with_coordinates=*/false);
+        return open_step(r, *u);
+      case wire::kPush:
+        apply(rs, *u, /*with_coordinates=*/true);
+        reply_.clear();
+        reply_.u64(rs.last_seq);
+        return reply_cached(rs, wire::kPushAck);
+      default:
+        unexpected_frame();
+    }
+  }
+
+  /// Applies the push in u to the model on rs's open step. A kPushStep
+  /// carries one value per step column; a kPush carries (idx, val) pairs,
+  /// whose coordinates must be the step's. Either way the push writes
+  /// exactly the coordinates the window checked later steps against, and
+  /// anything else is a protocol error.
+  void apply(RankState& rs, wire::Unpacker& u, bool with_coordinates) {
+    const std::uint32_t walk = u.u32();
+    const double gradient_scale = u.f64();
+    const double scaled_step = u.f64();
+    const std::uint32_t nnz =
+        u.count(with_coordinates ? kCoordValueBytes : sizeof(double));
+    if (walk >= k_) {
+      throw net::TransportError(
+          net::TransportError::Kind::kProtocol,
+          "ps server: push for out-of-range walk " + std::to_string(walk));
+    }
+    if (nnz != rs.cols.size()) {
+      throw net::TransportError(
+          net::TransportError::Kind::kProtocol,
+          "ps server: push of " + std::to_string(nnz) + " values for a " +
+              std::to_string(rs.cols.size()) + "-column step");
+    }
+    val_.resize(nnz);
+    for (std::uint32_t j = 0; j < nnz; ++j) {
+      if (with_coordinates && u.u32() != rs.cols[j]) {
+        throw net::TransportError(
+            net::TransportError::Kind::kProtocol,
+            "ps server: push coordinates differ from its step's");
+      }
+      val_[j] = u.f64();
+    }
+    fenced::apply_push(rs.cols, val_, gradient_scale, scaled_step,
+                       options_.reg, w_);
+    ++applied_;
+    ++walk_draws_[walk];
+    bytes_ += static_cast<std::uint64_t>(nnz) * spec_.bytes_per_nnz;
   }
 
   /// Admits rank r's replacement process at the fence: waits for its
@@ -691,7 +827,9 @@ class PsServer {
       wire::Unpacker u(frame_.payload);
       const std::uint64_t seq = u.u64();
       if (frame_.type != wire::kEpochEnd) continue;  // stale frame: ignore
-      end_epoch(rs, seq, u);
+      rs.last_seq = seq;
+      rs.cached_type = 0;
+      take_epoch_end(rs, u);
       rs.dead = false;
       return;
     }
@@ -730,21 +868,20 @@ class PsServer {
   /// applied-draw counts to the controller; execute its reply (admissions
   /// first, then per-rank assignments inside the kEpochGo).
   bool fence(std::size_t epoch) {
-    wire::Packer p;
     std::uint64_t retries = 0;
     for (const RankState& rs : ranks_) retries += rs.retries;
-    p.u64(epoch).u64(applied_).u64(applied_).u64(bytes_).u64(retries);
-    p.u32(static_cast<std::uint32_t>(k_));
-    for (const RankState& rs : ranks_) p.u32(rs.dead ? 0 : 1);
-    p.u32(static_cast<std::uint32_t>(k_));
-    for (const std::uint64_t d : walk_draws_) p.u64(d);
-    p.u64(w_.size());
-    p.raw(w_.data(), w_.size() * sizeof(double));
-    net::write_frame(*controller_, wire::kFence, p);
+    fence_.clear();
+    fence_.u64(epoch).u64(applied_).u64(applied_).u64(bytes_).u64(retries);
+    fence_.u32(static_cast<std::uint32_t>(k_));
+    for (const RankState& rs : ranks_) fence_.u32(rs.dead ? 0 : 1);
+    fence_.u32(static_cast<std::uint32_t>(k_));
+    for (const std::uint64_t d : walk_draws_) fence_.u64(d);
+    fence_.u64(w_.size());
+    fence_.raw(w_.data(), w_.size() * sizeof(double));
+    net::write_frame(*controller_, wire::kFence, fence_);
 
-    const net::Frame reply =
-        net::expect_frame(*controller_, wire::kFenceReply, "fence reply");
-    wire::Unpacker u(reply.payload);
+    net::expect_frame(*controller_, frame_, wire::kFenceReply, "fence reply");
+    wire::Unpacker u(frame_.payload);
     const bool cont = u.u32() != 0;
     // Per rank at least (alive, nwalks), then nwalks (walk, ff) entries.
     const std::uint32_t nranks = u.count(2 * sizeof(std::uint32_t));
@@ -798,11 +935,14 @@ class PsServer {
   std::vector<RankState> ranks_;
   std::uint64_t applied_ = 0;
   std::uint64_t bytes_ = 0;
-  // Reused from frame to frame: every rank's requests are read into frame_
-  // and every reply is built in reply_, so a warm server allocates nothing.
+  // The open steps in fenced order, as ranks (see the class comment).
+  std::vector<std::size_t> window_;
+  // Reused from frame to frame: every rank's requests are read into frame_,
+  // every reply is built in reply_ and every kFence in fence_, so a warm
+  // server allocates nothing.
   net::Frame frame_;
   wire::Packer reply_;
-  std::vector<std::uint32_t> idx_;
+  wire::Packer fence_;
   std::vector<double> val_;
 };
 
@@ -818,8 +958,9 @@ void ps_server_main(int addr_fd, const std::string& bind, std::size_t k,
 /// a crash means fast-forwarding the pristine inherited walk to the
 /// server's applied-draw count (one next() per draw — in-memory walks are
 /// deterministic sample streams), then continuing where the dead rank left
-/// off. A scripted FaultScenario crash is a clean _exit(0) between two
-/// complete push round trips.
+/// off. The worker draws one sample ahead, so each push travels with the
+/// next draw's columns in one kPushStep. A scripted FaultScenario crash is
+/// a clean _exit(0) right after the acked kPush of its last push.
 void ps_worker_main(const std::string& address, std::size_t rank,
                     std::vector<NodeWalk>& walks,
                     const objectives::Objective& objective,
@@ -840,9 +981,15 @@ void ps_worker_main(const std::string& address, std::size_t rank,
   } else {
     assign = {{static_cast<std::uint32_t>(rank), 0}};
   }
+  // One drawn sample and the walk it came from. The walks are in-memory,
+  // so a sample's row stays valid past the next draw.
+  struct Draw {
+    std::uint32_t walk = 0;
+    NodeWalk::Sample sample;
+  };
   while (true) {
     const double lambda = solvers::epoch_step(options, epoch);
-    std::size_t quota_total = 0;
+    std::uint64_t quota_total = 0;
     for (const GoEntry& e : assign) {
       NodeWalk& walk = walks[e.walk];
       // Replay an adopted walk to the server's count. For a walk this rank
@@ -857,34 +1004,52 @@ void ps_worker_main(const std::string& address, std::size_t rank,
     const bool crashing = scenario.enabled() && !rejoiner &&
                           rank == scenario.crash_node &&
                           epoch == scenario.crash_epoch;
-    const std::uint64_t crash_after =
+    // The pushes this epoch: the whole quota, or crash_after of it.
+    const std::uint64_t pushes =
         crashing ? static_cast<std::uint64_t>(
                        scenario.crash_fraction *
                        static_cast<double>(quota_total))
-                 : 0;
-    std::uint64_t pushed = 0;
-    for (const GoEntry& e : assign) {
-      NodeWalk& walk = walks[e.walk];
-      const std::size_t quota = walk.epoch_quota();
-      for (std::size_t q = 0; q < quota; ++q) {
-        if (crashing && pushed == crash_after) ::_exit(0);
-        const NodeWalk::Sample s = walk.next();
+                 : quota_total;
+    // The epoch's draws in order: each assigned walk's quota in turn.
+    std::size_t entry = 0, taken = 0;
+    auto draw = [&] {
+      while (taken == walks[assign[entry].walk].epoch_quota()) {
+        ++entry;
+        taken = 0;
+      }
+      ++taken;
+      const std::uint32_t w = assign[entry].walk;
+      ++local_draws[w];
+      return Draw{w, walks[w].next()};
+    };
+    if (pushes > 0) {
+      Draw cur = draw();
+      std::span<const double> values =
+          client.step(cur.sample.matrix->row(cur.sample.row).indices());
+      for (std::uint64_t n = 1;; ++n) {
+        const NodeWalk::Sample& s = cur.sample;
         const auto x = s.matrix->row(s.row);
-        const auto idx = x.indices();
         const auto val = x.values();
-        const std::span<const double> values = client.step(idx);
         double margin = 0;
-        for (std::size_t j = 0; j < idx.size(); ++j) {
+        for (std::size_t j = 0; j < val.size(); ++j) {
           margin += values[j] * val[j];
         }
-        client.push(e.walk,
-                    objective.gradient_scale(margin, s.matrix->label(s.row)),
-                    lambda * s.weight, idx, val);
-        ++local_draws[e.walk];
-        ++pushed;
+        const double gradient_scale =
+            objective.gradient_scale(margin, s.matrix->label(s.row));
+        const double scaled_step = lambda * s.weight;
+        if (n == pushes) {
+          client.push(cur.walk, gradient_scale, scaled_step, x.indices(),
+                      val);
+          break;
+        }
+        const Draw next = draw();
+        values = client.push_step(
+            cur.walk, gradient_scale, scaled_step, val,
+            next.sample.matrix->row(next.sample.row).indices());
+        cur = next;
       }
     }
-    if (crashing && pushed == crash_after) ::_exit(0);
+    if (crashing) ::_exit(0);
     const EpochGo go = client.epoch_end();
     if (!go.cont) break;
     epoch = go.next_epoch;
@@ -1049,10 +1214,12 @@ struct FencePoint {
   std::vector<double> w;
 };
 
-FencePoint read_fence(net::Endpoint& ep) {
-  const net::Frame f = net::expect_frame(ep, wire::kFence, "fence");
-  wire::Unpacker u(f.payload);
-  FencePoint point;
+/// Reads the next kFence into `frame` and parses it into `point`, both
+/// reused from fence to fence: a fence carries the whole model, and fresh
+/// buffers of that size cost a page fault per page.
+void read_fence(net::Endpoint& ep, net::Frame& frame, FencePoint& point) {
+  net::expect_frame(ep, frame, wire::kFence, "fence");
+  wire::Unpacker u(frame.payload);
   point.epoch = u.u64();
   point.c0 = u.u64();
   point.c1 = u.u64();
@@ -1067,7 +1234,6 @@ FencePoint read_fence(net::Endpoint& ep) {
   const std::uint64_t dim = u.count<std::uint64_t>(sizeof(double));
   point.w.resize(dim);
   u.raw(point.w.data(), dim * sizeof(double));
-  return point;
 }
 
 /// Counters the recovery-aware controller accumulates across fences.
@@ -1093,11 +1259,12 @@ FencePoint run_controller(net::Endpoint& ep, std::size_t k, std::size_t dim,
   send_hello(ep, wire::kRoleController, 0, 0);
   recorder.record(0, 0.0, std::vector<double>(dim, 0.0));
   double train_seconds = 0;
-  FencePoint last;
+  net::Frame frame;
+  FencePoint point;
   std::vector<char> alive(k, 1);
   while (true) {
     util::Stopwatch lap;
-    FencePoint point = read_fence(ep);
+    read_fence(ep, frame, point);
     train_seconds += lap.seconds();
     recorder.record(point.epoch, train_seconds, point.w);
     const bool cont =
@@ -1135,11 +1302,10 @@ FencePoint run_controller(net::Endpoint& ep, std::size_t k, std::size_t dim,
       }
     }
     net::write_frame(ep, wire::kFenceReply, reply);
-    last = std::move(point);
     if (!cont) break;
   }
   *train_seconds_out = train_seconds;
-  return last;
+  return point;
 }
 
 /// Forks `server_fn` then k× `worker_fn`, runs the controller loop in the

@@ -137,14 +137,20 @@ Frame read_frame(Endpoint& endpoint) {
   return frame;
 }
 
-Frame expect_frame(Endpoint& endpoint, std::uint32_t type, const char* what) {
-  Frame frame = read_frame(endpoint);
+void expect_frame(Endpoint& endpoint, Frame& frame, std::uint32_t type,
+                  const char* what) {
+  read_frame(endpoint, frame);
   if (frame.type != type) {
     throw TransportError(TransportError::Kind::kProtocol,
                          std::string(what) + ": expected frame type " +
                              std::to_string(type) + ", got " +
                              std::to_string(frame.type));
   }
+}
+
+Frame expect_frame(Endpoint& endpoint, std::uint32_t type, const char* what) {
+  Frame frame;
+  expect_frame(endpoint, frame, type, what);
   return frame;
 }
 

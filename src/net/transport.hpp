@@ -191,5 +191,8 @@ void read_frame(Endpoint& endpoint, Frame& frame);
 /// unexpected type always means a desynchronised peer.
 [[nodiscard]] Frame expect_frame(Endpoint& endpoint, std::uint32_t type,
                                  const char* what);
+/// The same into a caller-owned Frame, reusing its capacity.
+void expect_frame(Endpoint& endpoint, Frame& frame, std::uint32_t type,
+                  const char* what);
 
 }  // namespace isasgd::net
