@@ -121,17 +121,18 @@ solvers::Trace run_param_server(const data::DataSource& source,
     for (NodeWalk& walk : setup.walks) walk.begin_epoch();
     if (spec.schedule == Schedule::kFencedRoundRobin) {
       // Per round one step per live executor in rank order, applied at its
-      // turn. Simulated time is the fully serialized per-step cost — the
-      // fenced protocol serializes every step through the server, so costs
-      // add rather than overlap (this schedule is the determinism anchor,
+      // turn. The simulated clock still charges the fully serialized
+      // per-step cost: compute, push and apply add rather than overlap,
+      // though the real process group overlaps the steps of workers whose
+      // rows share no coordinate (this schedule is the determinism anchor,
       // not the performance model).
       //
       // This is also the crash-recovery mirror of the real process backend:
       // the roster kills the scripted executor at its round-robin turn after
-      // the scripted number of draws — exactly when the real server, whose
-      // liveness deadline expires at the dead rank's slot, stops applying
-      // its pushes — so a clean crash produces bit-identical models in both
-      // worlds.
+      // the scripted number of draws — exactly when the real server stops
+      // applying its pushes, since the real worker exits after that many
+      // acked pushes — so a clean crash produces bit-identical models in
+      // both worlds.
       while (roster.pending() > 0) {
         for (std::size_t e = 0; e < k; ++e) {
           const std::optional<PsStep> step = compute(e);

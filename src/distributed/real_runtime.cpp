@@ -553,7 +553,7 @@ class PsServer {
 
   /// Accepts connections until `target`'s (re)connect arrives or the
   /// deadline passes. Other ranks' reconnects arriving meanwhile are
-  /// installed too — a rank's slot must not eat another rank's handshake.
+  /// installed too — waiting on one rank must not eat another's handshake.
   bool await_rank(std::size_t target, Clock::time_point deadline) {
     listener_->set_accept_timeout(poll_ms_);
     while (Clock::now() < deadline) {
@@ -738,7 +738,7 @@ class PsServer {
     if (clear) answer(rs);
   }
 
-  /// Sends rank r's open step its values, as the model holds them now.
+  /// Sends rs's open step its values, as the model holds them now.
   void answer(RankState& rs) {
     reply_.clear();
     reply_.u64(rs.last_seq);
@@ -985,7 +985,9 @@ void ps_worker_main(const std::string& address, std::size_t rank,
   // so a sample's row stays valid past the next draw.
   struct Draw {
     std::uint32_t walk = 0;
-    NodeWalk::Sample sample;
+    sparse::SparseVectorView x;
+    double label = 0;
+    double weight = 0;
   };
   while (true) {
     const double lambda = solvers::epoch_step(options, epoch);
@@ -1020,32 +1022,29 @@ void ps_worker_main(const std::string& address, std::size_t rank,
       ++taken;
       const std::uint32_t w = assign[entry].walk;
       ++local_draws[w];
-      return Draw{w, walks[w].next()};
+      const NodeWalk::Sample s = walks[w].next();
+      return Draw{w, s.matrix->row(s.row), s.matrix->label(s.row), s.weight};
     };
     if (pushes > 0) {
       Draw cur = draw();
-      std::span<const double> values =
-          client.step(cur.sample.matrix->row(cur.sample.row).indices());
+      std::span<const double> values = client.step(cur.x.indices());
       for (std::uint64_t n = 1;; ++n) {
-        const NodeWalk::Sample& s = cur.sample;
-        const auto x = s.matrix->row(s.row);
-        const auto val = x.values();
+        const auto val = cur.x.values();
         double margin = 0;
         for (std::size_t j = 0; j < val.size(); ++j) {
           margin += values[j] * val[j];
         }
         const double gradient_scale =
-            objective.gradient_scale(margin, s.matrix->label(s.row));
-        const double scaled_step = lambda * s.weight;
+            objective.gradient_scale(margin, cur.label);
+        const double scaled_step = lambda * cur.weight;
         if (n == pushes) {
-          client.push(cur.walk, gradient_scale, scaled_step, x.indices(),
+          client.push(cur.walk, gradient_scale, scaled_step, cur.x.indices(),
                       val);
           break;
         }
         const Draw next = draw();
-        values = client.push_step(
-            cur.walk, gradient_scale, scaled_step, val,
-            next.sample.matrix->row(next.sample.row).indices());
+        values = client.push_step(cur.walk, gradient_scale, scaled_step, val,
+                                  next.x.indices());
         cur = next;
       }
     }

@@ -6,16 +6,19 @@
 //   1 parameter-server process   owns the model; serves coordinate gets,
 //                                applies pushes (fenced::apply_push — the
 //                                simulator's apply, which is the Hogwild
-//                                solvers' fused sparse kernel),
-//                                enforces the fenced rank order, and ships
-//                                the model to the controller at every epoch
-//                                fence. One frame wait serves its slots,
-//                                rejoin admissions and shutdown drain: read
-//                                the rank's next frame, accepting reconnects
+//                                solvers' fused sparse kernel) in the
+//                                fenced rank order, answering a get early
+//                                when no push still due before it writes
+//                                its coordinates, and ships the model to
+//                                the controller at every epoch fence. One
+//                                frame wait serves its window, rejoin
+//                                admissions and shutdown drain: read the
+//                                rank's next frame, accepting reconnects
 //                                while its connection is down.
 //   k worker processes           each walks its NodeWalk (the same seeded
-//                                stream the simulator uses), fetching
-//                                coordinates and pushing updates over the
+//                                stream the simulator uses), one sample
+//                                ahead: each push travels with the next
+//                                draw's coordinate get, over the
 //                                ClusterSpec-selected transport (shm or
 //                                tcp).
 //   the calling process          becomes the controller: it evaluates the
