@@ -42,9 +42,9 @@
 
 namespace isasgd::distributed::fenced {
 
-/// THE sparse apply, shared by the simulated PS, the forked PS server and
-/// service::PsHost, so they cannot drift. It is the Hogwild solvers' fused
-/// kernel (sparse::sparse_dot_residual_axpy through the active backend):
+/// THE sparse apply, shared by the simulated PS and the process group's PS
+/// server (ps_server.hpp), so they cannot drift. It is the Hogwild solvers'
+/// fused kernel (sparse::sparse_dot_residual_axpy through the active backend):
 /// left-to-right over the row's nonzeros,
 ///   w[c] -= scaled_step · (gradient_scale · val[j] + ∂r(w[c])),
 /// bit for bit the loop over Regularization::subgradient.

@@ -2,8 +2,8 @@
 // backend.
 //
 // A Transport moves opaque byte streams between processes; everything above
-// it (the parameter-server wire protocol, the all-reduce rounds, the
-// service's hosted PS endpoint) is written against two tiny interfaces:
+// it (the parameter-server wire protocol, the all-reduce rounds) is written
+// against two tiny interfaces:
 //
 //   Endpoint   one bidirectional, reliable, ordered byte stream
 //              (send_bytes / recv_bytes always transfer the full buffer,

@@ -66,8 +66,8 @@ struct Regularization {
 
   /// Throws std::invalid_argument "<who>: reg.eta must be finite and
   /// non-negative" unless it is. NaN and ±inf are as nonsensical as a
-  /// negative strength (ClusterSpec::validate's convention). The solvers
-  /// and service::PsHost call it before they train or serve.
+  /// negative strength (ClusterSpec::validate's convention). Every solver
+  /// calls it before it trains (Solver::validate).
   void validate(std::string_view who) const;
 };
 

@@ -222,40 +222,13 @@ std::string ProtocolHandler::handle_line(const std::string& line) {
           << " cache_resident=" << cache.resident_bytes;
       return out.str();
     }
-    if (req.verb == "ps_serve") {
-      if (ps_host_) {
-        return "err ps already serving at " + ps_host_->address() +
-               " (ps_stop first)";
-      }
-      const std::uint64_t dim = to_u64("dim", require(req, "dim"));
-      if (dim == 0) return "err ps_serve requires dim > 0";
-      std::string bind = "tcp://127.0.0.1:0";
-      if (const auto* v = find(req, "bind")) bind = *v;
-      auto reg = objectives::Regularization::none();
-      if (const auto* v = find(req, "l1")) {
-        reg = objectives::Regularization::l1(to_f64("l1", *v));
-      }
-      if (const auto* v = find(req, "l2")) {
-        reg = objectives::Regularization::l2(to_f64("l2", *v));
-      }
-      ps_host_ = std::make_unique<PsHost>(dim, bind, reg);
-      return "ok addr=" + ps_host_->address() +
-             " dim=" + std::to_string(ps_host_->dim());
-    }
-    if (req.verb == "ps_stop") {
-      if (!ps_host_) return "err no hosted ps";
-      const std::uint64_t pushes = ps_host_->pushes();
-      ps_host_.reset();  // stops and joins the serving thread
-      return "ok pushes=" + std::to_string(pushes);
-    }
     if (req.verb == "shutdown") {
-      ps_host_.reset();
       shutdown_.store(true, std::memory_order_relaxed);
       return "ok bye";
     }
     return "err unknown verb '" + req.verb +
            "' (known: ping submit status wait list pause resume cancel "
-           "checkpoint stats ps_serve ps_stop shutdown)";
+           "checkpoint stats shutdown)";
   } catch (const AdmissionError& e) {
     return one_line("err admission " + std::string(e.what()));
   } catch (const io::CheckpointError& e) {

@@ -23,15 +23,7 @@
 //                                → ok
 //   stats                        → ok active=N total=N mem_used=BYTES
 //                                  mem_budget=BYTES queue=N
-//   ps_serve dim=N [bind=ADDR] [l2=F] [l1=F]
-//                                → ok addr=ADDR dim=N
-//                                  (host a parameter-server endpoint —
-//                                  service/ps_host.hpp — workers connect to
-//                                  ADDR with the distributed wire protocol;
-//                                  default bind tcp://127.0.0.1:0)
-//   ps_stop                      → ok pushes=N   (stop the hosted PS)
-//   shutdown                     → ok bye   (server loop exits after this;
-//                                  also stops any hosted PS)
+//   shutdown                     → ok bye   (server loop exits after this)
 //
 // `model=HEX16` is the 16-hex-digit FNV-1a hash of the final model
 // (hash_model) — zeros until the job completes; the CI smoke test compares
@@ -39,19 +31,15 @@
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <string>
 
-#include "service/ps_host.hpp"
 #include "service/training_service.hpp"
 
 namespace isasgd::service {
 
 /// Command interpreter over one TrainingService. Thread-compatible: the
 /// socket server handles connections serially; drive one handler from one
-/// thread at a time (the service underneath is the thread-safe layer). The
-/// handler owns at most one hosted PS endpoint (`ps_serve`/`ps_stop`), which
-/// serves its own connections on its own thread.
+/// thread at a time (the service underneath is the thread-safe layer).
 class ProtocolHandler {
  public:
   explicit ProtocolHandler(TrainingService& service) : service_(service) {}
@@ -65,14 +53,8 @@ class ProtocolHandler {
     return shutdown_.load(std::memory_order_relaxed);
   }
 
-  /// The hosted PS endpoint, if `ps_serve` started one (tests peek at it).
-  [[nodiscard]] const PsHost* ps_host() const noexcept {
-    return ps_host_.get();
-  }
-
  private:
   TrainingService& service_;
-  std::unique_ptr<PsHost> ps_host_;
   std::atomic<bool> shutdown_{false};
 };
 

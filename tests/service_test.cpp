@@ -384,20 +384,18 @@ TEST(Protocol, RoundTripOverInMemoryHandler) {
   std::remove(dataset.c_str());
 }
 
-TEST(Protocol, PsServeRejectsABadRegularizationStrength) {
+TEST(Protocol, HostsNoParameterServer) {
+  // The process group's server (distributed/ps_server.hpp) is the one
+  // parameter server; the daemon has no verb that hosts another.
   Fixture f;
   service::TrainingService svc(f.service_options());
   service::ProtocolHandler handler(svc);
-  for (const char* bad : {"l1=-1", "l1=nan", "l2=inf"}) {
-    const std::string response =
-        handler.handle_line(std::string("ps_serve dim=4 ") + bad);
-    EXPECT_EQ(response.rfind("err PsHost: reg.eta", 0), 0u)
-        << bad << ": " << response;
-  }
-  // No host was left behind, so a valid strength serves.
-  const std::string served = handler.handle_line("ps_serve dim=4 l1=0.01");
-  EXPECT_EQ(served.rfind("ok addr=", 0), 0u) << served;
-  EXPECT_EQ(handler.handle_line("ps_stop"), "ok pushes=0");
+  const std::string response = handler.handle_line("ps_serve dim=4");
+  ASSERT_EQ(response.rfind("err unknown verb 'ps_serve' (known: ", 0), 0u)
+      << response;
+  EXPECT_EQ(response.find("ps_", response.find("(known: ")),
+            std::string::npos)
+      << response;
 }
 
 }  // namespace
