@@ -46,9 +46,12 @@ std::string pick_address(const ClusterSpec& spec) {
 
 /// Reaps (and on scope exit kills) the forked children. The controller path
 /// rethrows transport errors; this guard guarantees the group never
-/// outlives the call, success or failure.
+/// outlives the call, success or failure, and neither does the file its
+/// server's listener keeps at `address`: a killed server never closes it.
 class ChildReaper {
  public:
+  explicit ChildReaper(std::string address) : address_(std::move(address)) {}
+
   ~ChildReaper() {
     for (const pid_t pid : children_) {
       ::kill(pid, SIGKILL);
@@ -56,7 +59,11 @@ class ChildReaper {
       while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
       }
     }
+    net::remove_listener_files(address_);
   }
+
+  ChildReaper(const ChildReaper&) = delete;
+  ChildReaper& operator=(const ChildReaper&) = delete;
 
   void add(pid_t pid) { children_.push_back(pid); }
 
@@ -84,6 +91,7 @@ class ChildReaper {
   }
 
  private:
+  std::string address_;
   std::vector<pid_t> children_;
 };
 
@@ -700,7 +708,7 @@ FencePoint run_group(std::size_t k, std::size_t dim,
   if (::pipe(addr_pipe) < 0) {
     throw std::runtime_error("pipe() failed for the distributed group");
   }
-  ChildReaper reaper;
+  ChildReaper reaper(bind);
   const pid_t server_pid = ::fork();
   if (server_pid < 0) throw std::runtime_error("fork() failed (server)");
   if (server_pid == 0) {

@@ -12,7 +12,9 @@
 // in id order (deterministic, like TCP's accept queue but reproducible),
 // waiting for the next id's file to appear and turn READY. Once it has
 // mapped the file too, it unlinks it: the mappings outlive the name, and
-// no ring file is left behind when either side is killed.
+// no ring file is left behind when either side is killed. The control file
+// is the listener's to remove when it closes; one killed first leaves it,
+// for net::remove_listener_files to remove.
 //
 // The rings are classic single-producer/single-consumer byte queues:
 // 64-byte-separated head/tail counters (monotonic, masked on access), the
@@ -76,6 +78,9 @@ struct CtlHeader {
   std::uint32_t magic = kCtlMagic;
   std::atomic<std::uint32_t> next_id{0};
 };
+
+/// The listener's control file: the one file a listener keeps on disk.
+std::string ctl_path(const std::string& prefix) { return prefix + ".ctl"; }
 
 struct alignas(64) RingSide {
   std::atomic<std::uint64_t> position{0};  // head or tail, monotonic
@@ -418,7 +423,7 @@ class ShmListener final : public Listener {
       throw TransportError(TransportError::Kind::kIo,
                            "shm:// address needs a filesystem path prefix");
     }
-    ctl_path_ = prefix_ + ".ctl";
+    ctl_path_ = ctl_path(prefix_);
     // Fill the control file in under a private name, then rename it into
     // place (replacing a stale listener's): a client polling for it sees
     // either no file or a complete one, never a zero magic.
@@ -498,15 +503,19 @@ std::unique_ptr<Listener> shm_listen(const std::string& prefix) {
   return std::make_unique<ShmListener>(prefix);
 }
 
+void shm_remove_listener_files(const std::string& prefix) {
+  ::unlink(ctl_path(prefix).c_str());
+}
+
 std::unique_ptr<Endpoint> shm_connect(const std::string& prefix,
                                       int timeout_ms) {
-  const std::string ctl_path = prefix + ".ctl";
+  const std::string ctl_file = ctl_path(prefix);
   // The listener may not be up yet (role-mode groups start in any order):
   // wait for its control file.
   Stall stall(timeout_ms);
   while (true) {
     struct stat st {};
-    if (::stat(ctl_path.c_str(), &st) == 0 &&
+    if (::stat(ctl_file.c_str(), &st) == 0 &&
         st.st_size == static_cast<off_t>(sizeof(CtlHeader))) {
       break;
     }
@@ -515,12 +524,12 @@ std::unique_ptr<Endpoint> shm_connect(const std::string& prefix,
                            "shm connect: no listener at " + prefix);
     }
   }
-  void* ctl = map_file(ctl_path, sizeof(CtlHeader), /*create=*/false);
+  void* ctl = map_file(ctl_file, sizeof(CtlHeader), /*create=*/false);
   auto* ctl_header = static_cast<CtlHeader*>(ctl);
   if (ctl_header->magic != kCtlMagic) {
     ::munmap(ctl, sizeof(CtlHeader));
     throw TransportError(TransportError::Kind::kProtocol,
-                         "shm control file at " + ctl_path +
+                         "shm control file at " + ctl_file +
                              " has a bad magic");
   }
   const std::uint32_t id =

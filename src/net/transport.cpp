@@ -12,6 +12,7 @@ std::unique_ptr<Endpoint> tcp_connect(const std::string& host_port,
 std::unique_ptr<Listener> shm_listen(const std::string& prefix);
 std::unique_ptr<Endpoint> shm_connect(const std::string& prefix,
                                       int timeout_ms);
+void shm_remove_listener_files(const std::string& prefix);
 }  // namespace detail
 
 namespace {
@@ -49,6 +50,12 @@ std::unique_ptr<Listener> listen(const std::string& address) {
     return detail::shm_listen(address.substr(kShmScheme.size()));
   }
   bad_address(address);
+}
+
+void remove_listener_files(const std::string& address) {
+  if (address.rfind(kShmScheme, 0) == 0) {
+    detail::shm_remove_listener_files(address.substr(kShmScheme.size()));
+  }
 }
 
 std::unique_ptr<Endpoint> connect(const std::string& address, int timeout_ms) {

@@ -121,6 +121,11 @@ class Listener {
 /// failure.
 [[nodiscard]] std::unique_ptr<Listener> listen(const std::string& address);
 
+/// Removes the file a listener at `address` keeps on disk (shm's control
+/// file; tcp keeps none). A listener removes it when it closes, so this is
+/// for one whose process was killed first.
+void remove_listener_files(const std::string& address);
+
 /// Connects to a listener. `timeout_ms` bounds the whole attempt and, for
 /// listeners that are still coming up (role-mode process groups start in
 /// arbitrary order), connect retries until the deadline instead of failing

@@ -7,8 +7,14 @@
 // different rounds are all pinned.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
+#include <functional>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -258,6 +264,42 @@ TEST(PsProcess, EarlyStopPropagatesToTheGroup) {
       fx.evaluator.as_fn(), nullptr, &stopper);
   ASSERT_FALSE(trace.points.empty());
   EXPECT_EQ(trace.points.back().epoch, 2u);
+}
+
+TEST(PsProcess, AFailedGroupLeavesNoShmControlFile) {
+  // An observer that throws at the first fence fails the run while the
+  // server is mid-epoch: it is killed, never closes its listener, and the
+  // group must still leave nothing at its shm address.
+  struct ThrowAtFirstFence final : solvers::TrainingObserver {
+    bool on_epoch(const solvers::TracePoint& point) override {
+      if (point.epoch >= 1) throw std::runtime_error("observer failed");
+      return true;
+    }
+  } thrower;
+  Fixture fx(120, 40);
+  const auto opt = small_options();
+  const std::string prefix = "/tmp/isasgd_failed_group_" +
+                             std::to_string(::getpid());
+  ClusterSpec spec = process_spec("shm");
+  spec.bind_address = "shm://" + prefix;
+  const std::function<void()> runs[] = {
+      [&] {
+        (void)run_param_server_process(fx.data, fx.loss, opt, spec,
+                                       /*use_importance=*/true,
+                                       fx.evaluator.as_fn(), nullptr,
+                                       &thrower);
+      },
+      [&] {
+        (void)run_allreduce_process(fx.data, fx.loss, opt, spec,
+                                    /*use_importance=*/false,
+                                    fx.evaluator.as_fn(), nullptr, &thrower);
+      },
+  };
+  for (const auto& run : runs) {
+    EXPECT_THROW(run(), std::runtime_error);
+    EXPECT_FALSE(std::filesystem::exists(prefix + ".ctl"));
+    std::filesystem::remove(prefix + ".ctl");
+  }
 }
 
 TEST(ProcessSpec, ValidationRejectsEventClockProcessAndBadTransport) {
