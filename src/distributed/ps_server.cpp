@@ -41,8 +41,6 @@ bool share_coordinate(std::span<const std::uint32_t> a,
   return false;
 }
 
-// ---- Fault-tolerant PS server -----------------------------------------------
-
 /// The PS process: serves coordinate gets and applies pushes in the fenced
 /// rank order (one applied push per live rank per round — the exact apply
 /// sequence of the simulator's fenced schedule, crash-aware or not).

@@ -47,7 +47,7 @@
 // nothing: it ends a rank's epoch, or precedes a scripted crash. So every
 // sample costs one round trip, and each rank still has one request in
 // flight. The server answers a step early when no push ahead of it in the
-// fenced order writes one of its coordinates (real_runtime.cpp, PsServer).
+// fenced order writes one of its coordinates (ps_server.cpp, PsServer).
 //
 // The all-reduce group keeps the un-sequenced kReduce/kModelDelta exchange
 // (it has no retry layer — fault injection targets the PS runtime) but
@@ -98,9 +98,6 @@ class Packer : public net::FrameBuffer {
     return *this;
   }
 
-  [[nodiscard]] std::string take() && {
-    return std::move(*this).take_payload();
-  }
   [[nodiscard]] std::string_view view() const { return payload(); }
 };
 

@@ -14,7 +14,8 @@
 //                                frame wait serves its window, rejoin
 //                                admissions and shutdown drain: read the
 //                                rank's next frame, accepting reconnects
-//                                while its connection is down.
+//                                while its connection is down. It lives in
+//                                ps_server.hpp (serve_parameter_server).
 //   k worker processes           each walks its NodeWalk (the same seeded
 //                                stream the simulator uses), one sample
 //                                ahead: each push travels with the next

@@ -47,7 +47,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <utility>
 
 namespace isasgd::net {
 
@@ -165,11 +164,6 @@ class FrameBuffer {
 
   [[nodiscard]] std::string_view payload() const {
     return std::string_view(bytes_).substr(kFrameHeaderBytes);
-  }
-  /// Moves the payload out; the buffer is left unusable.
-  [[nodiscard]] std::string take_payload() && {
-    bytes_.erase(0, kFrameHeaderBytes);
-    return std::move(bytes_);
   }
 
  private:
