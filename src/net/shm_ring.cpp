@@ -14,7 +14,8 @@
 // mapped the file too, it unlinks it: the mappings outlive the name, and
 // no ring file is left behind when either side is killed. The control file
 // is the listener's to remove when it closes; one killed first leaves it,
-// for net::remove_listener_files to remove.
+// and any connection file a client made after that goes unaccepted, for
+// net::remove_listener_files to remove.
 //
 // The rings are classic single-producer/single-consumer byte queues:
 // 64-byte-separated head/tail counters (monotonic, masked on access), the
@@ -504,7 +505,28 @@ std::unique_ptr<Listener> shm_listen(const std::string& prefix) {
 }
 
 void shm_remove_listener_files(const std::string& prefix) {
-  ::unlink(ctl_path(prefix).c_str());
+  const std::string ctl_file = ctl_path(prefix);
+  // A client that connected after its listener's process died left a
+  // connection file that no accept() unlinked. Each id the counter handed
+  // out names one; the accepted ones are gone already.
+  std::uint32_t ids = 0;
+  struct stat st {};
+  if (::stat(ctl_file.c_str(), &st) == 0 &&
+      st.st_size == static_cast<off_t>(sizeof(CtlHeader))) {
+    try {
+      void* ctl = map_file(ctl_file, sizeof(CtlHeader), /*create=*/false);
+      const auto* header = static_cast<const CtlHeader*>(ctl);
+      if (header->magic == kCtlMagic) {
+        ids = header->next_id.load(std::memory_order_acquire);
+      }
+      ::munmap(ctl, sizeof(CtlHeader));
+    } catch (const TransportError&) {
+    }
+  }
+  for (std::uint32_t id = 0; id < ids; ++id) {
+    ::unlink((prefix + "." + std::to_string(id)).c_str());
+  }
+  ::unlink(ctl_file.c_str());
 }
 
 std::unique_ptr<Endpoint> shm_connect(const std::string& prefix,

@@ -120,9 +120,9 @@ class Listener {
 /// failure.
 [[nodiscard]] std::unique_ptr<Listener> listen(const std::string& address);
 
-/// Removes the file a listener at `address` keeps on disk (shm's control
-/// file; tcp keeps none). A listener removes it when it closes, so this is
-/// for one whose process was killed first.
+/// Removes the files a listener at `address` leaves on disk when its
+/// process is killed before it closes: shm's control file and any
+/// connection a client made that it never accepted (tcp leaves none).
 void remove_listener_files(const std::string& address);
 
 /// Connects to a listener. `timeout_ms` bounds the whole attempt and, for

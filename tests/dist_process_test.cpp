@@ -266,10 +266,12 @@ TEST(PsProcess, EarlyStopPropagatesToTheGroup) {
   EXPECT_EQ(trace.points.back().epoch, 2u);
 }
 
-TEST(PsProcess, AFailedGroupLeavesNoShmControlFile) {
+TEST(PsProcess, AFailedGroupLeavesNothingAtItsShmAddress) {
   // An observer that throws at the first fence fails the run while the
   // server is mid-epoch: it is killed, never closes its listener, and the
-  // group must still leave nothing at its shm address.
+  // group must still leave nothing at its shm address: no control file,
+  // and no connection file of a worker that reconnected to the dead server
+  // before it was killed itself.
   struct ThrowAtFirstFence final : solvers::TrainingObserver {
     bool on_epoch(const solvers::TracePoint& point) override {
       if (point.epoch >= 1) throw std::runtime_error("observer failed");
@@ -278,8 +280,16 @@ TEST(PsProcess, AFailedGroupLeavesNoShmControlFile) {
   } thrower;
   Fixture fx(120, 40);
   const auto opt = small_options();
-  const std::string prefix = "/tmp/isasgd_failed_group_" +
-                             std::to_string(::getpid());
+  const std::string name = "isasgd_failed_group_" + std::to_string(::getpid());
+  const std::string prefix = "/tmp/" + name;
+  const auto left_behind = [&] {
+    std::vector<std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator("/tmp")) {
+      const std::string file = entry.path().filename().string();
+      if (file.rfind(name + ".", 0) == 0) files.push_back(file);
+    }
+    return files;
+  };
   ClusterSpec spec = process_spec("shm");
   spec.bind_address = "shm://" + prefix;
   const std::function<void()> runs[] = {
@@ -297,8 +307,11 @@ TEST(PsProcess, AFailedGroupLeavesNoShmControlFile) {
   };
   for (const auto& run : runs) {
     EXPECT_THROW(run(), std::runtime_error);
-    EXPECT_FALSE(std::filesystem::exists(prefix + ".ctl"));
-    std::filesystem::remove(prefix + ".ctl");
+    const std::vector<std::string> files = left_behind();
+    EXPECT_TRUE(files.empty()) << files.front();
+    for (const std::string& file : files) {
+      std::filesystem::remove("/tmp/" + file);
+    }
   }
 }
 
