@@ -5,6 +5,7 @@
 // connections, and the wire elements more than one role reads.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -26,6 +27,8 @@ namespace isasgd::distributed {
 /// RecoveryOptions deadlines instead.
 inline constexpr int kGroupIoTimeoutMs = 120000;
 inline constexpr int kConnectTimeoutMs = 30000;
+
+using Clock = std::chrono::steady_clock;
 
 inline bool fault_tolerant(const ClusterSpec& spec) {
   return spec.wire_faults.enabled() || spec.fault.enabled();

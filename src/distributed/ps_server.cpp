@@ -24,8 +24,6 @@ namespace {
 /// enough to notice reconnects promptly, long enough not to spin.
 constexpr int kPollMs = 50;
 
-using Clock = std::chrono::steady_clock;
-
 /// True when two strictly increasing column lists share a coordinate.
 bool share_coordinate(std::span<const std::uint32_t> a,
                       std::span<const std::uint32_t> b) {

@@ -34,8 +34,6 @@ namespace isasgd::distributed {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 std::string pick_address(const ClusterSpec& spec) {
   if (!spec.bind_address.empty()) return spec.bind_address;
   if (spec.transport == "tcp") return "tcp://127.0.0.1:0";
