@@ -15,15 +15,16 @@
 //      greedy-LPT and Karmarkar–Karp extensions.
 //
 //   build/bench/ablation_distributed [--check] [--out FILE]
-//     --out FILE : write the panel numbers as JSON (release CI uploads
-//                  BENCH_distributed.json alongside BENCH_kernels.json)
+//     --out FILE : write the bench record, one row per panel point (release
+//                  CI uploads BENCH_distributed.json alongside
+//                  BENCH_kernels.json)
 //     --check    : exit non-zero unless the crossover sanity holds under
 //                  the fixed default ClusterSpec — the ar/ps simulated-time
 //                  ratio must grow with d, and the sparse async server must
 //                  win clearly at the top dimension.
 #include <cstdio>
-#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -37,85 +38,25 @@ namespace {
 
 using namespace isasgd;
 
-struct DimPoint {
-  std::size_t dim = 0;
-  double ps_seconds = 0;
-  double ar_seconds = 0;
-  double ar_over_ps = 0;
-  double ar_comm_fraction = 0;
-};
-
-struct NodePoint {
-  std::size_t nodes = 0;
-  double seconds = 0;
-  double staleness = 0;
-};
-
-struct BalancePoint {
-  std::string strategy;
-  double phi_imbalance = 0;
-};
-
-void write_json(const std::string& path, const std::vector<DimPoint>& dims,
-                const std::vector<NodePoint>& nodes,
-                const std::vector<BalancePoint>& balance) {
-  std::ofstream out(path);
-  out << "{\n  \"dimension_sweep\": [\n";
-  for (std::size_t i = 0; i < dims.size(); ++i) {
-    const DimPoint& p = dims[i];
-    out << "    {\"dim\": " << p.dim << ", \"ps_sim_seconds\": " << p.ps_seconds
-        << ", \"ar_sim_seconds\": " << p.ar_seconds
-        << ", \"ar_over_ps\": " << p.ar_over_ps
-        << ", \"ar_comm_fraction\": " << p.ar_comm_fraction << "}"
-        << (i + 1 < dims.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"node_sweep\": [\n";
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const NodePoint& p = nodes[i];
-    out << "    {\"nodes\": " << p.nodes << ", \"sim_seconds\": " << p.seconds
-        << ", \"mean_staleness\": " << p.staleness << "}"
-        << (i + 1 < nodes.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"balancing\": [\n";
-  for (std::size_t i = 0; i < balance.size(); ++i) {
-    const BalancePoint& p = balance[i];
-    out << "    {\"strategy\": \"" << p.strategy
-        << "\", \"phi_imbalance\": " << p.phi_imbalance << "}"
-        << (i + 1 < balance.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s\n", path.c_str());
-}
-
-/// The crossover sanity gate behind --check: under the fixed default
-/// ClusterSpec the dense collective's disadvantage must widen with d, and
-/// the sparse async server must win clearly at the top dimension. Any
-/// violation means the cost model (or a solver riding it) regressed.
-int check_crossover(const std::vector<DimPoint>& dims) {
-  if (dims.empty()) {
-    std::fprintf(stderr,
-                 "CHECK FAILED: empty dimension sweep — nothing was gated\n");
-    return 1;
-  }
-  int failures = 0;
+/// The crossover sanity gate behind --check, over the (d, ar/ps) sweep:
+/// under the fixed default ClusterSpec the dense collective's disadvantage
+/// must widen with d, and the sparse async server must win clearly at the
+/// top dimension. Any violation means the cost model (or a solver riding
+/// it) regressed.
+void check_crossover(util::BenchRecord& rec,
+                     const std::vector<std::pair<std::size_t, double>>& dims) {
+  rec.check("dimension sweep is non-empty", !dims.empty(), dims.size(),
+            " dimensions gated");
+  if (dims.empty()) return;
   for (std::size_t i = 1; i < dims.size(); ++i) {
-    if (dims[i].ar_over_ps <= dims[i - 1].ar_over_ps) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: ar/ps ratio did not grow from d=%zu "
-                   "(%.3g) to d=%zu (%.3g)\n",
-                   dims[i - 1].dim, dims[i - 1].ar_over_ps, dims[i].dim,
-                   dims[i].ar_over_ps);
-      ++failures;
-    }
+    rec.check("ar/ps grows from d=" + std::to_string(dims[i - 1].first) +
+                  " to d=" + std::to_string(dims[i].first),
+              dims[i].second > dims[i - 1].second, dims[i - 1].second, " -> ",
+              dims[i].second);
   }
-  if (dims.back().ar_over_ps < 5.0) {
-    std::fprintf(stderr,
-                 "CHECK FAILED: at d=%zu the async sparse server should win "
-                 "by >= 5x in simulated time (got %.3g)\n",
-                 dims.back().dim, dims.back().ar_over_ps);
-    ++failures;
-  }
-  return failures;
+  rec.check("ar/ps >= 5x at d=" + std::to_string(dims.back().first),
+            dims.back().second >= 5.0, "the async sparse server wins by ",
+            dims.back().second, "x in simulated time");
 }
 
 }  // namespace
@@ -134,6 +75,9 @@ int main(int argc, char** argv) {
                "fail unless the ps-vs-allreduce crossover sanity holds");
   if (!cli.parse(argc, argv)) return 0;
   const bool check = cli.get_bool("check");
+  util::BenchRecord rec{.bench = "ablation_distributed"};
+  rec.config = {{"rows", cli.get_int("rows")},
+                {"epochs", cli.get_int("epochs")}};
 
   objectives::LogisticLoss loss;
   solvers::SolverOptions opt;
@@ -141,9 +85,7 @@ int main(int argc, char** argv) {
   opt.step_size = 0.5;
   opt.seed = 7;
 
-  std::vector<DimPoint> dim_points;
-  std::vector<NodePoint> node_points;
-  std::vector<BalancePoint> balance_points;
+  std::vector<std::pair<std::size_t, double>> ar_over_ps;  // (d, ratio)
 
   // ---- Panel 1: dimension sweep, async-sparse vs sync-dense ----
   std::printf("=== async sparse push vs dense ring all-reduce (4 nodes) ===\n");
@@ -171,15 +113,18 @@ int main(int argc, char** argv) {
     ar_opt.batch_size = 2;
     solvers::DiagnosticsCapture<distributed::AllreduceReport> ar_rep;
     const auto ar = trainer.train("dist.allreduce.sgd", ar_opt, &ar_rep);
-    DimPoint p;
-    p.dim = static_cast<std::size_t>(dim);
-    p.ps_seconds = ps_rep.value().simulated_seconds;
-    p.ar_seconds = ar_rep.value().simulated_seconds;
-    p.ar_over_ps = p.ar_seconds / std::max(p.ps_seconds, 1e-12);
-    p.ar_comm_fraction = ar_rep.value().comm_fraction;
-    dim_points.push_back(p);
-    dim_table.add_row_values(static_cast<double>(dim), p.ps_seconds,
-                             p.ar_seconds, p.ar_over_ps, p.ar_comm_fraction,
+    const double ps_seconds = ps_rep.value().simulated_seconds;
+    const double ar_seconds = ar_rep.value().simulated_seconds;
+    const double ratio = ar_seconds / std::max(ps_seconds, 1e-12);
+    ar_over_ps.emplace_back(static_cast<std::size_t>(dim), ratio);
+    rec.rows.push_back({{"panel", "dimension"},
+                        {"dim", dim},
+                        {"ps_sim_seconds", ps_seconds},
+                        {"ar_sim_seconds", ar_seconds},
+                        {"ar_over_ps", ratio},
+                        {"ar_comm_fraction", ar_rep.value().comm_fraction}});
+    dim_table.add_row_values(static_cast<double>(dim), ps_seconds, ar_seconds,
+                             ratio, ar_rep.value().comm_fraction,
                              ps.points.back().rmse, ar.points.back().rmse);
   }
   std::printf("%s\n", dim_table.render().c_str());
@@ -212,16 +157,16 @@ int main(int argc, char** argv) {
         base_seconds =
             rep.value().simulated_seconds * static_cast<double>(nodes);
       }
-      NodePoint p;
-      p.nodes = static_cast<std::size_t>(nodes);
-      p.seconds = rep.value().simulated_seconds;
-      p.staleness = rep.value().mean_staleness_updates;
-      node_points.push_back(p);
+      const double seconds = rep.value().simulated_seconds;
+      const double staleness = rep.value().mean_staleness_updates;
+      rec.rows.push_back({{"panel", "nodes"},
+                          {"nodes", nodes},
+                          {"sim_seconds", seconds},
+                          {"mean_staleness", staleness}});
       node_table.add_row_values(
-          static_cast<double>(nodes), p.seconds,
-          base_seconds / static_cast<double>(nodes) /
-              std::max(p.seconds, 1e-12),
-          p.staleness, t.points.back().rmse);
+          static_cast<double>(nodes), seconds,
+          base_seconds / static_cast<double>(nodes) / std::max(seconds, 1e-12),
+          staleness, t.points.back().rmse);
     }
     std::printf("%s\n", node_table.render().c_str());
   }
@@ -253,8 +198,9 @@ int main(int argc, char** argv) {
       popt.partition.strategy = strategy;
       solvers::DiagnosticsCapture<distributed::ParamServerReport> rep;
       const auto t = trainer.train("dist.ps.is_asgd", popt, &rep);
-      balance_points.push_back(BalancePoint{partition::strategy_name(strategy),
-                                            rep.value().phi_imbalance});
+      rec.rows.push_back({{"panel", "balancing"},
+                          {"strategy", partition::strategy_name(strategy)},
+                          {"phi_imbalance", rep.value().phi_imbalance}});
       bal_table.add_row_values(partition::strategy_name(strategy),
                                rep.value().phi_imbalance,
                                t.points.back().rmse);
@@ -272,16 +218,6 @@ int main(int argc, char** argv) {
       "more shards the contiguous split hands every globally-heavy sample to "
       "the first shard. See EXPERIMENTS.md §2.3–2.4 notes.\n");
 
-  if (!cli.get("out").empty()) {
-    write_json(cli.get("out"), dim_points, node_points, balance_points);
-  }
-  if (check) {
-    const int failures = check_crossover(dim_points);
-    if (failures) return 1;
-    std::printf(
-        "crossover sanity holds: ar/ps grows monotonically in d and the "
-        "sparse async server wins >= 5x at d=%zu\n",
-        dim_points.back().dim);
-  }
-  return 0;
+  if (check) check_crossover(rec, ar_over_ps);
+  return bench::finish(rec, cli.get("out"));
 }

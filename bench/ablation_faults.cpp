@@ -14,14 +14,13 @@
 //              reshard (survivors adopt the dead rank's walk at the fence)
 //
 //   build/bench/ablation_faults [--check] [--out FILE]
-//     --out FILE : write the cells as JSON (release CI uploads
+//     --out FILE : write the bench record, one row per cell (CI uploads
 //                  BENCH_faults.json)
 //     --check    : exit non-zero unless recovery pays in every scenario —
 //                  reshard must reach the target, and strictly sooner than
 //                  the no-recovery policy does (if that ever recovers).
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -39,16 +38,6 @@ namespace {
 
 using namespace isasgd;
 
-struct Cell {
-  std::string scenario;
-  std::string policy;
-  bool recovered = false;
-  double recover_seconds = std::numeric_limits<double>::infinity();
-  double final_objective = 0;
-  std::uint64_t crash_events = 0;
-  std::uint64_t rejoin_events = 0;
-};
-
 double time_to_target(const solvers::Trace& trace, double target) {
   for (const solvers::TracePoint& p : trace.points) {
     if (p.epoch > 0 && p.objective <= target) return p.seconds;
@@ -56,63 +45,32 @@ double time_to_target(const solvers::Trace& trace, double target) {
   return std::numeric_limits<double>::infinity();
 }
 
-void write_json(const std::string& path, double baseline_objective,
-                double target, const std::vector<Cell>& cells) {
-  std::ofstream out(path);
-  out << "{\n  \"baseline_final_objective\": " << baseline_objective
-      << ",\n  \"target_objective\": " << target << ",\n  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    out << "    {\"scenario\": \"" << c.scenario << "\", \"policy\": \""
-        << c.policy << "\", \"recovered\": " << (c.recovered ? "true" : "false")
-        << ", \"recover_sim_seconds\": "
-        << (c.recovered ? c.recover_seconds : -1.0)
-        << ", \"final_objective\": " << c.final_objective
-        << ", \"crash_events\": " << c.crash_events
-        << ", \"rejoin_events\": " << c.rejoin_events << "}"
-        << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s\n", path.c_str());
-}
-
-/// The --check gate: in every scenario the resharding policy must actually
-/// recover, and must beat leaving the dead rank's shard on the floor.
-int check_recovery(const std::vector<Cell>& cells) {
-  int failures = 0;
+/// The --check gate over the record's cells: in every scenario the
+/// resharding policy must actually recover, and must beat leaving the dead
+/// rank's shard on the floor.
+void check_recovery(util::BenchRecord& rec) {
+  // +inf for a cell that never recovered (written to the file as null).
+  const auto seconds = [](const util::RecordFields& cell) {
+    return *util::find_field(cell, "recover_sim_seconds")->number();
+  };
   for (const std::string scenario : {"crash", "crash_rejoin"}) {
-    const Cell* none = nullptr;
-    const Cell* reshard = nullptr;
-    for (const Cell& c : cells) {
-      if (c.scenario != scenario) continue;
-      (c.policy == "reshard" ? reshard : none) = &c;
-    }
-    if (none == nullptr || reshard == nullptr) {
-      std::fprintf(stderr, "CHECK FAILED: scenario %s is missing cells\n",
-                   scenario.c_str());
-      ++failures;
-      continue;
-    }
-    if (!reshard->recovered) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: %s/reshard never reached the target "
-                   "(final objective %.6g)\n",
-                   scenario.c_str(), reshard->final_objective);
-      ++failures;
-      continue;
-    }
+    const util::RecordFields* none =
+        rec.find_row({{"scenario", scenario}, {"policy", "none"}});
+    const util::RecordFields* reshard =
+        rec.find_row({{"scenario", scenario}, {"policy", "reshard"}});
+    rec.check(scenario + " has both cells", none && reshard,
+              "none and reshard");
+    if (none == nullptr || reshard == nullptr) continue;
+    const bool recovered = std::isfinite(seconds(*reshard));
+    rec.check(scenario + ": reshard recovers", recovered, "final objective ",
+              *util::find_field(*reshard, "final_objective")->number());
+    if (!recovered) continue;
     // none's time is +inf when it never recovers, so this comparison is the
     // whole gate: recovery-enabled strictly beats no-recovery.
-    if (!(reshard->recover_seconds < none->recover_seconds)) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: %s: reshard recovered at %.4g sim-s but "
-                   "no-recovery was not beaten (%.4g sim-s)\n",
-                   scenario.c_str(), reshard->recover_seconds,
-                   none->recover_seconds);
-      ++failures;
-    }
+    rec.check(scenario + ": reshard beats none",
+              seconds(*reshard) < seconds(*none), "reshard recovered at ",
+              seconds(*reshard), " sim-s, none at ", seconds(*none), " sim-s");
   }
-  return failures;
 }
 
 }  // namespace
@@ -164,6 +122,16 @@ int main(int argc, char** argv) {
       baseline_objective * (1.0 + cli.get_double("margin"));
   std::printf("no-fault final objective %.6g, recovery target %.6g\n",
               baseline_objective, target);
+  util::BenchRecord rec{.bench = "ablation_faults"};
+  rec.config = {{"rows", dspec.rows},
+                {"dim", dspec.dim},
+                {"nodes", base.nodes},
+                {"epochs", opt.epochs},
+                {"crash_epoch", cli.get_int("crash-epoch")},
+                {"rejoin_epoch", cli.get_int("rejoin-epoch")},
+                {"margin", cli.get_double("margin")},
+                {"baseline_final_objective", baseline_objective},
+                {"target_objective", target}};
 
   const std::size_t crash_epoch =
       static_cast<std::size_t>(cli.get_int("crash-epoch"));
@@ -180,7 +148,6 @@ int main(int argc, char** argv) {
       distributed::RecoveryPolicy::kNone,
       distributed::RecoveryPolicy::kReshard};
 
-  std::vector<Cell> cells;
   util::TablePrinter table({"scenario", "policy", "recovered", "recover_sim_s",
                             "final_obj", "crashes", "rejoins"});
   for (const ScenarioDef& sc : scenarios) {
@@ -195,21 +162,21 @@ int main(int argc, char** argv) {
       const solvers::Trace trace = distributed::run_param_server(
           data::InMemorySource(data), loss, opt, spec, /*use_importance=*/true,
           evaluator.as_fn(), &report);
-      Cell cell;
-      cell.scenario = sc.name;
-      cell.policy = distributed::recovery_policy_name(policy);
-      cell.recover_seconds = time_to_target(trace, target);
-      cell.recovered = std::isfinite(cell.recover_seconds);
-      cell.final_objective = trace.points.back().objective;
-      cell.crash_events = report.crash_events;
-      cell.rejoin_events = report.rejoin_events;
-      cells.push_back(cell);
-      table.add_row_values(cell.scenario, cell.policy,
-                           cell.recovered ? "yes" : "no",
-                           cell.recovered ? cell.recover_seconds : -1.0,
-                           cell.final_objective,
-                           static_cast<double>(cell.crash_events),
-                           static_cast<double>(cell.rejoin_events));
+      const std::string name = distributed::recovery_policy_name(policy);
+      const double seconds = time_to_target(trace, target);
+      const bool recovered = std::isfinite(seconds);
+      const double objective = trace.points.back().objective;
+      rec.rows.push_back({{"scenario", sc.name},
+                          {"policy", name},
+                          {"recovered", recovered},
+                          {"recover_sim_seconds", seconds},
+                          {"final_objective", objective},
+                          {"crash_events", report.crash_events},
+                          {"rejoin_events", report.rejoin_events}});
+      table.add_row_values(sc.name, name, recovered ? "yes" : "no",
+                           recovered ? seconds : -1.0, objective,
+                           static_cast<double>(report.crash_events),
+                           static_cast<double>(report.rejoin_events));
     }
   }
   std::printf("%s\n", table.render().c_str());
@@ -220,15 +187,6 @@ int main(int argc, char** argv) {
       "in the plain crash scenario, where the lost shard's data is simply "
       "absent from every remaining epoch.\n");
 
-  if (!cli.get("out").empty()) {
-    write_json(cli.get("out"), baseline_objective, target, cells);
-  }
-  if (cli.get_bool("check")) {
-    const int failures = check_recovery(cells);
-    if (failures) return 1;
-    std::printf(
-        "recovery sanity holds: reshard reaches the target and beats "
-        "no-recovery in both scenarios\n");
-  }
-  return 0;
+  if (cli.get_bool("check")) check_recovery(rec);
+  return bench::finish(rec, cli.get("out"));
 }

@@ -1,22 +1,63 @@
-// Shared plumbing for the figure/table bench binaries: flag conventions,
-// dataset preparation, and trace printing.
+// Shared plumbing for the bench binaries: flag conventions, dataset
+// preparation, trace printing, the kernel backend pin, and the record
+// (util/record.hpp) every gated bench writes.
 #pragma once
 
 #include <cstdio>
 #include <filesystem>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/numa.hpp"
 #include "core/trainer.hpp"
 #include "data/paper_datasets.hpp"
 #include "objectives/logistic.hpp"
+#include "sparse/dispatch.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+#include "util/logging.hpp"
+#include "util/record.hpp"
 #include "util/table.hpp"
 
 namespace isasgd::bench {
+
+/// Pins the kernel backend `name` names (scalar|avx2|avx512), as
+/// ISASGD_KERNEL_BACKEND would; an empty name keeps runtime dispatch. Logs
+/// why and returns false when the name is unknown or the host cannot run it.
+inline bool pin_backend(const std::string& name) {
+  namespace k = sparse::kernels;
+  try {
+    if (name.empty() || k::set_backend(k::backend_from_name(name))) {
+      return true;
+    }
+    util::log_error() << "backend '" << name
+                      << "' is not available on this host";
+  } catch (const std::invalid_argument& e) {
+    util::log_error() << e.what();
+  }
+  return false;
+}
+
+/// Fills `record`'s host header under isbench's field names, writes it to
+/// `path` (nowhere when it is empty) and returns the bench's exit code: 1
+/// when a recorded check failed.
+inline int finish(util::BenchRecord& record, const std::string& path) {
+  namespace k = sparse::kernels;
+  record.host = {{"build_type", ISASGD_BENCH_BUILD_TYPE},
+                 {"compiler", __VERSION__},
+                 {"kernel_backend", k::backend_name(k::active_backend())},
+                 {"nproc", std::thread::hardware_concurrency()},
+                 {"numa_nodes", core::NumaTopology::detect().node_count()}};
+  if (!path.empty()) {
+    util::write_record(path, record);
+    std::printf("wrote %s\n", path.c_str());
+  }
+  return record.exit_code();
+}
 
 /// Registers the flags every figure bench shares.
 inline void add_common_flags(util::CliParser& cli) {

@@ -16,14 +16,12 @@
 //     derived in-run from the serial SGD reference so it is meaningful at
 //     every --scale.
 //
-// Everything lands in BENCH_solvers.json (machine-readable, CI artifact).
+// Everything lands in the bench record BENCH_solvers.json (CI artifact;
+// docs/PERF.md, *Bench records*).
 //
 // Every run row records the active kernel backend and the NUMA placement
 // that served it (flat vs striped, plus the populated node count), so the
 // perf trajectory can tell a dispatch change from a placement change.
-// --baseline files written before these columns existed still gate: the
-// matcher falls back to the (solver, threads) key when the baseline row
-// carries no backend.
 //
 // Usage:
 //   end_to_end [--out FILE] [--check] [--dataset news20] [--scale 1.0]
@@ -37,22 +35,19 @@
 //                   per-iteration cost", §1.3 — loose so scheduler noise on
 //                   shared runners cannot flake the job),
 //               (3) with --baseline FILE, steady throughput per run must
-//                   hold ≥ kBaselineFloor × the same run in a prior
-//                   BENCH_solvers.json. A missing/unreadable baseline is a
-//                   hard, clearly-reported failure — the gate never
-//                   silently passes because no artifact was downloaded.
+//                   hold ≥ kBaselineFloor × the run with the same solver,
+//                   threads and backend in a prior BENCH_solvers.json. A
+//                   missing, unreadable or empty baseline is a hard,
+//                   clearly-reported failure — the gate never silently
+//                   passes because no artifact was downloaded.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <iostream>
-#include <map>
-#include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/execution.hpp"
 #include "core/numa.hpp"
 #include "core/trainer.hpp"
@@ -82,9 +77,6 @@ constexpr double kBaselineFloor = 0.5;
 struct RunResult {
   std::string solver;
   std::size_t threads = 1;
-  std::string backend;    // active kernel backend during the run
-  std::string placement;  // "flat" or "striped" model placement
-  std::size_t numa_nodes = 1;
   double setup_seconds = 0;
   double train_seconds = 0;
   double samples_per_sec = 0;         // all epochs
@@ -97,8 +89,8 @@ struct RunResult {
 /// Runs `name` `repeats` times and keeps the fastest-steady-state repeat's
 /// trace (timing noise only ever slows a run down, so max-over-repeats
 /// estimates the machine's true rate). All reported numbers — throughput,
-/// time-to-target, final loss — come from that one trace, so the JSON row
-/// is internally consistent. `target_rmse` may be NaN (reference run); the
+/// time-to-target, final loss — come from that one trace, so the record's
+/// row is internally consistent. `target_rmse` may be NaN (reference run); the
 /// caller can recompute time_to_target from the returned trace once the
 /// target is known.
 RunResult measure(const core::Trainer& trainer, const std::string& name,
@@ -151,54 +143,18 @@ void print_row(const RunResult& r) {
   std::fflush(stdout);
 }
 
-void write_json(const std::string& path, const data::PaperDatasetConfig& cfg,
-                double target_rmse, std::size_t epochs,
-                const std::vector<RunResult>& results) {
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"workload\": {\"dataset\": \"" << cfg.name
-      << "\", \"rows\": " << cfg.spec.rows << ", \"dim\": " << cfg.spec.dim
-      << ", \"mean_row_nnz\": " << cfg.spec.mean_row_nnz
-      << ", \"epochs\": " << epochs << ", \"target_rmse\": " << target_rmse
-      << "},\n"
-      << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
-    out << "    {\"solver\": \"" << r.solver << "\", \"threads\": " << r.threads
-        << ", \"backend\": \"" << r.backend << "\", \"placement\": \""
-        << r.placement << "\", \"numa_nodes\": " << r.numa_nodes
-        << ", \"samples_per_sec\": " << r.samples_per_sec
-        << ", \"steady_samples_per_sec\": " << r.steady_samples_per_sec
-        << ", \"time_to_target_s\": "
-        << (std::isfinite(r.time_to_target)
-                ? std::to_string(r.time_to_target)
-                : std::string("null"))
-        << ", \"setup_seconds\": " << r.setup_seconds
-        << ", \"train_seconds\": " << r.train_seconds
-        << ", \"final_rmse\": " << r.final_rmse
-        << ", \"best_error_rate\": " << r.best_error_rate << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "wrote " << path << "\n";
+/// A record row's steady_samples_per_sec; 0 when it has none.
+double steady(const util::RecordFields& row) {
+  const util::RecordValue* v = util::find_field(row, "steady_samples_per_sec");
+  return v ? v->number().value_or(0) : 0;
 }
 
-const RunResult* find(const std::vector<RunResult>& results,
-                      const std::string& solver, std::size_t threads) {
+void check_gate(util::BenchRecord& rec, const std::vector<RunResult>& results,
+                std::size_t threads) {
   for (const RunResult& r : results) {
-    if (r.solver == solver && r.threads == threads) return &r;
-  }
-  return nullptr;
-}
-
-int check_gate(const std::vector<RunResult>& results, std::size_t threads) {
-  int failures = 0;
-  for (const RunResult& r : results) {
-    if (!std::isfinite(r.time_to_target)) {
-      util::log_error() << "GATE: " << r.solver << " t=" << r.threads
-                        << " never reached the target RMSE";
-      ++failures;
-    }
+    rec.check("target " + r.solver + " t=" + std::to_string(r.threads),
+              std::isfinite(r.time_to_target), "time to target ",
+              r.time_to_target, " s");
   }
   const struct {
     const char* is;
@@ -208,110 +164,54 @@ int check_gate(const std::vector<RunResult>& results, std::size_t threads) {
                {"is_asgd", "asgd", 1},
                {"is_asgd", "asgd", threads}};
   for (const auto& p : pairs) {
-    const RunResult* is = find(results, p.is, p.threads);
-    const RunResult* uni = find(results, p.uniform, p.threads);
-    if (!is || !uni || uni->steady_samples_per_sec <= 0) continue;
-    const double ratio =
-        is->steady_samples_per_sec / uni->steady_samples_per_sec;
-    if (ratio < kIsFloor) {
-      util::log_error() << "GATE: " << p.is << " t=" << p.threads
-                        << " holds only " << ratio << "x of " << p.uniform
-                        << "'s steady throughput (floor " << kIsFloor << ")";
-      ++failures;
-    }
+    const util::RecordFields* is =
+        rec.find_row({{"solver", p.is}, {"threads", p.threads}});
+    const util::RecordFields* uni =
+        rec.find_row({{"solver", p.uniform}, {"threads", p.threads}});
+    if (!is || !uni || steady(*uni) <= 0) continue;
+    const double ratio = steady(*is) / steady(*uni);
+    rec.check(std::string(p.is) + "/" + p.uniform +
+                  " t=" + std::to_string(p.threads),
+              ratio >= kIsFloor, "holds ", ratio, "x of ", p.uniform,
+              "'s steady throughput (floor ", kIsFloor, ")");
   }
-  return failures;
 }
 
-/// Baseline row key: (solver, threads, backend). Rows written before the
-/// backend column existed carry an empty backend — the lookup falls back to
-/// that so old artifacts keep gating new binaries.
-using BaselineKey = std::tuple<std::string, std::size_t, std::string>;
-
-/// Minimal reader for the JSON this binary writes: extracts
-/// BaselineKey → steady_samples_per_sec from each run object. Only
-/// has to understand its own output format, so plain string scanning is
-/// enough — no JSON dependency.
-std::map<BaselineKey, double> read_baseline(std::istream& in) {
-  std::map<BaselineKey, double> baseline;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t solver_at = line.find("\"solver\": \"");
-    if (solver_at == std::string::npos) continue;
-    const std::size_t name_begin = solver_at + 11;
-    const std::size_t name_end = line.find('"', name_begin);
-    const std::size_t threads_at = line.find("\"threads\": ");
-    const std::size_t steady_at = line.find("\"steady_samples_per_sec\": ");
-    if (name_end == std::string::npos || threads_at == std::string::npos ||
-        steady_at == std::string::npos) {
-      continue;
-    }
-    const std::string solver = line.substr(name_begin, name_end - name_begin);
-    const auto threads =
-        static_cast<std::size_t>(std::stoul(line.substr(threads_at + 11)));
-    const double steady = std::stod(line.substr(steady_at + 26));
-    std::string backend;  // empty for pre-dispatch baselines
-    const std::size_t backend_at = line.find("\"backend\": \"");
-    if (backend_at != std::string::npos) {
-      const std::size_t b_begin = backend_at + 12;
-      const std::size_t b_end = line.find('"', b_begin);
-      if (b_end != std::string::npos) {
-        backend = line.substr(b_begin, b_end - b_begin);
-      }
-    }
-    baseline[{solver, threads, backend}] = steady;
+/// The --baseline gate. A missing, unreadable or empty baseline file fails
+/// loudly (the perf trajectory must never look green because the prior
+/// artifact was absent); a run missing *from* the baseline is reported but
+/// tolerated, so adding a new solver configuration does not require
+/// hand-editing old artifacts.
+void check_baseline(util::BenchRecord& rec, const std::string& path,
+                    const std::vector<RunResult>& results,
+                    const std::string& backend) {
+  util::BenchRecord baseline;
+  try {
+    baseline = util::read_record(path);
+  } catch (const util::RecordError& e) {
+    rec.check("baseline " + path, false, e.what(),
+              " — cannot gate the perf trajectory. Generate one on ",
+              "a known-good build with `end_to_end --out ", path,
+              "` (or download the prior CI artifact) and re-run.");
+    return;
   }
-  return baseline;
-}
-
-/// The --baseline gate. A missing or empty baseline file fails loudly (the
-/// perf trajectory must never look green because the prior artifact was
-/// absent); a run missing *from* the baseline is reported but tolerated, so
-/// adding a new solver configuration does not require hand-editing old
-/// artifacts.
-int check_baseline(const std::string& path,
-                   const std::vector<RunResult>& results) {
-  std::ifstream in(path);
-  if (!in) {
-    util::log_error()
-        << "GATE: baseline file '" << path
-        << "' is absent or unreadable — cannot gate the perf trajectory. "
-        << "Generate one on a known-good build with `end_to_end --out "
-        << path << "` (or download the prior CI artifact) and re-run.";
-    return 1;
-  }
-  const auto baseline = read_baseline(in);
-  if (baseline.empty()) {
-    util::log_error() << "GATE: baseline file '" << path
-                      << "' contains no runs (wrong or corrupt file?)";
-    return 1;
-  }
-  int failures = 0;
   for (const RunResult& r : results) {
-    // Exact backend match first; fall back to a backend-less (pre-dispatch)
-    // baseline row so old artifacts still gate.
-    auto it = baseline.find({r.solver, r.threads, r.backend});
-    if (it == baseline.end()) {
-      it = baseline.find({r.solver, r.threads, std::string()});
-    }
-    if (it == baseline.end()) {
+    const util::RecordFields* row = baseline.find_row(
+        {{"solver", r.solver}, {"threads", r.threads}, {"backend", backend}});
+    if (!row) {
       util::log_warn() << "baseline '" << path << "' has no entry for "
                        << r.solver << " t=" << r.threads << " backend="
-                       << r.backend << "; skipping";
+                       << backend << "; skipping";
       continue;
     }
-    if (it->second <= 0) continue;
-    const double ratio = r.steady_samples_per_sec / it->second;
-    if (ratio < kBaselineFloor) {
-      util::log_error() << "GATE: " << r.solver << " t=" << r.threads
-                        << " steady throughput is " << ratio
-                        << "x its baseline (" << r.steady_samples_per_sec
-                        << " vs " << it->second << " samples/s, floor "
-                        << kBaselineFloor << ")";
-      ++failures;
-    }
+    const double base = steady(*row);
+    if (base <= 0) continue;
+    const double ratio = r.steady_samples_per_sec / base;
+    rec.check("baseline " + r.solver + " t=" + std::to_string(r.threads),
+              ratio >= kBaselineFloor, "steady throughput is ", ratio,
+              "x its baseline (", r.steady_samples_per_sec, " vs ", base,
+              " samples/s, floor ", kBaselineFloor, ")");
   }
-  return failures;
 }
 
 }  // namespace
@@ -341,18 +241,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   namespace k = sparse::kernels;
-  if (!cli.get("backend").empty()) {
-    try {
-      if (!k::set_backend(k::backend_from_name(cli.get("backend")))) {
-        util::log_error() << "backend '" << cli.get("backend")
-                          << "' is not available on this host";
-        return 2;
-      }
-    } catch (const std::invalid_argument& e) {
-      util::log_error() << e.what();
-      return 2;
-    }
-  }
+  if (!bench::pin_backend(cli.get("backend"))) return 2;
   core::NumaOptions numa_options;
   {
     const std::string mode = cli.get("numa");
@@ -428,22 +317,33 @@ int main(int argc, char** argv) {
                               data.rows(), target_rmse, repeats));
     print_row(results.back());
   }
-  for (RunResult& r : results) {
-    r.backend = backend_name;
-    r.placement = placement;
-    r.numa_nodes = numa_probe.topology().node_count();
+
+  util::BenchRecord rec{.bench = "end_to_end"};
+  rec.config = {{"dataset", cfg.name},
+                {"rows", cfg.spec.rows},
+                {"dim", cfg.spec.dim},
+                {"mean_row_nnz", cfg.spec.mean_row_nnz},
+                {"epochs", epochs},
+                {"target_rmse", target_rmse}};
+  for (const RunResult& r : results) {
+    rec.rows.push_back({{"solver", r.solver},
+                        {"threads", r.threads},
+                        {"backend", backend_name},
+                        {"placement", placement},
+                        {"numa_nodes", numa_probe.topology().node_count()},
+                        {"samples_per_sec", r.samples_per_sec},
+                        {"steady_samples_per_sec", r.steady_samples_per_sec},
+                        {"time_to_target_s", r.time_to_target},
+                        {"setup_seconds", r.setup_seconds},
+                        {"train_seconds", r.train_seconds},
+                        {"final_rmse", r.final_rmse},
+                        {"best_error_rate", r.best_error_rate}});
   }
-
-  write_json(cli.get("out"), cfg, target_rmse, epochs, results);
-
   if (cli.get_bool("check")) {
-    int failures = check_gate(results, threads);
+    check_gate(rec, results, threads);
     if (!cli.get("baseline").empty()) {
-      failures += check_baseline(cli.get("baseline"), results);
+      check_baseline(rec, cli.get("baseline"), results, backend_name);
     }
-    if (failures) return 1;
-    std::cout << "all solvers reached the target; IS throughput within "
-              << kIsFloor << "x of uniform or better\n";
   }
-  return 0;
+  return bench::finish(rec, cli.get("out"));
 }

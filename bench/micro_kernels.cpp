@@ -11,8 +11,8 @@
 //     one packed-ooc shard's bytes — the check every cold shard fault runs.
 //
 // Self-contained timing harness (no google-benchmark): every entry reports
-// ns/op and Mitems/s, and the whole table is written as machine-readable
-// JSON (BENCH_kernels.json by default) for the perf-trajectory files.
+// ns/op and Mitems/s, one row each of the bench record (BENCH_kernels.json
+// by default; docs/PERF.md, *Bench records*).
 //
 // With runtime dispatch the table also carries a per-backend ladder: each
 // available backend {scalar, avx2, avx512} is timed through its own
@@ -39,26 +39,23 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <functional>
-#include <iostream>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "io/crc32.hpp"
 #include "objectives/objective.hpp"
 #include "sampling/alias_table.hpp"
 #include "sampling/cdf_sampler.hpp"
-#include "sampling/fenwick_sampler.hpp"
 #include "sampling/sequence.hpp"
 #include "solvers/model.hpp"
 #include "sparse/dispatch.hpp"
 #include "sparse/kernels.hpp"
 #include "sparse/sparse_vector.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -361,19 +358,18 @@ void bench_fused_svrg_step() {
 }
 
 void bench_samplers() {
-  // Draw-cost ladder: uniform (the paper's "no IS" reference), the two
-  // O(log n) weighted samplers (CDF binary search, Fenwick descent), and
-  // the O(1) alias draw — the structure the §1.3 claim "IS adds no
-  // per-iteration cost" rests on. The alias entries are GATED against the
-  // O(log n) baseline: an alias draw regressing to within 0.75x of a binary
-  // search is a structural sampler regression, caught here before it can
-  // hide inside end-to-end noise. The block-refill entry times the
-  // streamed-sequence hot path (BlockSequence::next over refilled blocks);
-  // it is also gated against the O(log n) baseline rather than raw alias
-  // draws — its true cost is alias + store (~0.85-0.9x of a bare draw), too
-  // thin a guard band for a 0.75 floor on noisy shared runners, while the
-  // log-n baseline still catches any structural regression of the refill
-  // path. The refill-vs-alias delta stays visible in the JSON.
+  // Draw-cost ladder: uniform (the paper's "no IS" reference), the O(log n)
+  // CDF binary search, and the O(1) alias draw — the structure the §1.3
+  // claim "IS adds no per-iteration cost" rests on. The alias entries are
+  // GATED against the O(log n) baseline: an alias draw regressing to within
+  // 0.75x of a binary search is a structural sampler regression, caught
+  // here before it can hide inside end-to-end noise. The block-refill entry
+  // times the streamed-sequence hot path (BlockSequence::next over refilled
+  // blocks); it is also gated against the O(log n) baseline rather than raw
+  // alias draws — its true cost is alias + store (~0.85-0.9x of a bare
+  // draw), too thin a guard band for a 0.75 floor on noisy shared runners,
+  // while the log-n baseline still catches any structural regression of the
+  // refill path. The refill-vs-alias delta stays visible in the record.
   const std::size_t n = std::size_t{1} << 20;
   util::Rng wrng(8);
   std::vector<double> weights(n);
@@ -391,15 +387,6 @@ void bench_samplers() {
     sampling::CdfSampler sampler(weights);
     util::Rng rng(9);
     bench("sample_cdf", "", 1.0, [&](std::size_t it) {
-      std::uint64_t sink = 0;
-      for (std::size_t i = 0; i < it; ++i) sink += sampler.sample(rng);
-      g_sink += static_cast<double>(sink & 0xff);
-    });
-  }
-  {
-    sampling::FenwickSampler sampler(weights);
-    util::Rng rng(10);
-    bench("sample_fenwick", "", 1.0, [&](std::size_t it) {
       std::uint64_t sink = 0;
       for (std::size_t i = 0; i < it; ++i) sink += sampler.sample(rng);
       g_sink += static_cast<double>(sink & 0xff);
@@ -449,7 +436,7 @@ void bench_samplers() {
 void bench_backend_ladder() {
   // Per-ISA ladder: the same representative kernels timed through every
   // available backend's KernelTable, reported as `kernel/backend` rows.
-  // Vector rows carry their `/scalar` counterpart as baseline so the JSON
+  // Vector rows carry their `/scalar` counterpart as baseline so the record
   // shows the realized SIMD speedup, but they are NOT gated: on a gather-
   // bound sparse kernel a vector backend is allowed to tie the scalar one —
   // the dispatch contract is bit-identity, not a throughput floor, and that
@@ -573,53 +560,31 @@ void bench_crc32() {
 }
 
 // ---------------------------------------------------------------------------
-// Output + regression gate
+// Regression gate
 // ---------------------------------------------------------------------------
 
-void write_json(const std::string& path) {
-  namespace k = sparse::kernels;
-  std::ofstream out(path);
-  out << "{\n  \"backend\": \"" << k::backend_name(k::active_backend())
-      << "\",\n  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < g_results.size(); ++i) {
-    const BenchResult& r = g_results[i];
-    out << "    {\"name\": \"" << r.name << "\", \"baseline\": \""
-        << r.baseline << "\", \"ns_per_op\": " << r.ns_per_op
-        << ", \"items_per_sec\": " << r.items_per_sec
-        << ", \"speedup\": " << r.speedup
-        << ", \"gated\": " << (r.gated ? "true" : "false") << "}"
-        << (i + 1 < g_results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "wrote " << path << "\n";
-}
-
-int check_regressions() {
-  int failures = 0;
+/// Under --check: every gated row holds kRegressionFloor × its baseline.
+void check_regressions(util::BenchRecord& rec) {
   for (const BenchResult& r : g_results) {
     if (r.baseline.empty() || !r.gated) continue;
-    if (r.speedup < kRegressionFloor) {
-      isasgd::util::log_error()
-          << "REGRESSION: " << r.name << " is " << r.speedup
-          << "x its baseline " << r.baseline << " (floor " << kRegressionFloor
-          << ")";
-      ++failures;
-    }
+    rec.check("floor " + r.name, r.speedup >= kRegressionFloor, r.speedup,
+              "x its baseline ", r.baseline, " (floor ", kRegressionFloor, ")");
   }
-  return failures;
 }
 
 /// The dispatch contract under --check: every available vector backend must
 /// be bit-identical to scalar on randomized sparse/dense inputs, including
 /// the fused kernels under every regularizer kind. EXPECT_EQ-strength
 /// equality — the TUs share one arithmetic body compiled with
-/// -ffp-contract=off, so any drift is a build-flag or codegen bug.
-int check_backend_parity() {
+/// -ffp-contract=off, so any drift is a build-flag or codegen bug. One check
+/// per kernel and backend.
+void check_backend_parity(util::BenchRecord& rec) {
   namespace k = sparse::kernels;
   const k::KernelTable& scalar = *k::table_for(k::Backend::kScalar);
-  int failures = 0;
+  std::map<std::string, int> differing;  // kernel/backend -> trials
   const std::size_t d = 1337;  // odd: exercises every unroll remainder
-  for (std::uint64_t trial = 0; trial < 4; ++trial) {
+  constexpr std::uint64_t kTrials = 4;
+  for (std::uint64_t trial = 0; trial < kTrials; ++trial) {
     util::Rng rng(500 + trial);
     std::vector<double> w0(d), s0(d);
     for (auto& v : w0) v = util::normal_double(rng);
@@ -629,12 +594,7 @@ int check_backend_parity() {
       if (be == k::Backend::kScalar) continue;
       const k::KernelTable& t = *k::table_for(be);
       const auto expect = [&](bool ok, const char* kernel) {
-        if (ok) return;
-        util::log_error() << "PARITY: " << kernel << " under "
-                          << k::backend_name(be)
-                          << " is not bit-identical to scalar (trial "
-                          << trial << ")";
-        ++failures;
+        differing[kernel + ("/" + k::backend_name(be))] += ok ? 0 : 1;
       };
       expect(t.sparse_dot(w0, x.view()) == scalar.sparse_dot(w0, x.view()),
              "sparse_dot");
@@ -673,15 +633,18 @@ int check_backend_parity() {
       }
     }
   }
-  return failures;
+  for (const auto& [kernel, trials] : differing) {
+    rec.check("parity " + kernel, trials == 0, trials, " of ", kTrials,
+              " randomized trials differ from scalar");
+  }
 }
 
 /// Under --check: the folded CRC body returns the table loop's value for
 /// the shard-sized buffer and for lengths and offsets around its 64- and
 /// 16-byte blocks. Nothing to compare when the folded body is not selected.
-int check_crc_paths() {
+void check_crc_paths(util::BenchRecord& rec) {
   namespace k = sparse::kernels;
-  if (!io::crc32_folded()) return 0;
+  if (!io::crc32_folded()) return;
   const std::vector<unsigned char> buf = crc_bytes(kCrcShardBytes + 16);
   std::vector<std::pair<std::size_t, std::size_t>> spans = {
       {0, kCrcShardBytes}, {7, kCrcShardBytes}};
@@ -692,56 +655,46 @@ int check_crc_paths() {
   }
   const k::Backend selected = k::active_backend();
   k::set_backend(k::Backend::kScalar);
-  int failures = 0;
+  std::size_t differing = 0;
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const auto& [offset, n] = spans[i];
-    if (io::crc32(buf.data() + offset, n) != folded[i]) {
-      util::log_error() << "PARITY: folded crc32 differs from the table loop "
-                        << "at offset " << offset << " length " << n;
-      ++failures;
-    }
+    differing += io::crc32(buf.data() + offset, n) != folded[i];
   }
   k::set_backend(selected);
-  return failures;
+  rec.check("crc32_fold == crc32_table", differing == 0, differing, " of ",
+            spans.size(), " (offset, length) spans differ from the table loop");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  namespace k = isasgd::sparse::kernels;
-  std::string out_path = "BENCH_kernels.json";
-  std::string backend;
+  util::CliParser cli("micro_kernels",
+                      "kernel, sampler, shared-model and CRC-32 micro "
+                      "benchmarks (BENCH_kernels.json)");
+  cli.add_flag("out", "BENCH_kernels.json", "output record path");
+  cli.add_flag("check", "false",
+               "regression gate: fused kernels >= 0.75x their scalar "
+               "baselines, every backend bit-identical to scalar, folded "
+               "CRC == table loop (exit 1 on violation)");
+  cli.add_flag("min-time", "0.05", "measurement window per entry (seconds)");
+  cli.add_flag("backend", "",
+               "pin the kernel backend (scalar|avx2|avx512; default: runtime "
+               "dispatch, honours ISASGD_KERNEL_BACKEND)");
   bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--min-time") == 0 && i + 1 < argc) {
-      g_min_time_s = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
-      backend = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: micro_kernels [--out FILE] [--check] "
-                   "[--min-time SECONDS] [--backend scalar|avx2|avx512]\n");
-      return 2;
-    }
+  try {
+    if (!cli.parse(argc, argv)) return 0;
+    g_min_time_s = cli.get_double("min-time");
+    check = cli.get_bool("check");
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
-  if (!backend.empty()) {
-    try {
-      if (!k::set_backend(k::backend_from_name(backend))) {
-        std::fprintf(stderr, "backend '%s' is not available on this host\n",
-                     backend.c_str());
-        return 2;
-      }
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
-  }
+  if (!bench::pin_backend(cli.get("backend"))) return 2;
+  namespace k = sparse::kernels;
   std::printf("active kernel backend: %s\n",
               k::backend_name(k::active_backend()).c_str());
+  util::BenchRecord rec{.bench = "micro_kernels"};
+  rec.config = {{"min_time_s", g_min_time_s}};
 
   bench_dense_kernels();
   bench_sparse_vs_dense_update();
@@ -752,25 +705,20 @@ int main(int argc, char** argv) {
   bench_backend_ladder();
   bench_shared_model();
   bench_crc32();
+  if (g_sink == 12345.6789) std::printf(" ");  // keep the sink observable
 
-  write_json(out_path);
-  if (g_sink == 12345.6789) std::cout << " ";  // keep the sink observable
-
-  if (check) {
-    int failures = check_regressions();
-    if (!failures) {
-      std::cout << "all fused/unrolled kernels within " << kRegressionFloor
-                << "x of their scalar baselines or better\n";
-    }
-    const int parity = check_backend_parity();
-    if (!parity) {
-      std::cout << "all available backends bit-identical to scalar\n";
-    }
-    const int crc = check_crc_paths();
-    if (!crc && io::crc32_folded()) {
-      std::cout << "folded crc32 equals the table loop\n";
-    }
-    if (failures + parity + crc) return 1;
+  for (const BenchResult& r : g_results) {
+    rec.rows.push_back({{"name", r.name},
+                        {"baseline", r.baseline},
+                        {"ns_per_op", r.ns_per_op},
+                        {"items_per_sec", r.items_per_sec},
+                        {"speedup", r.speedup},
+                        {"gated", r.gated}});
   }
-  return 0;
+  if (check) {
+    check_regressions(rec);
+    check_backend_parity(rec);
+    check_crc_paths(rec);
+  }
+  return bench::finish(rec, cli.get("out"));
 }

@@ -19,7 +19,7 @@
 // cold-stream must reach >= 0.9x the classic in-memory throughput, and the
 // packed final model must match the streaming lane bit-for-bit (serial
 // solvers; async gates on relative objective instead). --out writes the
-// whole result as JSON for CI artifacts.
+// bench record, one row per lane, for CI artifacts.
 //
 //   build/bench/streaming [--rows 200000 --dim 50000 --budget-mb 8 ...]
 #include <cstdio>
@@ -27,12 +27,12 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/execution.hpp"
 #include "core/trainer.hpp"
 #include "data/data_source.hpp"
@@ -52,34 +52,10 @@ namespace {
 using namespace isasgd;
 
 struct LaneResult {
-  std::string label;
   double train_seconds = 0;
   double rows_per_s = 0;
-  double final_objective = 0;
   std::vector<double> final_model;
-  std::optional<data::CacheStats> cache;
 };
-
-std::string cache_json(const data::CacheStats& s) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\"loads\":%llu,\"hits\":%llu,\"misses\":%llu,\"evictions\":%llu,"
-      "\"prefetch_issued\":%llu,\"prefetch_hits\":%llu,"
-      "\"prefetch_races\":%llu,\"prefetch_wasted\":%llu,"
-      "\"resident_bytes\":%llu,\"resident_shards\":%llu}",
-      static_cast<unsigned long long>(s.loads),
-      static_cast<unsigned long long>(s.hits),
-      static_cast<unsigned long long>(s.misses),
-      static_cast<unsigned long long>(s.evictions),
-      static_cast<unsigned long long>(s.prefetch_issued),
-      static_cast<unsigned long long>(s.prefetch_hits),
-      static_cast<unsigned long long>(s.prefetch_races),
-      static_cast<unsigned long long>(s.prefetch_wasted),
-      static_cast<unsigned long long>(s.resident_bytes),
-      static_cast<unsigned long long>(s.resident_shards));
-  return buf;
-}
 
 }  // namespace
 
@@ -180,6 +156,7 @@ int main(int argc, char** argv) {
   const std::string solver = cli.get("solver");
   const bool print_stats = cli.get_bool("stats");
 
+  util::BenchRecord rec{.bench = "streaming"};
   util::TablePrinter table({"path", "train_s", "epochs_per_s", "Mrows_per_s",
                             "final_obj", "cache"});
   std::vector<LaneResult> lanes;
@@ -193,28 +170,44 @@ int main(int argc, char** argv) {
     const solvers::Trace trace = trainer.train(solver, opt);
     const double rows_trained =
         static_cast<double>(data.rows()) * static_cast<double>(opt.epochs);
-    LaneResult lane;
-    lane.label = label;
-    lane.train_seconds = trace.train_seconds;
-    lane.rows_per_s = rows_trained / trace.train_seconds;
-    lane.final_objective = trace.points.back().objective;
-    lane.final_model = trace.final_model;
-    lane.cache = source.cache_stats();
+    const double objective = trace.points.back().objective;
+    lanes.push_back(LaneResult{trace.train_seconds,
+                               rows_trained / trace.train_seconds,
+                               trace.final_model});
+    util::RecordFields row = {{"label", label},
+                              {"train_seconds", trace.train_seconds},
+                              {"rows_per_s", lanes.back().rows_per_s},
+                              {"final_objective", objective}};
     std::string cache = "-";
-    if (lane.cache) {
-      char buf[128];
-      std::snprintf(buf, sizeof buf, "h%llu m%llu ev%llu pf%llu",
-                    static_cast<unsigned long long>(lane.cache->hits),
-                    static_cast<unsigned long long>(lane.cache->misses),
-                    static_cast<unsigned long long>(lane.cache->evictions),
-                    static_cast<unsigned long long>(lane.cache->prefetch_issued));
-      cache = buf;
+    if (const std::optional<data::CacheStats> c = source.cache_stats()) {
+      cache = "h" + std::to_string(c->hits) + " m" + std::to_string(c->misses) +
+              " ev" + std::to_string(c->evictions) + " pf" +
+              std::to_string(c->prefetch_issued);
+      const auto mean_us = [](std::uint64_t ns, std::uint64_t count) {
+        return count ? static_cast<double>(ns) / 1e3 /
+                           static_cast<double>(count)
+                     : 0.0;
+      };
+      row.insert(row.end(),
+                 {{"loads", c->loads},
+                  {"hits", c->hits},
+                  {"misses", c->misses},
+                  {"evictions", c->evictions},
+                  {"prefetch_issued", c->prefetch_issued},
+                  {"prefetch_hits", c->prefetch_hits},
+                  {"prefetch_races", c->prefetch_races},
+                  {"prefetch_wasted", c->prefetch_wasted},
+                  {"resident_bytes", c->resident_bytes},
+                  {"resident_shards", c->resident_shards},
+                  {"load_us", mean_us(c->load_ns, c->loads)},
+                  {"race_wait_us",
+                   mean_us(c->race_wait_ns, c->prefetch_races)}});
     }
-    table.add_row_values(lane.label, lane.train_seconds,
+    rec.rows.push_back(std::move(row));
+    table.add_row_values(label, trace.train_seconds,
                          static_cast<double>(opt.epochs) / trace.train_seconds,
-                         lane.rows_per_s / 1e6, lane.final_objective, cache);
-    lanes.push_back(std::move(lane));
-    return lanes.back().final_objective;
+                         lanes.back().rows_per_s / 1e6, objective, cache);
+    return objective;
   };
 
   run("inmem", inmem);
@@ -223,72 +216,29 @@ int main(int argc, char** argv) {
   // Cold-stream on purpose: this is the packed source's first epoch ever,
   // so the first pass decodes every shard from the mmap.
   const double f_packed = run("packed", *packed);
+  rec.rows.back().insert(
+      rec.rows.back().end(),
+      {{"prefetch_depth", packed->prefetch_depth()},
+       {"autotune_adjustments", packed->autotune_adjustments()},
+       {"buffer_reuses", packed->buffer_pool_reuses()}});
   std::printf("\n%s\n", table.render().c_str());
-
   if (print_stats) {
-    for (const LaneResult& lane : lanes) {
-      if (!lane.cache) continue;
-      const data::CacheStats& s = *lane.cache;
-      const auto mean_us = [](std::uint64_t ns, std::uint64_t count) {
-        return count ? static_cast<double>(ns) / 1e3 /
-                           static_cast<double>(count)
-                     : 0.0;
-      };
-      std::printf(
-          "%-8s loads=%llu hits=%llu misses=%llu evictions=%llu "
-          "prefetch_issued=%llu prefetch_hits=%llu prefetch_races=%llu "
-          "prefetch_wasted=%llu resident=%llu/%llu shards "
-          "load_us=%.1f race_wait_us=%.1f\n",
-          lane.label.c_str(), static_cast<unsigned long long>(s.loads),
-          static_cast<unsigned long long>(s.hits),
-          static_cast<unsigned long long>(s.misses),
-          static_cast<unsigned long long>(s.evictions),
-          static_cast<unsigned long long>(s.prefetch_issued),
-          static_cast<unsigned long long>(s.prefetch_hits),
-          static_cast<unsigned long long>(s.prefetch_races),
-          static_cast<unsigned long long>(s.prefetch_wasted),
-          static_cast<unsigned long long>(s.resident_bytes),
-          static_cast<unsigned long long>(s.resident_shards),
-          mean_us(s.load_ns, s.loads),
-          mean_us(s.race_wait_ns, s.prefetch_races));
+    for (const util::RecordFields& row : rec.rows) {
+      std::printf("%s\n", util::to_json(row).c_str());
     }
-    std::printf("packed   prefetch_depth=%zu autotune_adjustments=%llu "
-                "buffer_reuses=%llu\n",
-                packed->prefetch_depth(),
-                static_cast<unsigned long long>(packed->autotune_adjustments()),
-                static_cast<unsigned long long>(packed->buffer_pool_reuses()));
   }
 
-  int rc = 0;
   const bool serial =
       solvers::SolverRegistry::instance().get(solver).capabilities().serial();
-  double throughput_ratio = 0;
-  bool parity = false;
-  if (check || !cli.get("out").empty()) {
-    const LaneResult& inmem_lane = lanes[0];
-    const LaneResult& stream_lane = lanes[2];
-    const LaneResult& packed_lane = lanes[3];
-    // Gate against the classic in-memory lane: that is the "in-memory
-    // throughput" a user gives up by going out-of-core. The chunked lane
-    // can beat inmem outright (small shards fit L2), which would gate the
-    // cold-stream against a locality bonus it cannot earn back from disk.
-    throughput_ratio = packed_lane.rows_per_s / inmem_lane.rows_per_s;
-    // Bit parity packed vs stream: both lanes ran the identical shard-major
-    // schedule over identical f64 data, so serial solvers must agree to the
-    // bit. Hogwild lanes race by design and gate on relative objective.
-    if (serial) {
-      parity = packed_lane.final_model.size() ==
-                   stream_lane.final_model.size() &&
-               std::memcmp(packed_lane.final_model.data(),
-                           stream_lane.final_model.data(),
-                           packed_lane.final_model.size() * sizeof(double)) ==
-                   0;
-    } else {
-      const double rel = std::abs(f_packed - f_stream) /
-                         std::max(1e-300, std::abs(f_stream));
-      parity = rel <= 1e-2;
-    }
-  }
+  // Gate against the classic in-memory lane: that is the "in-memory
+  // throughput" a user gives up by going out-of-core. The chunked lane can
+  // beat inmem outright (small shards fit L2), which would gate the
+  // cold-stream against a locality bonus it cannot earn back from disk.
+  const LaneResult& inmem_lane = lanes[0];
+  const LaneResult& stream_lane = lanes[2];
+  const LaneResult& packed_lane = lanes[3];
+  const double throughput_ratio =
+      packed_lane.rows_per_s / inmem_lane.rows_per_s;
 
   // The throughput gate needs a measurement window long enough that the
   // cold start (first-ever decode + one-time CRC pass) amortises and timer
@@ -297,70 +247,55 @@ int main(int argc, char** argv) {
   constexpr double kMinGateWindowSeconds = 0.2;
   constexpr std::size_t kMinGateEpochs = 3;
   const bool throughput_gated =
-      lanes[0].train_seconds >= kMinGateWindowSeconds &&
+      inmem_lane.train_seconds >= kMinGateWindowSeconds &&
       opt.epochs >= kMinGateEpochs;
+
+  rec.config = {{"rows", spec.rows},           {"dim", spec.dim},
+                {"budget_bytes", budget},      {"shard_rows", shard_rows},
+                {"solver", solver},            {"epochs", opt.epochs},
+                {"throughput_gated", throughput_gated}};
 
   if (check) {
     constexpr double kThroughputGate = 0.9;
     if (throughput_gated) {
-      std::printf("check: packed/inmem throughput = %.3f (gate %.2f)\n",
-                  throughput_ratio, kThroughputGate);
+      rec.check("packed >= 0.9x inmem", throughput_ratio >= kThroughputGate,
+                "packed/inmem throughput = ", throughput_ratio, " (gate ",
+                kThroughputGate, ")");
     } else {
       std::printf(
           "check: packed/inmem throughput = %.3f (gate SKIPPED: inmem train "
           "window %.3fs / %zu epochs below the %.1fs / %zu-epoch floor — "
           "cold-start costs do not amortise; run the default sizes to gate)\n",
-          throughput_ratio, lanes[0].train_seconds, opt.epochs,
+          throughput_ratio, inmem_lane.train_seconds, opt.epochs,
           kMinGateWindowSeconds, kMinGateEpochs);
     }
-    std::printf("check: packed vs stream %s parity: %s\n",
-                serial ? "bit" : "objective", parity ? "OK" : "FAIL");
+    // Bit parity packed vs stream: both lanes ran the identical shard-major
+    // schedule over identical f64 data, so serial solvers must agree to the
+    // bit. Hogwild lanes race by design and gate on relative objective.
+    if (serial) {
+      rec.check("packed == stream (bit)",
+                packed_lane.final_model.size() ==
+                        stream_lane.final_model.size() &&
+                    std::memcmp(packed_lane.final_model.data(),
+                                stream_lane.final_model.data(),
+                                packed_lane.final_model.size() *
+                                    sizeof(double)) == 0,
+                "final models of ", packed_lane.final_model.size(),
+                " coordinates");
+    } else {
+      const double rel =
+          std::abs(f_packed - f_stream) / std::max(1e-300, std::abs(f_stream));
+      rec.check("packed ~ stream (objective)", rel <= 1e-2,
+                "|packed - stream| / stream = ", rel, " (gate 1e-2)");
+    }
     const double rel = std::abs(f_stream - f_chunked) /
                        std::max(1e-300, std::abs(f_chunked));
     const double gate = serial ? 1e-6 : 1e-2;
-    std::printf("check: |stream - chunked| / chunked = %.3e (gate %.0e)\n",
-                rel, gate);
-    if (throughput_gated && throughput_ratio < kThroughputGate) {
-      std::fprintf(stderr, "FAIL: packed cold-stream below %.2fx in-memory\n",
-                   kThroughputGate);
-      rc = 1;
-    }
-    if (!parity) {
-      std::fprintf(stderr, "FAIL: packed diverged from streaming path\n");
-      rc = 1;
-    }
-    if (rel > gate) {
-      std::fprintf(stderr, "FAIL: streaming diverged from in-memory path\n");
-      rc = 1;
-    }
-    if (rc == 0) std::printf("check: OK\n");
-  }
-
-  if (const std::string out = cli.get("out"); !out.empty()) {
-    std::ofstream js(out);
-    js << "{\n  \"rows\": " << spec.rows << ",\n  \"dim\": " << spec.dim
-       << ",\n  \"budget_bytes\": " << budget
-       << ",\n  \"shard_rows\": " << shard_rows << ",\n  \"solver\": \""
-       << solver << "\",\n  \"epochs\": " << opt.epochs
-       << ",\n  \"throughput_ratio_packed_vs_inmem\": " << throughput_ratio
-       << ",\n  \"throughput_gated\": " << (throughput_gated ? "true" : "false")
-       << ",\n  \"parity\": " << (parity ? "true" : "false")
-       << ",\n  \"check_passed\": " << (rc == 0 ? "true" : "false")
-       << ",\n  \"lanes\": [\n";
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      const LaneResult& lane = lanes[i];
-      js << "    {\"label\": \"" << lane.label
-         << "\", \"train_seconds\": " << lane.train_seconds
-         << ", \"rows_per_s\": " << lane.rows_per_s
-         << ", \"final_objective\": " << lane.final_objective;
-      if (lane.cache) js << ", \"cache\": " << cache_json(*lane.cache);
-      js << "}" << (i + 1 < lanes.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-    std::printf("results written to %s\n", out.c_str());
+    rec.check("stream ~ chunked", rel <= gate,
+              "|stream - chunked| / chunked = ", rel, " (gate ", gate, ")");
   }
 
   std::remove(file.c_str());
   std::remove(pack_file.c_str());
-  return rc;
+  return bench::finish(rec, cli.get("out"));
 }

@@ -9,19 +9,17 @@
 //   * one-way stream of 1 MiB frames — bulk bandwidth (the kFence model
 //     snapshot and kModelDelta broadcasts).
 //
-// Self-contained timing (no google-benchmark), same flag conventions as the
-// other bench binaries:
+// Self-contained timing (no google-benchmark), same flag conventions and
+// bench record (one row per entry) as the other bench binaries:
 //   transport_bench [--seconds S] [--out FILE]
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
-#include <vector>
 
+#include "bench_common.hpp"
 #include "net/transport.hpp"
-#include "util/cli.hpp"
 
 namespace {
 
@@ -51,15 +49,9 @@ Pair make_pair_over(const std::string& transport) {
   return p;
 }
 
-struct Row {
-  std::string name;
-  double value;
-  const char* unit;
-};
-
 /// Round trips per second with `size`-byte payloads, echoed by a peer
 /// thread.
-Row pingpong(const std::string& transport, double seconds) {
+util::RecordFields pingpong(const std::string& transport, double seconds) {
   Pair p = make_pair_over(transport);
   std::thread echo([&] {
     try {
@@ -93,11 +85,13 @@ Row pingpong(const std::string& transport, double seconds) {
   const double us_per_rt = 1e6 * elapsed / static_cast<double>(ops);
   std::printf("  %-28s %10.2f us/roundtrip  (%.0f rt/s)\n",
               (transport + "/pingpong_64B").c_str(), us_per_rt, ops / elapsed);
-  return {transport + "/pingpong_64B_us", us_per_rt, "us/roundtrip"};
+  return {{"name", transport + "/pingpong_64B_us"},
+          {"value", us_per_rt},
+          {"unit", "us/roundtrip"}};
 }
 
 /// One-way MiB/s with 1 MiB frames.
-Row stream(const std::string& transport, double seconds) {
+util::RecordFields stream(const std::string& transport, double seconds) {
   Pair p = make_pair_over(transport);
   std::thread sink([&] {
     try {
@@ -123,7 +117,9 @@ Row stream(const std::string& transport, double seconds) {
   const double mib_s = static_cast<double>(frames) / elapsed;
   std::printf("  %-28s %10.0f MiB/s\n", (transport + "/stream_1MiB").c_str(),
               mib_s);
-  return {transport + "/stream_1MiB_mibs", mib_s, "MiB/s"};
+  return {{"name", transport + "/stream_1MiB_mibs"},
+          {"value", mib_s},
+          {"unit", "MiB/s"}};
 }
 
 }  // namespace
@@ -137,24 +133,12 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
   const double seconds = cli.get_double("seconds");
 
-  std::vector<Row> rows;
+  util::BenchRecord rec{.bench = "transport_bench"};
+  rec.config = {{"seconds", seconds}};
   for (const char* transport : {"shm", "tcp"}) {
     std::printf("%s:\n", transport);
-    rows.push_back(pingpong(transport, seconds));
-    rows.push_back(stream(transport, seconds));
+    rec.rows.push_back(pingpong(transport, seconds));
+    rec.rows.push_back(stream(transport, seconds));
   }
-
-  const std::string out = cli.get("out");
-  if (!out.empty()) {
-    std::ofstream f(out);
-    f << "[\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      f << "  {\"name\": \"" << rows[i].name << "\", \"value\": "
-        << rows[i].value << ", \"unit\": \"" << rows[i].unit << "\"}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    f << "]\n";
-    std::printf("wrote %s\n", out.c_str());
-  }
-  return 0;
+  return bench::finish(rec, cli.get("out"));
 }

@@ -143,9 +143,13 @@ class PsServer {
   /// Accepts connections until `target`'s (re)connect arrives or the
   /// deadline passes. Other ranks' reconnects arriving meanwhile are
   /// installed too — waiting on one rank must not eat another's handshake.
+  /// Each accept waits at most kPollMs, and until the shutdown drain the
+  /// controller is looked at between waits, so a run whose controller is
+  /// gone ends at once instead of at the deadline.
   bool await_rank(std::size_t target, Clock::time_point deadline) {
-    listener_->set_accept_timeout(poll_ms_);
+    listener_->set_accept_timeout(kPollMs);
     while (Clock::now() < deadline) {
+      if (!draining_) check_controller();
       std::unique_ptr<net::Endpoint> ep;
       try {
         ep = listener_->accept();
@@ -171,6 +175,24 @@ class PsServer {
       if (hello.rank == target) return true;
     }
     return false;
+  }
+
+  /// Throws kClosed once the controller's connection has closed. Between a
+  /// kFence reply and the next kFence the controller sends nothing, so a
+  /// look that reads no bytes cannot desynchronise its stream; a byte that
+  /// does arrive breaks the protocol.
+  void check_controller() {
+    char byte;
+    controller_->set_io_timeout(0);
+    try {
+      controller_->recv_bytes(&byte, 1);
+    } catch (const net::TransportError& e) {
+      controller_->set_io_timeout(kGroupIoTimeoutMs);
+      if (e.kind() == net::TransportError::Kind::kTimeout) return;
+      throw;
+    }
+    throw net::TransportError(net::TransportError::Kind::kProtocol,
+                              "ps server: the controller sent data mid-epoch");
   }
 
   void mark_dead(std::size_t r) {
@@ -434,6 +456,7 @@ class PsServer {
   /// retransmitted kEpochEnd (including on a fresh connection after a
   /// reset) by resending the cached go, until the liveness deadline.
   void drain_shutdown() {
+    draining_ = true;  // the controller's close is expected from here on
     // A closed connection means either the worker exited cleanly (no
     // reconnect will come) or it is re-establishing after a reset. A
     // reconnect arrives within one backoff period; anything longer means a
@@ -524,6 +547,7 @@ class PsServer {
   std::vector<RankState> ranks_;
   std::uint64_t applied_ = 0;
   std::uint64_t bytes_ = 0;
+  bool draining_ = false;
   // The open steps in fenced order, as ranks (see the class comment).
   std::vector<std::size_t> window_;
   // Reused from frame to frame: every rank's requests are read into frame_,

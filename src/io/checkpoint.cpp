@@ -64,11 +64,17 @@ class Reader {
   Reader(std::vector<std::byte> data, std::string path)
       : data_(std::move(data)), path_(std::move(path)) {}
 
-  void bytes(void* out, std::size_t size, const char* what) {
-    if (pos_ + size > data_.size()) {
+  /// Throws unless `size` bytes are left: every length is bounded by the
+  /// file before anything is sized by it.
+  void need(std::size_t size, const char* what) const {
+    if (size > data_.size() - pos_) {
       throw CheckpointError("checkpoint '" + path_ +
                             "': truncated while reading " + what);
     }
+  }
+  void bytes(void* out, std::size_t size, const char* what) {
+    need(size, what);
+    if (size == 0) return;  // an empty section's vector may hold no buffer
     std::memcpy(out, data_.data() + pos_, size);
     pos_ += size;
   }
@@ -88,6 +94,7 @@ class Reader {
     return v;
   }
   std::string string(std::size_t size, const char* what) {
+    need(size, what);
     std::string s(size, '\0');
     bytes(s.data(), size, what);
     return s;
@@ -111,9 +118,9 @@ constexpr const char* kModelSection = "__model";
 
 void write_section(Writer& out, std::uint8_t kind, const std::string& name,
                    const void* payload, std::size_t count) {
+  const std::size_t mark = out.size();
   out.u8(kind);
   out.u32(static_cast<std::uint32_t>(name.size()));
-  const std::size_t mark = out.size();
   out.bytes(name.data(), name.size());
   out.u64(count);
   out.bytes(payload, count * 8);
@@ -135,10 +142,10 @@ void save_checkpoint(const std::string& path,
   out.u64(state.seed);
   out.u64(state.epochs_budget);
   out.u64(state.dataset_fingerprint);
-  out.u32(out.crc_since(header_mark));
-
   out.u32(static_cast<std::uint32_t>(1 + state.reals.size() +
                                      state.words.size()));
+  out.u32(out.crc_since(header_mark));
+
   write_section(out, kKindReals, kModelSection, state.model.data(),
                 state.model.size());
   for (const auto& [name, values] : state.reals) {
@@ -175,12 +182,15 @@ solvers::SnapshotState load_checkpoint(const std::string& path) {
                           "': bad magic (not an ISCK checkpoint file)");
   }
   const std::uint32_t version = in.u32("version");
-  if (version != kCheckpointVersion) {
+  if (version != 1 && version != kCheckpointVersion) {
     throw CheckpointError(
         "checkpoint '" + path + "': unsupported format version " +
-        std::to_string(version) + " (this build reads version " +
+        std::to_string(version) + " (this build reads versions 1 to " +
         std::to_string(kCheckpointVersion) + ")");
   }
+  // Version 1 leaves the section count, each section's kind byte and name
+  // length, and any trailing bytes outside every CRC.
+  const bool v1 = version == 1;
 
   solvers::SnapshotState state;
   const std::size_t header_mark = in.pos();
@@ -190,21 +200,23 @@ solvers::SnapshotState load_checkpoint(const std::string& path) {
   state.seed = in.u64("seed");
   state.epochs_budget = in.u64("epoch budget");
   state.dataset_fingerprint = in.u64("dataset fingerprint");
+  std::uint32_t sections = v1 ? 0 : in.u32("section count");
   const std::uint32_t header_crc = in.crc_since(header_mark);
   if (in.u32("header CRC") != header_crc) {
     throw CheckpointError("checkpoint '" + path +
                           "': header CRC mismatch (corrupted file)");
   }
+  if (v1) sections = in.u32("section count");
 
-  const std::uint32_t sections = in.u32("section count");
   for (std::uint32_t k = 0; k < sections; ++k) {
+    const std::size_t kind_mark = in.pos();
     const std::uint8_t kind = in.u8("section kind");
     if (kind != kKindReals && kind != kKindWords) {
       throw CheckpointError("checkpoint '" + path +
                             "': unknown section kind " + std::to_string(kind));
     }
     const std::uint32_t section_name_len = in.u32("section-name length");
-    const std::size_t mark = in.pos();
+    const std::size_t mark = v1 ? in.pos() : kind_mark;
     const std::string name = in.string(section_name_len, "section name");
     const std::uint64_t count = in.u64("section element count");
     // Validate the declared length against the bytes actually present, so a
@@ -237,6 +249,11 @@ solvers::SnapshotState load_checkpoint(const std::string& path) {
       }
       state.words[name] = std::move(values);
     }
+  }
+  if (!v1 && in.remaining() != 0) {
+    throw CheckpointError("checkpoint '" + path + "': " +
+                          std::to_string(in.remaining()) +
+                          " trailing bytes after the last section");
   }
   return state;
 }

@@ -7,9 +7,13 @@
 // final model bit-identical to the uninterrupted run. Nothing "close" —
 // EXPECT_EQ on the raw double vectors.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -19,6 +23,7 @@
 #include "data/data_source.hpp"
 #include "data/synthetic.hpp"
 #include "io/checkpoint.hpp"
+#include "io/crc32.hpp"
 #include "objectives/logistic.hpp"
 #include "solvers/snapshot.hpp"
 #include "solvers/solver.hpp"
@@ -336,6 +341,133 @@ TEST(CheckpointFormat, WrongMagicIsRefused) {
   bytes[0] = 'X';
   spit(path, bytes);
   EXPECT_THROW((void)io::load_checkpoint(path), io::CheckpointError);
+  std::remove(path.c_str());
+}
+
+/// Offset of the first section's kind byte: the magic, the version, the
+/// solver name with its length, four u64 header fields, the section count
+/// and the header CRC come first (in both format versions).
+std::size_t first_section_at(const solvers::SnapshotState& state) {
+  return 4 + 4 + 4 + state.solver.size() + 4 * 8 + 4 + 4;
+}
+
+TEST(CheckpointFormat, AFlippedSectionKindIsCaught) {
+  // The __model section's kind byte turned from f64 (0) to u64 (1): the
+  // file would load an empty model and a word section named __model if no
+  // CRC covered the kind.
+  const std::string path = temp_path("kind.ckpt");
+  io::save_checkpoint(path, sample_state());
+  std::vector<char> bytes = slurp(path);
+  const std::size_t at = first_section_at(sample_state());
+  ASSERT_EQ(bytes[at], 0);
+  bytes[at] = 1;
+  spit(path, bytes);
+  EXPECT_THROW((void)io::load_checkpoint(path), io::CheckpointError);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointFormat, TrailingBytesAreRefused) {
+  const std::string path = temp_path("trailing.ckpt");
+  io::save_checkpoint(path, sample_state());
+  std::vector<char> bytes = slurp(path);
+  bytes.push_back('\0');
+  spit(path, bytes);
+  EXPECT_THROW((void)io::load_checkpoint(path), io::CheckpointError);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointFormat, AHugeNameLengthIsRejectedBeforeAnythingIsSizedByIt) {
+  // A solver-name length of 1 GiB in a file of a few dozen bytes. Loaded in
+  // a forked child, so the peak RSS it reports is this load's alone.
+  const std::string path = temp_path("huge_name.ckpt");
+  io::save_checkpoint(path, sample_state());
+  std::vector<char> bytes = slurp(path);
+  const std::uint32_t huge = 0x40000000;
+  std::memcpy(bytes.data() + 8, &huge, 4);  // right after magic and version
+  spit(path, bytes);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    rusage before{}, after{};
+    ::getrusage(RUSAGE_SELF, &before);
+    int code = 2;  // loaded
+    try {
+      (void)io::load_checkpoint(path);
+    } catch (const io::CheckpointError&) {
+      code = 0;
+    } catch (...) {
+      code = 3;
+    }
+    ::getrusage(RUSAGE_SELF, &after);
+    if (code == 0 && after.ru_maxrss - before.ru_maxrss > 64 * 1024) code = 1;
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "the loading child died";
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: peak RSS grew by more than 64 MiB; 2: the file loaded; "
+         "3: an error other than CheckpointError";
+  std::remove(path.c_str());
+}
+
+/// Appends little-endian integers and raw bytes, as the version-1 writer
+/// laid them out.
+struct V1Bytes {
+  std::vector<char> b;
+  void raw(const void* p, std::size_t n) {
+    b.insert(b.end(), static_cast<const char*>(p),
+             static_cast<const char*>(p) + n);
+  }
+  void u8(std::uint8_t v) { raw(&v, 1); }
+  void u32(std::uint32_t v) { raw(&v, 4); }
+  void u64(std::uint64_t v) { raw(&v, 8); }
+  void crc_since(std::size_t mark) {
+    u32(io::crc32(b.data() + mark, b.size() - mark));
+  }
+  void section(std::uint8_t kind, const std::string& name, const void* payload,
+               std::size_t count) {
+    u8(kind);
+    u32(static_cast<std::uint32_t>(name.size()));
+    const std::size_t mark = b.size();
+    raw(name.data(), name.size());
+    u64(count);
+    raw(payload, count * 8);
+    crc_since(mark);
+  }
+};
+
+TEST(CheckpointFormat, AVersionOneFileStillLoadsToItsState) {
+  const solvers::SnapshotState state = sample_state();
+  V1Bytes v1;
+  v1.raw("ISCK", 4);
+  v1.u32(1);
+  const std::size_t header = v1.b.size();
+  v1.u32(static_cast<std::uint32_t>(state.solver.size()));
+  v1.raw(state.solver.data(), state.solver.size());
+  v1.u64(state.epoch);
+  v1.u64(state.seed);
+  v1.u64(state.epochs_budget);
+  v1.u64(state.dataset_fingerprint);
+  v1.crc_since(header);
+  v1.u32(3);
+  v1.section(0, "__model", state.model.data(), state.model.size());
+  const std::vector<double>& anchor = state.reals.at("svrg.anchor");
+  v1.section(0, "svrg.anchor", anchor.data(), anchor.size());
+  const std::vector<std::uint64_t>& rng = state.words.at("rng");
+  v1.section(1, "rng", rng.data(), rng.size());
+  v1.raw("tail", 4);  // version 1 ignores trailing bytes
+  const std::string path = temp_path("v1.ckpt");
+  spit(path, v1.b);
+  const solvers::SnapshotState loaded = io::load_checkpoint(path);
+  EXPECT_EQ(loaded.solver, state.solver);
+  EXPECT_EQ(loaded.epoch, state.epoch);
+  EXPECT_EQ(loaded.seed, state.seed);
+  EXPECT_EQ(loaded.epochs_budget, state.epochs_budget);
+  EXPECT_EQ(loaded.dataset_fingerprint, state.dataset_fingerprint);
+  EXPECT_EQ(loaded.model, state.model);
+  EXPECT_EQ(loaded.reals, state.reals);
+  EXPECT_EQ(loaded.words, state.words);
   std::remove(path.c_str());
 }
 

@@ -1,8 +1,9 @@
 // The process group's parameter server (distributed/ps_server.hpp), driven
 // in-process over tcp and shm: the server runs on a thread, and the test
 // plays the controller and the workers with hand-packed frames. It pins the
-// apply arithmetic, the exactly-once answer to a retransmitted push, and
-// every check that turns a malformed frame into a kProtocol error.
+// apply arithmetic, the exactly-once answer to a retransmitted push, every
+// check that turns a malformed frame into a kProtocol error, and the end of
+// the run when the controller's connection closes mid-epoch.
 #include "distributed/ps_server.hpp"
 
 #include <gtest/gtest.h>
@@ -72,22 +73,28 @@ class Server {
   /// The server must have finished its run without an error.
   void expect_stopped() { done_.get(); }
 
-  /// The server must stop on the frame just sent, with a kProtocol error
-  /// whose message holds `check`: the words of the check that must fire.
-  void expect_protocol_error(std::string_view check) {
-    if (done_.wait_for(std::chrono::seconds(30)) !=
-        std::future_status::ready) {
-      ADD_FAILURE() << "the server is still serving";
+  /// The server must stop within `within` with a `kind` error whose
+  /// message holds `check`: the words of the check that must fire.
+  void expect_error(net::TransportError::Kind kind, std::string_view check,
+                    std::chrono::seconds within = std::chrono::seconds(30)) {
+    if (done_.wait_for(within) != std::future_status::ready) {
+      ADD_FAILURE() << "the server is still serving after " << within.count()
+                    << " s";
       for (const auto& peer : peers_) peer->close();
     }
     try {
       done_.get();
       ADD_FAILURE() << "the server finished without an error";
     } catch (const net::TransportError& e) {
-      EXPECT_EQ(e.kind(), net::TransportError::Kind::kProtocol) << e.what();
+      EXPECT_EQ(e.kind(), kind) << e.what();
       EXPECT_NE(std::string_view(e.what()).find(check), std::string_view::npos)
           << e.what();
     }
+  }
+
+  /// The server must stop on the frame just sent, with a kProtocol error.
+  void expect_protocol_error(std::string_view check) {
+    expect_error(net::TransportError::Kind::kProtocol, check);
   }
 
  private:
@@ -289,6 +296,21 @@ TEST_P(PsServerTest, ADuplicateOrOutOfRangeRankAtAcceptIsAProtocolError) {
     server.join(wire::kRoleWorker, second_rank);
     server.expect_protocol_error("duplicate or out-of-range worker rank");
   }
+}
+
+TEST_P(PsServerTest, AClosedControllerEndsTheRunWhileAWorkerIsAwaited) {
+  // The worker's connection closes after one answered step, so the server
+  // waits for it to reconnect; the controller's close must end that wait
+  // at once, not after the group's 120 s I/O deadline.
+  Server server(GetParam(), /*k=*/1);
+  net::Endpoint& controller = server.join(wire::kRoleController);
+  net::Endpoint& worker = server.join(wire::kRoleWorker, 0);
+  send(worker, wire::kStep, step_frame(1, {0, 3}));
+  EXPECT_EQ(step_reply(worker, 1, 2), (std::vector<double>{0.0, 0.0}));
+  worker.close();
+  controller.close();
+  server.expect_error(net::TransportError::Kind::kClosed, "peer closed",
+                      std::chrono::seconds(2));
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, PsServerTest,
