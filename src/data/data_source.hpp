@@ -156,6 +156,13 @@ class DataSource {
   /// streaming support, which defeats the memory budget.
   [[nodiscard]] virtual const sparse::CsrMatrix& materialize() const = 0;
 
+  /// An independent handle on the same data, for a process forked after
+  /// it is made: it starts no background work and shares no mutable state
+  /// with this source, so it stays usable where this source's pool threads
+  /// do not run. Null when the shards cannot change after construction
+  /// (in-memory sources), which a forked child may read as they are.
+  [[nodiscard]] virtual std::unique_ptr<DataSource> reopen() const = 0;
+
   /// shard_rows(s) for every shard — the shape ShardedSequence schedules
   /// over.
   [[nodiscard]] std::vector<std::size_t> shard_sizes() const;
@@ -198,6 +205,9 @@ class InMemorySource final : public DataSource {
   [[nodiscard]] bool resident() const override { return true; }
   [[nodiscard]] const sparse::CsrMatrix& materialize() const override {
     return *matrix_;
+  }
+  [[nodiscard]] std::unique_ptr<DataSource> reopen() const override {
+    return nullptr;
   }
   /// Geometry hash strengthened with a strided sample of the matrix content
   /// (labels, column indices, value bits) — two same-shape datasets with

@@ -98,6 +98,10 @@ std::size_t PackedSource::prefetch_depth() const {
 
 void PackedSource::end_epoch() const { cache_->end_epoch(); }
 
+std::unique_ptr<DataSource> PackedSource::reopen() const {
+  return std::make_unique<PackedSource>(reader_.path(), options_, nullptr);
+}
+
 std::uint64_t PackedSource::buffer_pool_reuses() const {
   const std::lock_guard<std::mutex> lock(buffers_->mu);
   return buffers_->reuses;

@@ -86,6 +86,8 @@ class PackedSource final : public DataSource, private RowStats {
   /// Decodes every shard into one matrix, in parallel on the source's pool
   /// (serially without one), and caches it. Bypasses the cache budget.
   [[nodiscard]] const sparse::CsrMatrix& materialize() const override;
+  /// Maps the same path again, under the same budget and with no pool.
+  [[nodiscard]] std::unique_ptr<DataSource> reopen() const override;
   [[nodiscard]] std::optional<CacheStats> cache_stats() const override {
     return cache_->stats();
   }

@@ -65,6 +65,21 @@ StreamingSource::StreamingSource(std::string path, StreamingOptions options,
       throw std::runtime_error("StreamingSource: corrupt header in '" + path_ +
                                "'");
     }
+    // Nothing is sized before the file is known to hold the four arrays
+    // the header announces (rows ≤ 2^34, so only the nnz term can
+    // overflow, and it is bounded by division).
+    in.seekg(0, std::ios::end);
+    const auto file_bytes = static_cast<std::uint64_t>(in.tellg());
+    const std::uint64_t fixed_bytes =
+        kHeaderBytes + (rows_ + 1) * sizeof(std::uint64_t) +
+        rows_ * sizeof(sparse::value_t);
+    if (file_bytes < fixed_bytes ||
+        nnz_ > (file_bytes - fixed_bytes) /
+                   (sizeof(sparse::index_t) + sizeof(sparse::value_t))) {
+      throw std::runtime_error("StreamingSource: truncated read from '" +
+                               path_ + "' (the header announces more than "
+                               "the file holds)");
+    }
     // The row_ptr array is the shard index: 8 bytes per row buys O(1) seeks
     // into the three data arrays.
     binary_row_ptr_.resize(rows_ + 1);
@@ -199,6 +214,10 @@ std::size_t StreamingSource::prefetch_depth() const {
 }
 
 void StreamingSource::end_epoch() const { cache_->end_epoch(); }
+
+std::unique_ptr<DataSource> StreamingSource::reopen() const {
+  return std::make_unique<StreamingSource>(path_, options_, nullptr);
+}
 
 bool StreamingSource::resident() const {
   const std::lock_guard<std::mutex> lock(mu_);

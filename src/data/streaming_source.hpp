@@ -85,6 +85,8 @@ class StreamingSource final : public DataSource {
   /// True once materialize() has cached the whole matrix.
   [[nodiscard]] bool resident() const override;
   [[nodiscard]] const sparse::CsrMatrix& materialize() const override;
+  /// Indexes the same file again, with the same options and no pool.
+  [[nodiscard]] std::unique_ptr<DataSource> reopen() const override;
   /// The configured cache budget — what this source actually holds resident
   /// while training, as opposed to the full-file estimate of the default.
   [[nodiscard]] std::size_t resident_bytes() const override {

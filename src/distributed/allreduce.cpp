@@ -5,59 +5,41 @@
 #include <vector>
 
 #include "distributed/fenced.hpp"
+#include "distributed/group.hpp"
+#include "distributed/real_runtime.hpp"
 #include "sim/event_loop.hpp"
 #include "solvers/schedule.hpp"
 #include "util/timer.hpp"
 
 namespace isasgd::distributed {
 
-solvers::Trace run_allreduce_sgd(const sparse::CsrMatrix& data,
-                                 const objectives::Objective& objective,
-                                 const solvers::SolverOptions& options,
-                                 const ClusterSpec& spec, bool use_importance,
-                                 const solvers::EvalFn& eval,
-                                 AllreduceReport* report,
-                                 solvers::TrainingObserver* observer) {
-  spec.validate();
-  if (spec.fault.enabled()) {
-    throw std::invalid_argument(
-        "run_allreduce_sgd: crash scenarios are implemented for the "
-        "parameter-server engines (the all-reduce schedule has no recovery "
-        "protocol)");
-  }
+namespace {
+
+/// The simulated all-reduce over `setup`'s walks: records every fence into
+/// `recorder`, fills `report`'s run counters and returns the final model.
+std::vector<double> simulate(fenced::Setup& setup, std::size_t dim,
+                             std::size_t rounds_per_epoch, std::size_t b,
+                             const objectives::Objective& objective,
+                             const solvers::SolverOptions& options,
+                             const ClusterSpec& spec,
+                             solvers::TraceRecorder& recorder,
+                             AllreduceReport& report) {
   // The one schedule difference: the fenced order sums each node's partial
   // first and merges the partials in rank order.
   const bool rank_order_merge = spec.schedule == Schedule::kFencedRoundRobin;
-  const std::size_t n = data.rows();
-  const std::size_t b = std::max<std::size_t>(1, options.batch_size);
-  std::vector<double> w(data.dim(), 0.0);
-  util::Stopwatch sw;
-  fenced::Setup setup = fenced::make_allreduce_setup(
-      data, objective, options, spec.nodes, use_importance);
   const std::size_t k = setup.k;
-  solvers::TraceRecorder recorder(
-      use_importance ? "allreduce_is_sgd" : "allreduce_sgd", k,
-      options.step_size, eval, observer);
-  recorder.mark_simulated_time();
-  recorder.add_setup_seconds(sw.seconds());
+  std::vector<double> w(dim, 0.0);
   recorder.record(0, 0.0, w);
-
   // Dense scratch with touched lists, so a round costs O(touched) to reset,
   // not O(d): the global accumulator, and (rank-order merge only) the
   // per-node partial.
-  std::vector<double> accum(data.dim(), 0.0);
-  std::vector<double> partial(rank_order_merge ? data.dim() : 0, 0.0);
+  std::vector<double> accum(dim, 0.0);
+  std::vector<double> partial(rank_order_merge ? dim : 0, 0.0);
   std::vector<std::uint32_t> touched, ptouched;
   std::vector<double>& sum = rank_order_merge ? partial : accum;
   std::vector<std::uint32_t>& sum_touched =
       rank_order_merge ? ptouched : touched;
-  const double allreduce_seconds = spec.ring_allreduce_seconds(data.dim());
-  const double per_round_bytes =
-      k > 1 ? 2.0 * (static_cast<double>(k) - 1.0) / static_cast<double>(k) *
-                  static_cast<double>(data.dim()) *
-                  static_cast<double>(spec.bytes_per_dense_coord)
-            : 0.0;
-  const std::size_t rounds_per_epoch = (n + k * b - 1) / (k * b);
+  const double allreduce_seconds = spec.ring_allreduce_seconds(dim);
   const double samples_per_round = static_cast<double>(k * b);
 
   double sim_time = 0, comm_time = 0;
@@ -118,17 +100,62 @@ solvers::Trace run_allreduce_sgd(const sparse::CsrMatrix& data,
     recorder.record(epoch, sim_time, w);
   }
 
-  if (report || observer) {
-    AllreduceReport local;
-    local.rounds = rounds;
-    local.bytes_per_node_per_round = per_round_bytes;
-    local.simulated_seconds = sim_time;
-    local.comm_fraction = sim_time > 0 ? comm_time / sim_time : 0;
-    if (report) *report = local;
-    if (observer) observer->on_diagnostics(local);
+  report.rounds = rounds;
+  report.simulated_seconds = sim_time;
+  report.comm_fraction = sim_time > 0 ? comm_time / sim_time : 0;
+  return w;
+}
+
+}  // namespace
+
+solvers::Trace run_allreduce_sgd(const data::DataSource& source,
+                                 const objectives::Objective& objective,
+                                 const solvers::SolverOptions& options,
+                                 const ClusterSpec& spec, bool use_importance,
+                                 const solvers::EvalFn& eval,
+                                 AllreduceReport* report,
+                                 solvers::TrainingObserver* observer) {
+  spec.validate();
+  if (fault_tolerant(spec)) {
+    throw std::invalid_argument(
+        "run_allreduce_sgd: fault injection and crash scenarios are "
+        "implemented for the parameter-server engine (the all-reduce has no "
+        "recovery protocol)");
   }
-  if (options.keep_final_model) recorder.set_final_model(w);
-  return std::move(recorder).finish(sim_time);
+  const bool forked = spec.backend == Backend::kProcess;
+  // No all-reduce plan is shard-major: both backends train on the whole
+  // matrix. The group counts a materialize as setup, as Solver::train
+  // counts a wall-clock solver's; the simulator's setup clock starts after.
+  util::Stopwatch setup_clock;
+  const sparse::CsrMatrix& data = source.materialize();
+  if (!forked) setup_clock.reset();
+  fenced::Setup setup = fenced::make_allreduce_setup(
+      data, objective, options, spec.nodes, use_importance);
+  const std::size_t k = setup.k;
+  const std::size_t b = std::max<std::size_t>(1, options.batch_size);
+  const std::size_t rounds_per_epoch = (data.rows() + k * b - 1) / (k * b);
+  solvers::TraceRecorder recorder(
+      use_importance ? "allreduce_is_sgd" : "allreduce_sgd", k,
+      options.step_size, eval, observer);
+  if (!forked) recorder.mark_simulated_time();
+  recorder.add_setup_seconds(setup_clock.seconds());
+
+  AllreduceReport local;
+  local.bytes_per_node_per_round =
+      k > 1 ? 2.0 * (static_cast<double>(k) - 1.0) / static_cast<double>(k) *
+                  static_cast<double>(data.dim()) *
+                  static_cast<double>(spec.bytes_per_dense_coord)
+            : 0.0;
+  std::vector<double> w =
+      forked ? detail::run_allreduce_group(setup, data.dim(), rounds_per_epoch,
+                                           b, objective, options, spec,
+                                           recorder, local)
+             : simulate(setup, data.dim(), rounds_per_epoch, b, objective,
+                        options, spec, recorder, local);
+  if (report) *report = local;
+  if (observer) observer->on_diagnostics(local);
+  if (options.keep_final_model) recorder.set_final_model(std::move(w));
+  return std::move(recorder).finish(local.simulated_seconds);
 }
 
 }  // namespace isasgd::distributed

@@ -15,23 +15,15 @@
 // (ParamServerReport / AllreduceReport) through
 // TrainingObserver::on_diagnostics. Capabilities carry simulated_time so
 // sweeps know the trace's time axis is simulated seconds, and the
-// parameter-server pair is streaming-capable: the simulated parameter
-// server takes the DataSource itself, and on a multi-shard source the node
-// shards are whole source partitions dealt by the Algorithm-4 balancing
-// machinery (fenced::make_ps_setup), so an out-of-core file can feed the
-// simulated cluster shard-by-shard.
-// Backend dispatch (ClusterSpec::backend):
-//   kSimulate  the simulators, which read their ordering from
-//              ClusterSpec::schedule (event clock by default, or the
-//              deterministic fenced round robin)
-//   kProcess   real 1-server/k-worker process group (real_runtime.hpp,
-//              fenced only); traces carry host wall-clock seconds, and a
-//              sharded source is materialised first (the process backend
-//              partitions in memory pre-fork).
+// parameter-server pair is streaming-capable: the parameter server takes
+// the DataSource itself, and on a multi-shard source the node shards are
+// whole source partitions dealt by the Algorithm-4 balancing machinery
+// (fenced::make_ps_setup), so an out-of-core file feeds the cluster
+// shard-by-shard. Each engine reads ClusterSpec::backend itself (simulator
+// or forked process group).
 #include "distributed/allreduce.hpp"
 #include "distributed/cluster.hpp"
 #include "distributed/param_server.hpp"
-#include "distributed/real_runtime.hpp"
 #include "solvers/solver.hpp"
 
 namespace isasgd::distributed {
@@ -56,15 +48,9 @@ class ParamServerSolver : public solvers::Solver {
 
  protected:
   solvers::Trace run_impl(const solvers::SolverContext& ctx) const override {
-    const ClusterSpec spec = cluster_or_default(ctx);
-    if (spec.backend == Backend::kProcess) {
-      return run_param_server_process(ctx.data(), ctx.objective, ctx.options,
-                                      spec, use_importance_, ctx.eval,
-                                      /*report=*/nullptr, ctx.observer);
-    }
-    return run_param_server(ctx.source, ctx.objective, ctx.options, spec,
-                            use_importance_, ctx.eval, /*report=*/nullptr,
-                            ctx.observer);
+    return run_param_server(ctx.source, ctx.objective, ctx.options,
+                            cluster_or_default(ctx), use_importance_, ctx.eval,
+                            /*report=*/nullptr, ctx.observer);
   }
 
  private:
@@ -94,15 +80,9 @@ class AllreduceSgdSolver final : public solvers::Solver {
 
  protected:
   solvers::Trace run_impl(const solvers::SolverContext& ctx) const override {
-    const ClusterSpec spec = cluster_or_default(ctx);
-    if (spec.backend == Backend::kProcess) {
-      return run_allreduce_process(ctx.data(), ctx.objective, ctx.options,
-                                   spec, /*use_importance=*/false, ctx.eval,
-                                   /*report=*/nullptr, ctx.observer);
-    }
-    return run_allreduce_sgd(ctx.data(), ctx.objective, ctx.options, spec,
-                             /*use_importance=*/false, ctx.eval,
-                             /*report=*/nullptr, ctx.observer);
+    return run_allreduce_sgd(ctx.source, ctx.objective, ctx.options,
+                             cluster_or_default(ctx), /*use_importance=*/false,
+                             ctx.eval, /*report=*/nullptr, ctx.observer);
   }
 };
 

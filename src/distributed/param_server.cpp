@@ -1,9 +1,13 @@
 #include "distributed/param_server.hpp"
 
+#include <memory>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "distributed/fenced.hpp"
+#include "distributed/group.hpp"
+#include "distributed/real_runtime.hpp"
 #include "distributed/recovery.hpp"
 #include "sim/event_loop.hpp"
 #include "solvers/schedule.hpp"
@@ -34,36 +38,23 @@ struct PsStep {
   }
 };
 
-}  // namespace
-
-solvers::Trace run_param_server(const data::DataSource& source,
-                                const objectives::Objective& objective,
-                                const solvers::SolverOptions& options,
-                                const ClusterSpec& spec, bool use_importance,
-                                const solvers::EvalFn& eval,
-                                ParamServerReport* report,
-                                solvers::TrainingObserver* observer) {
-  spec.validate();
-
-  // ---- Partition across nodes (Algorithm 4 lines 2–11) ----
-  util::Stopwatch setup_clock;
-  fenced::Setup setup = fenced::make_ps_setup(source, objective, options,
-                                              spec.nodes, use_importance);
+/// The simulated cluster over `setup`'s walks: records every fence into
+/// `recorder`, fills `report`'s run counters and returns the final model.
+std::vector<double> simulate(fenced::Setup& setup, std::size_t dim,
+                             const objectives::Objective& objective,
+                             const solvers::SolverOptions& options,
+                             const ClusterSpec& spec,
+                             solvers::TraceRecorder& recorder,
+                             ParamServerReport& report) {
   const std::size_t k = setup.k;
   // Walks (sample streams over one shard) and executors (simulated
   // processes) are separate axes, tied together by the roster's fence-time
   // plan_assignment — the same re-planning the real controller runs. A walk
   // survives its home executor's crash; the adopting executor continues the
   // stream.
-  CrashRoster roster(spec.fault, spec.recovery.policy, setup.walk_quotas(),
-                     /*replayable_walks=*/setup.shard_phi.empty());
-  std::vector<double> w(source.dim(), 0.0);
-  solvers::TraceRecorder recorder(use_importance ? "ps_is_asgd" : "ps_asgd", k,
-                                  options.step_size, eval, observer);
-  recorder.mark_simulated_time();
-  recorder.add_setup_seconds(setup_clock.seconds());
+  CrashRoster roster(spec.fault, spec.recovery.policy, setup.walk_quotas());
+  std::vector<double> w(dim, 0.0);
   recorder.record(0, 0.0, w);
-
   double sim_time = 0, lambda = 0;
   std::size_t applied = 0, bytes = 0;
   double staleness_sum = 0;
@@ -191,22 +182,62 @@ solvers::Trace run_param_server(const data::DataSource& source,
     recorder.record(epoch, sim_time, w);
   }
 
-  if (report || observer) {
-    ParamServerReport local;
-    local.mean_staleness_updates =
-        applied > 0 ? staleness_sum / static_cast<double>(applied) : 0;
-    local.messages = applied;  // every push lands before its epoch's fence
-    local.bytes_sent = bytes;
-    local.simulated_seconds = sim_time;
-    local.phi_imbalance = setup.plan->imbalance();
-    local.applied_strategy = setup.plan->applied_strategy();
-    local.crash_events = roster.crash_events();
-    local.rejoin_events = roster.rejoin_events();
-    if (report) *report = local;
-    if (observer) observer->on_diagnostics(local);
+  report.mean_staleness_updates =
+      applied > 0 ? staleness_sum / static_cast<double>(applied) : 0;
+  report.messages = applied;  // every push lands before its epoch's fence
+  report.bytes_sent = bytes;
+  report.simulated_seconds = sim_time;
+  report.crash_events = roster.crash_events();
+  report.rejoin_events = roster.rejoin_events();
+  return w;
+}
+
+}  // namespace
+
+solvers::Trace run_param_server(const data::DataSource& source,
+                                const objectives::Objective& objective,
+                                const solvers::SolverOptions& options,
+                                const ClusterSpec& spec, bool use_importance,
+                                const solvers::EvalFn& eval,
+                                ParamServerReport* report,
+                                solvers::TrainingObserver* observer) {
+  spec.validate();
+  const bool forked = spec.backend == Backend::kProcess;
+  const bool sharded = source.shard_count() > 1;
+  if (sharded && fault_tolerant(spec)) {
+    throw std::invalid_argument(
+        "run_param_server: a FaultScenario or wire faults need a "
+        "single-shard source (a shard-major walk rewinds at every epoch, so "
+        "an adopted walk cannot be fast-forwarded to the server's count)");
   }
-  if (options.keep_final_model) recorder.set_final_model(w);
-  return std::move(recorder).finish(sim_time);
+
+  // ---- Partition across nodes (Algorithm 4 lines 2–11) ----
+  util::Stopwatch setup_clock;
+  // The group forks after this setup, and a cached source's pool threads
+  // do not survive fork(): on a multi-shard source it plans over a reopened
+  // handle, which the workers inherit and fault their node's shards from.
+  std::unique_ptr<data::DataSource> reopened;
+  if (forked && sharded) reopened = source.reopen();
+  fenced::Setup setup =
+      fenced::make_ps_setup(reopened ? *reopened : source, objective, options,
+                            spec.nodes, use_importance);
+  solvers::TraceRecorder recorder(use_importance ? "ps_is_asgd" : "ps_asgd",
+                                  setup.k, options.step_size, eval, observer);
+  if (!forked) recorder.mark_simulated_time();
+  recorder.add_setup_seconds(setup_clock.seconds());
+
+  ParamServerReport local;
+  std::vector<double> w =
+      forked ? detail::run_ps_group(setup, source.dim(), objective, options,
+                                    spec, recorder, local)
+             : simulate(setup, source.dim(), objective, options, spec,
+                        recorder, local);
+  local.phi_imbalance = setup.plan->imbalance();
+  local.applied_strategy = setup.plan->applied_strategy();
+  if (report) *report = local;
+  if (observer) observer->on_diagnostics(local);
+  if (options.keep_final_model) recorder.set_final_model(std::move(w));
+  return std::move(recorder).finish(local.simulated_seconds);
 }
 
 }  // namespace isasgd::distributed

@@ -22,13 +22,13 @@
 // exact and runs are bit-reproducible for a fixed seed), and the returned
 // Trace carries simulated seconds, so param-server IS-ASGD / ASGD /
 // all-reduce SGD are directly comparable under one ClusterSpec.
+// ClusterSpec::backend = kProcess runs the fenced schedule on a forked
+// process group instead (real_runtime.hpp), from the same setup.
 //
 // Registry names (solvers/SolverRegistry): "dist.ps.is_asgd" wraps the
 // importance-sampled run, "dist.ps.asgd" the uniform baseline; both read
 // their ClusterSpec from SolverContext::cluster (TrainerBuilder::cluster)
 // and publish a ParamServerReport through TrainingObserver::on_diagnostics.
-// The free functions below remain the engine-level entry points the unit
-// tests pin down.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +52,7 @@ struct ParamServerReport {
   std::size_t messages = 0;
   /// Total bytes pushed over all links.
   std::size_t bytes_sent = 0;
-  /// Simulated seconds at the end of training.
+  /// Simulated seconds at the end of training (wall clock on kProcess).
   double simulated_seconds = 0;
   /// Φ spread across node shards ((max−min)/mean, Eq. 18/19).
   double phi_imbalance = 0;
@@ -67,8 +67,10 @@ struct ParamServerReport {
   std::uint64_t rejoin_events = 0;
 };
 
-/// Runs `options.epochs` passes of parameter-server SGD over the simulated
-/// cluster. `options.threads` is ignored — `spec.nodes` is the parallelism.
+/// Runs `options.epochs` passes of parameter-server SGD over the cluster
+/// `spec` describes: simulated, or a forked process group when
+/// `spec.backend` is kProcess. `options.threads` is ignored — `spec.nodes`
+/// is the parallelism.
 /// With `use_importance` true, each node samples its shard by the local
 /// Eq. 12 distribution with 1/(N_a·p_i) reweighting (Algorithm 4 lines
 /// 10–15) and the partition honours `options.partition`; with it false,
@@ -79,10 +81,13 @@ struct ParamServerReport {
 /// row by row; a multi-shard source is dealt to nodes in whole shards, so a
 /// streaming source feeds the cluster shard by shard without materialising
 /// one full matrix. Either way every draw goes through the node's NodeWalk.
-/// A scripted `spec.fault` crash needs the single-shard shape.
+/// The process group plans a multi-shard source over source.reopen(), so
+/// each worker faults only its own node's shards. A `spec.fault` crash or
+/// wire faults need the single-shard shape (std::invalid_argument).
 ///
-/// The Trace's time axis is simulated seconds: on the fenced schedule the
-/// serialized per-step costs, with mean staleness reported as 0.
+/// The Trace's time axis is simulated seconds (wall-clock seconds on the
+/// process backend): on the fenced schedule the serialized per-step costs,
+/// with mean staleness reported as 0.
 /// `observer` (optional) receives per-epoch points, may stop the run at an
 /// epoch fence, and gets the ParamServerReport via on_diagnostics.
 [[nodiscard]] solvers::Trace run_param_server(

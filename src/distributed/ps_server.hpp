@@ -2,8 +2,8 @@
 // distributed IS-ASGD (Algorithm 4), which owns the model and applies every
 // worker's sparse push to it.
 //
-// run_param_server_process (real_runtime.hpp) forks it as the group's
-// server process. It speaks the sequenced protocol of ps_wire.hpp: it
+// run_param_server's process backend (real_runtime.hpp) forks it as the
+// group's server process. It speaks the sequenced protocol of ps_wire.hpp: it
 // answers coordinate gets, applies pushes with fenced::apply_push in the
 // fenced rank order, executes each request of a rank exactly once (a
 // retransmit is answered from the rank's cached reply), and ships the model

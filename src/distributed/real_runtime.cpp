@@ -1,6 +1,7 @@
 #include "distributed/real_runtime.hpp"
 
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -341,10 +342,11 @@ class PsClient {
 /// setup but draws only its assigned ones; adopting an orphaned walk after
 /// a crash means fast-forwarding the pristine inherited walk to the
 /// server's applied-draw count (one next() per draw — in-memory walks are
-/// deterministic sample streams), then continuing where the dead rank left
-/// off. The worker draws one sample ahead, so each push travels with the
-/// next draw's columns in one kPushStep. A scripted FaultScenario crash is
-/// a clean _exit(0) right after the acked kPush of its last push.
+/// deterministic sample streams, and run_param_server admits crashes on no
+/// other), then continuing where the dead rank left off. The worker draws
+/// one sample ahead, so each push travels with the next draw's columns in
+/// one kPushStep. A scripted FaultScenario crash is a clean _exit(0) right
+/// after the acked kPush of its last push.
 void ps_worker_main(const std::string& address, std::size_t rank,
                     std::vector<NodeWalk>& walks,
                     const objectives::Objective& objective,
@@ -365,13 +367,15 @@ void ps_worker_main(const std::string& address, std::size_t rank,
   } else {
     assign = {{static_cast<std::uint32_t>(rank), 0}};
   }
-  // One drawn sample and the walk it came from. The walks are in-memory,
-  // so a sample's row stays valid past the next draw.
+  // One drawn sample and the walk it came from. It is held past the next
+  // draw, which may evict its shard on a shard-major walk, so it pins the
+  // shard (null on in-memory walks), as the simulator's PsStep does.
   struct Draw {
     std::uint32_t walk = 0;
     sparse::SparseVectorView x;
     double label = 0;
     double weight = 0;
+    data::ShardPtr shard;
   };
   while (true) {
     const double lambda = solvers::epoch_step(options, epoch);
@@ -407,7 +411,8 @@ void ps_worker_main(const std::string& address, std::size_t rank,
       const std::uint32_t w = assign[entry].walk;
       ++local_draws[w];
       const NodeWalk::Sample s = walks[w].next();
-      return Draw{w, s.matrix->row(s.row), s.matrix->label(s.row), s.weight};
+      return Draw{w, s.matrix->row(s.row), s.matrix->label(s.row), s.weight,
+                  walks[w].resident()};
     };
     if (pushes > 0) {
       Draw cur = draw();
@@ -617,26 +622,20 @@ void read_fence(net::Endpoint& ep, net::Frame& frame, FencePoint& point) {
   u.raw(point.w.data(), dim * sizeof(double));
 }
 
-/// Counters the recovery-aware controller accumulates across fences.
-struct ControllerStats {
-  std::uint64_t crash_events = 0;
-  std::uint64_t rejoin_events = 0;
-  std::uint64_t wire_retries = 0;
-};
-
 using RespawnFn = std::function<void(std::size_t rank)>;
 
 /// Runs the controller loop: record traces at fences, decide continuation,
 /// and — when `respawn` is non-null (PS groups) — plan next epoch's
 /// walk→rank assignment from the server's liveness report, forking a
 /// replacement worker when the scripted scenario says the crashed rank
-/// rejoins. Returns the last fence (final counters + model).
+/// rejoins, and count crashes, rejoins and wire retries into `recovery`.
+/// Returns the last fence (final counters + model).
 FencePoint run_controller(net::Endpoint& ep, std::size_t k, std::size_t dim,
                           const solvers::SolverOptions& options,
                           const ClusterSpec& spec,
                           solvers::TraceRecorder& recorder,
                           double* train_seconds_out, const RespawnFn* respawn,
-                          ControllerStats* stats) {
+                          ParamServerReport* recovery) {
   send_hello(ep, wire::kRoleController, 0, 0);
   recorder.record(0, 0.0, std::vector<double>(dim, 0.0));
   double train_seconds = 0;
@@ -656,10 +655,10 @@ FencePoint run_controller(net::Endpoint& ep, std::size_t k, std::size_t dim,
       reply.u32(0);
     } else {
       for (std::size_t r = 0; r < k; ++r) {
-        if (alive[r] && !point.alive[r] && stats) ++stats->crash_events;
+        if (alive[r] && !point.alive[r]) ++recovery->crash_events;
       }
       alive = point.alive;
-      if (stats) stats->wire_retries = point.retries;
+      recovery->wire_retries = point.retries;
       const FaultScenario& scenario = spec.fault;
       if (cont && scenario.enabled() && scenario.rejoin_epoch != 0 &&
           scenario.rejoin_epoch == point.epoch + 1 &&
@@ -668,7 +667,7 @@ FencePoint run_controller(net::Endpoint& ep, std::size_t k, std::size_t dim,
         // on the admission, the process exists and is connecting.
         (*respawn)(scenario.crash_node);
         alive[scenario.crash_node] = 1;
-        if (stats) ++stats->rejoin_events;
+        ++recovery->rejoin_events;
       }
       const Assignment assign =
           plan_assignment(k, alive, spec.recovery.policy);
@@ -691,16 +690,15 @@ FencePoint run_controller(net::Endpoint& ep, std::size_t k, std::size_t dim,
 
 /// Forks the server, which binds the group's address, reports it through a
 /// pipe and hands its listener to `server_fn`, then k× `worker_fn`; runs the
-/// controller loop in the calling process, and reaps the group.
-/// `with_recovery` enables the PS-side liveness/assignment protocol (and
-/// scripted respawns).
+/// controller loop in the calling process, and reaps the group. A non-null
+/// `recovery` (PS groups) enables the liveness/assignment protocol and
+/// scripted respawns, and receives their counts.
 template <typename ServerFn, typename WorkerFn>
 FencePoint run_group(std::size_t k, std::size_t dim,
                      const solvers::SolverOptions& options,
                      const ClusterSpec& spec, solvers::TraceRecorder& recorder,
-                     double* train_seconds, bool with_recovery,
-                     ControllerStats* stats, ServerFn&& server_fn,
-                     WorkerFn&& worker_fn) {
+                     double* train_seconds, ParamServerReport* recovery,
+                     ServerFn&& server_fn, WorkerFn&& worker_fn) {
   const std::string bind = pick_address(spec);
   int addr_pipe[2];
   if (::pipe(addr_pipe) < 0) {
@@ -724,10 +722,18 @@ FencePoint run_group(std::size_t k, std::size_t dim,
   ::close(addr_pipe[1]);
   const std::string address = read_address(addr_pipe[0]);
 
+  // A worker dies with the thread that forks it, which stays here until
+  // the group is reaped: a killed controller takes its workers along.
+  const pid_t controller = ::getpid();
   auto spawn_worker = [&](std::size_t rank, bool rejoiner) {
     const pid_t pid = ::fork();
     if (pid < 0) throw std::runtime_error("fork() failed (worker)");
     if (pid == 0) {
+      // The controller may have died before the signal was armed.
+      if (::prctl(PR_SET_PDEATHSIG, SIGKILL) != 0 ||
+          ::getppid() != controller) {
+        ::_exit(1);
+      }
       try {
         worker_fn(rank, address, rejoiner);
         ::_exit(0);
@@ -746,7 +752,7 @@ FencePoint run_group(std::size_t k, std::size_t dim,
   };
   FencePoint last =
       run_controller(*ep, k, dim, options, spec, recorder, train_seconds,
-                     with_recovery ? &respawn : nullptr, stats);
+                     recovery ? &respawn : nullptr, recovery);
   ep->close();
   reaper.join_all();
   return last;
@@ -754,33 +760,21 @@ FencePoint run_group(std::size_t k, std::size_t dim,
 
 }  // namespace
 
-solvers::Trace run_param_server_process(const sparse::CsrMatrix& data,
-                                        const objectives::Objective& objective,
-                                        const solvers::SolverOptions& options,
-                                        const ClusterSpec& spec,
-                                        bool use_importance,
-                                        const solvers::EvalFn& eval,
-                                        ParamServerReport* report,
-                                        solvers::TrainingObserver* observer) {
-  spec.validate();
-  util::Stopwatch sw;
-  // Shared setup BEFORE the forks: every process inherits the same plan and
-  // the same seeded walks (a rejoining replacement, forked from the
-  // controller at a fence, inherits them pristine and fast-forwards).
-  fenced::Setup setup = fenced::make_ps_setup(data, objective, options,
-                                              spec.nodes, use_importance);
+namespace detail {
+
+std::vector<double> run_ps_group(fenced::Setup& setup, std::size_t dim,
+                                 const objectives::Objective& objective,
+                                 const solvers::SolverOptions& options,
+                                 const ClusterSpec& spec,
+                                 solvers::TraceRecorder& recorder,
+                                 ParamServerReport& report) {
+  // Every process inherits the same plan and the same seeded walks (a
+  // rejoining replacement, forked from the controller at a fence, inherits
+  // them pristine and fast-forwards).
   const std::size_t k = setup.k;
   if (spec.fault.enabled()) spec.fault.validate(k);
-  const std::size_t dim = data.dim();
-  solvers::TraceRecorder recorder(use_importance ? "ps_is_asgd" : "ps_asgd", k,
-                                  options.step_size, eval, observer);
-  recorder.add_setup_seconds(sw.seconds());
-
-  double train_seconds = 0;
-  ControllerStats stats;
-  const FencePoint last = run_group(
-      k, dim, options, spec, recorder, &train_seconds, /*with_recovery=*/true,
-      &stats,
+  FencePoint last = run_group(
+      k, dim, options, spec, recorder, &report.simulated_seconds, &report,
       [&](std::unique_ptr<net::Listener> listener) {
         serve_parameter_server(std::move(listener), k, dim, options, spec);
       },
@@ -788,82 +782,33 @@ solvers::Trace run_param_server_process(const sparse::CsrMatrix& data,
         ps_worker_main(address, rank, setup.walks, objective, options, spec,
                        rejoiner);
       });
-
-  if (report || observer) {
-    ParamServerReport local;
-    local.mean_staleness_updates = 0;  // fenced schedule: immediate applies
-    local.messages = last.c1;
-    local.bytes_sent = last.c2;
-    local.simulated_seconds = train_seconds;  // wall seconds: real backend
-    local.phi_imbalance = setup.plan->imbalance();
-    local.applied_strategy = setup.plan->applied_strategy();
-    local.wire_retries = stats.wire_retries;
-    local.crash_events = stats.crash_events;
-    local.rejoin_events = stats.rejoin_events;
-    if (report) *report = local;
-    if (observer) observer->on_diagnostics(local);
-  }
-  if (options.keep_final_model) recorder.set_final_model(last.w);
-  return std::move(recorder).finish(train_seconds);
+  report.messages = last.c1;
+  report.bytes_sent = last.c2;
+  return std::move(last.w);
 }
 
-solvers::Trace run_allreduce_process(const sparse::CsrMatrix& data,
-                                     const objectives::Objective& objective,
-                                     const solvers::SolverOptions& options,
-                                     const ClusterSpec& spec,
-                                     bool use_importance,
-                                     const solvers::EvalFn& eval,
-                                     AllreduceReport* report,
-                                     solvers::TrainingObserver* observer) {
-  spec.validate();
-  if (spec.fault.enabled() || spec.wire_faults.enabled()) {
-    throw std::invalid_argument(
-        "run_allreduce_process: fault injection and crash scenarios are "
-        "implemented for the parameter-server engines (the all-reduce group "
-        "has no recovery protocol)");
-  }
-  util::Stopwatch sw;
-  fenced::Setup setup = fenced::make_allreduce_setup(
-      data, objective, options, spec.nodes, use_importance);
+std::vector<double> run_allreduce_group(
+    fenced::Setup& setup, std::size_t dim, std::size_t rounds_per_epoch,
+    std::size_t batch, const objectives::Objective& objective,
+    const solvers::SolverOptions& options, const ClusterSpec& spec,
+    solvers::TraceRecorder& recorder, AllreduceReport& report) {
   const std::size_t k = setup.k;
-  const std::size_t dim = data.dim();
-  const std::size_t n = data.rows();
-  const std::size_t b = std::max<std::size_t>(1, options.batch_size);
-  const std::size_t rounds_per_epoch = (n + k * b - 1) / (k * b);
-  const double samples_per_round = static_cast<double>(k * b);
-  solvers::TraceRecorder recorder(
-      use_importance ? "allreduce_is_sgd" : "allreduce_sgd", k,
-      options.step_size, eval, observer);
-  recorder.add_setup_seconds(sw.seconds());
-
-  double train_seconds = 0;
-  const FencePoint last = run_group(
-      k, dim, options, spec, recorder, &train_seconds,
-      /*with_recovery=*/false, nullptr,
+  const double samples_per_round = static_cast<double>(k * batch);
+  FencePoint last = run_group(
+      k, dim, options, spec, recorder, &report.simulated_seconds,
+      /*recovery=*/nullptr,
       [&](std::unique_ptr<net::Listener> listener) {
         allreduce_server_main(std::move(listener), k, dim, rounds_per_epoch,
                               samples_per_round, options);
       },
       [&](std::size_t rank, const std::string& address, bool /*rejoiner*/) {
         allreduce_worker_main(address, rank, setup.walks[rank], objective,
-                              options, dim, rounds_per_epoch, b);
+                              options, dim, rounds_per_epoch, batch);
       });
-
-  if (report || observer) {
-    AllreduceReport local;
-    local.rounds = last.c0;
-    local.bytes_per_node_per_round =
-        k > 1 ? 2.0 * (static_cast<double>(k) - 1.0) / static_cast<double>(k) *
-                    static_cast<double>(dim) *
-                    static_cast<double>(spec.bytes_per_dense_coord)
-              : 0.0;
-    local.simulated_seconds = train_seconds;  // wall seconds: real backend
-    local.comm_fraction = 0;  // not separable in a real run
-    if (report) *report = local;
-    if (observer) observer->on_diagnostics(local);
-  }
-  if (options.keep_final_model) recorder.set_final_model(last.w);
-  return std::move(recorder).finish(train_seconds);
+  report.rounds = last.c0;
+  return std::move(last.w);
 }
+
+}  // namespace detail
 
 }  // namespace isasgd::distributed

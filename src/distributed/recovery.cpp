@@ -83,8 +83,7 @@ Assignment plan_assignment(std::size_t k, const std::vector<char>& alive,
 }
 
 CrashRoster::CrashRoster(const FaultScenario& scenario, RecoveryPolicy policy,
-                         std::vector<std::size_t> walk_quota,
-                         bool replayable_walks)
+                         std::vector<std::size_t> walk_quota)
     : scenario_(scenario),
       policy_(policy),
       quota_(std::move(walk_quota)),
@@ -94,12 +93,6 @@ CrashRoster::CrashRoster(const FaultScenario& scenario, RecoveryPolicy policy,
       remaining_(quota_.size(), 0) {
   if (!scenario_.enabled()) return;
   scenario_.validate(quota_.size());
-  if (!replayable_walks) {
-    throw std::invalid_argument(
-        "FaultScenario: crash recovery needs in-memory node walks (a "
-        "sharded walk rewinds at begin_epoch, so an adopted walk cannot "
-        "be fast-forwarded to the server's applied-draw count)");
-  }
 }
 
 void CrashRoster::begin_epoch(std::size_t epoch) {

@@ -122,11 +122,11 @@ using Assignment = std::vector<std::vector<std::uint32_t>>;
 class CrashRoster {
  public:
   /// `walk_quota[w]` is walk w's draws per epoch; there is one walk per
-  /// executor. A scripted crash needs `replayable_walks` (in-memory walks
-  /// an adopter can fast-forward); throws std::invalid_argument otherwise,
-  /// or when the scenario does not fit the executor count.
+  /// executor, an in-memory walk an adopter can fast-forward (run_param_server
+  /// rejects a scenario on shard-major walks). Throws std::invalid_argument
+  /// when the scenario does not fit the executor count.
   CrashRoster(const FaultScenario& scenario, RecoveryPolicy policy,
-              std::vector<std::size_t> walk_quota, bool replayable_walks);
+              std::vector<std::size_t> walk_quota);
 
   /// Opens `epoch` (1-based): admits a scripted rejoin, refills the quota
   /// of every walk an alive executor holds, and arms the crash countdown.

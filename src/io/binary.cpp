@@ -1,8 +1,10 @@
 #include "io/binary.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 namespace isasgd::io {
@@ -42,16 +44,44 @@ void write_vector(std::ostream& out, const std::vector<T, A>& v) {
   write_raw(out, v.data(), v.size() * sizeof(T));
 }
 
+/// Bytes `in` holds past its read position; nullopt when it cannot seek.
+std::optional<std::uint64_t> remaining_bytes(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  if (here < 0) return std::nullopt;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.clear();
+  in.seekg(here);
+  if (end < here) return std::nullopt;
+  return static_cast<std::uint64_t>(end - here);
+}
+
 /// `count` elements into a fresh V (a std::vector or a sparse::Array).
+/// The count comes from a header, so it sizes nothing the stream cannot
+/// fill: a seekable stream is checked before the one allocation, and any
+/// other grows the array in steps that at most double it, so a header that
+/// announces more than the stream holds fails at the first missing byte.
 template <class V>
 V read_vector(std::istream& in, std::size_t count) {
-  // Guard against header-driven overallocation on corrupt files.
+  using T = typename V::value_type;
   constexpr std::size_t kMaxElements = std::size_t{1} << 34;
+  constexpr std::size_t kFirstStep = (std::size_t{1} << 20) / sizeof(T);
   if (count > kMaxElements) {
     throw std::runtime_error("binary read failed: implausible element count");
   }
-  V v(count);
-  read_raw(in, v.data(), count * sizeof(typename V::value_type));
+  const std::optional<std::uint64_t> left = remaining_bytes(in);
+  if (left && count > *left / sizeof(T)) {
+    throw std::runtime_error("binary read failed: truncated stream");
+  }
+  const std::size_t first_step = left ? count : kFirstStep;
+  V v;
+  while (v.size() < count) {
+    const std::size_t have = v.size();
+    const std::size_t step =
+        std::min(count - have, std::max(first_step, have));
+    v.resize(have + step);
+    read_raw(in, v.data() + have, step * sizeof(T));
+  }
   return v;
 }
 

@@ -43,7 +43,9 @@
 // connection header, and the stall loops' sleep phase probes the peer
 // process (kill(pid, 0) + /proc state — a dead worker is a *zombie* until
 // its parent reaps it at the next fence, and zombies pass the kill probe)
-// and surfaces kClosed when it is gone.
+// and surfaces kClosed when it is gone. A call that reaches its deadline
+// probes once more before it reports kTimeout, so a short poll — a zero
+// timeout never sleeps — also reads a dead peer as kClosed, as tcp does.
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/mman.h>
@@ -294,11 +296,12 @@ class ShmEndpoint final : public Endpoint {
           throw TransportError(TransportError::Kind::kClosed,
                                "shm peer closed while sending");
         }
-        if (stall.probe_due() && peer_process_gone()) {
+        const bool waited = stall.wait();
+        if ((!waited || stall.probe_due()) && peer_process_gone()) {
           throw TransportError(TransportError::Kind::kClosed,
                                "shm peer process died while sending");
         }
-        if (!stall.wait()) {
+        if (!waited) {
           throw TransportError(TransportError::Kind::kTimeout,
                                "shm send timed out");
         }
@@ -340,7 +343,8 @@ class ShmEndpoint final : public Endpoint {
                         std::to_string(received) + " of " +
                         std::to_string(size) + " bytes)");
         }
-        if (stall.probe_due() && peer_process_gone()) {
+        const bool waited = stall.wait();
+        if ((!waited || stall.probe_due()) && peer_process_gone()) {
           if (delivered()) continue;
           throw TransportError(
               TransportError::Kind::kClosed,
@@ -350,7 +354,7 @@ class ShmEndpoint final : public Endpoint {
                         std::to_string(received) + " of " +
                         std::to_string(size) + " bytes)");
         }
-        if (!stall.wait()) {
+        if (!waited) {
           throw TransportError(TransportError::Kind::kTimeout,
                                "shm recv timed out");
         }

@@ -1,10 +1,25 @@
 #include "util/cli.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
 namespace isasgd::util {
+
+namespace {
+
+/// A mistyped command line is the user's error, not the program's: says
+/// what was wrong, shows the usage and exits 2, as --help exits 0.
+[[noreturn]] void reject(const std::string& program,
+                         const std::string& message,
+                         const std::string& usage) {
+  std::fprintf(stderr, "%s: %s\n%s", program.c_str(), message.c_str(),
+               usage.c_str());
+  std::exit(2);
+}
+
+}  // namespace
 
 CliParser::CliParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -26,8 +41,8 @@ bool CliParser::parse(int argc, const char* const* argv) {
       return false;
     }
     if (arg.rfind("--", 0) != 0) {
-      throw std::invalid_argument("CliParser: positional argument '" + arg +
-                                  "' not supported");
+      reject(program_, "positional argument '" + arg + "' not supported",
+             usage());
     }
     arg.erase(0, 2);
     std::string value;
@@ -38,10 +53,7 @@ bool CliParser::parse(int argc, const char* const* argv) {
       has_value = true;
     }
     auto it = flags_.find(arg);
-    if (it == flags_.end()) {
-      throw std::invalid_argument("CliParser: unknown flag --" + arg + "\n" +
-                                  usage());
-    }
+    if (it == flags_.end()) reject(program_, "unknown flag --" + arg, usage());
     if (!has_value) {
       // `--flag value` unless the next token is another flag (boolean form).
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {

@@ -25,8 +25,9 @@ class CliParser {
   void add_flag(const std::string& name, const std::string& default_value,
                 const std::string& help);
 
-  /// Parses argv. Unknown flags throw std::invalid_argument. Returns false
-  /// and prints usage when --help/-h is present.
+  /// Parses argv. Returns false and prints usage when --help/-h is
+  /// present. An unknown flag or a positional argument prints the error and
+  /// the usage to stderr and exits 2.
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get(const std::string& name) const;

@@ -16,6 +16,8 @@
 #include "data/synthetic.hpp"
 #include "io/binary.hpp"
 #include "io/libsvm.hpp"
+#include "load_in_child.hpp"
+#include "reopen_contract.hpp"
 #include "util/thread_pool.hpp"
 
 namespace isasgd::data {
@@ -228,6 +230,49 @@ TEST(StreamingSource, RejectsBadInputs) {
   StreamingOptions opt;
   opt.shard_rows = 0;
   EXPECT_THROW(StreamingSource(file.path, opt), std::invalid_argument);
+}
+
+TEST(StreamingSource, LyingBinaryHeaderFailsBeforeSizingTheIndex) {
+  // 32 bytes announcing 2^25 rows (a 256 MiB row_ptr index): the open must
+  // fail typed having grown peak RSS and VmPeak by 64 MiB at most.
+  TempFile file(temp_path("lying_header"));
+  test::write_header_only(file.path, "ISASGDD1",
+                          {64, std::uint64_t{1} << 25, 0});
+  const test::LoadInChild load =
+      test::load_in_child([&] { const StreamingSource source(file.path); });
+  EXPECT_TRUE(load.typed_error);
+  EXPECT_LE(load.rss_growth_mib, 64.0);
+  EXPECT_LE(load.vm_peak_growth_mib, 64.0);
+}
+
+TEST(Reopen, InMemorySourcesHaveNothingToReopen) {
+  const auto full = small_dataset();
+  EXPECT_EQ(InMemorySource(full).reopen(), nullptr);
+  EXPECT_EQ(InMemorySource(full, /*shard_rows=*/50).reopen(), nullptr);
+}
+
+TEST(Reopen, StreamingSourceOverLibsvmKeepsTheContract) {
+  const auto full = small_dataset();
+  TempFile file(temp_path("reopen_libsvm"));
+  io::write_libsvm_file(file.path, full);
+  util::ThreadPool pool;
+  StreamingOptions opt;
+  opt.shard_rows = 50;
+  opt.memory_budget_bytes = 1;  // one shard resident
+  test::expect_reopen_contract(
+      std::make_unique<StreamingSource>(file.path, opt, &pool), pool);
+}
+
+TEST(Reopen, StreamingSourceOverBinaryKeepsTheContract) {
+  const auto full = small_dataset();
+  TempFile file(temp_path("reopen_binary"));
+  io::write_dataset_binary_file(file.path, full);
+  util::ThreadPool pool;
+  StreamingOptions opt;
+  opt.shard_rows = 50;
+  opt.memory_budget_bytes = 1;
+  test::expect_reopen_contract(
+      std::make_unique<StreamingSource>(file.path, opt, &pool), pool);
 }
 
 TEST(ExecutionContext, OpenStreamingBindsThePool) {

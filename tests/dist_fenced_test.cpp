@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -127,12 +128,12 @@ TEST(FencedAllreduce, SameSeedIsBitIdenticalAndConverges) {
   const auto spec = fenced_spec();
   AllreduceReport ra;
   const solvers::Trace a = run_allreduce_sgd(
-      fx.data, fx.loss, opt, spec, /*use_importance=*/false,
-      fx.evaluator.as_fn(), &ra);
+      data::InMemorySource(fx.data), fx.loss, opt, spec,
+      /*use_importance=*/false, fx.evaluator.as_fn(), &ra);
   AllreduceReport rb;
   const solvers::Trace b = run_allreduce_sgd(
-      fx.data, fx.loss, opt, spec, /*use_importance=*/false,
-      fx.evaluator.as_fn(), &rb);
+      data::InMemorySource(fx.data), fx.loss, opt, spec,
+      /*use_importance=*/false, fx.evaluator.as_fn(), &rb);
   EXPECT_EQ(a.final_model, b.final_model);
   EXPECT_EQ(ra.rounds, rb.rounds);
   EXPECT_GT(ra.rounds, 0u);
@@ -158,6 +159,23 @@ TEST(FencedPs, RegistryDispatchesFencedScheduleThroughTrainer) {
       /*use_importance=*/true, ev.as_fn());
   EXPECT_EQ(via_trainer.final_model, direct.final_model);
 }
+
+// The FencedPins rows of the parameter server on the 7-shard chunked
+// source, which the process group reproduces too (ProcessGroupPins).
+constexpr const char* kPsIsChunkedPin =
+    "model=b84f509fff4a72df 0x0p+0/0x1.62e42fefa39eep-1 "
+    "0x1.48273548ee22p-6/0x1.0655b54465143p-1 "
+    "0x1.48278675b3323p-5/0x1.b53eedf2f16b3p-2 "
+    "0x1.ec3d601748c59p-5/0x1.7a2f24abe27b6p-2 | messages=1200 bytes=83676 "
+    "staleness=0x0p+0 sim=0x1.ec3d601748c59p-5 phi=0x1.7a921ea65fca1p-1 "
+    "strategy=2 crashes=0 rejoins=0";
+constexpr const char* kPsUniformChunkedPin =
+    "model=33403d5589b85717 0x0p+0/0x1.62e42fefa39eep-1 "
+    "0x1.482eb66c7b371p-6/0x1.0772e9ebe013ap-1 "
+    "0x1.482f07994047cp-5/0x1.b6b5559fc104ap-2 "
+    "0x1.ec4257d4ad612p-5/0x1.80bea40b391f2p-2 | messages=1200 bytes=85932 "
+    "staleness=0x0p+0 sim=0x1.ec4257d4ad612p-5 phi=0x1.6500e36d33ed8p-1 "
+    "strategy=1 crashes=0 rejoins=0";
 
 // Each row fixes one fenced configuration's exact output (trace_pin.hpp).
 // These bits are also what the process backend must reproduce, so a row
@@ -217,21 +235,11 @@ TEST(FencedPins, EveryEngineShapeReproducesItsPinnedBits) {
       {"ps.is chunked",
        [&] { return pin::registry_run(chunked, fx.loss, "dist.ps.is_asgd",
                                       spec, opt); },
-       "model=b84f509fff4a72df 0x0p+0/0x1.62e42fefa39eep-1 "
-       "0x1.48273548ee22p-6/0x1.0655b54465143p-1 "
-       "0x1.48278675b3323p-5/0x1.b53eedf2f16b3p-2 "
-       "0x1.ec3d601748c59p-5/0x1.7a2f24abe27b6p-2 | messages=1200 bytes=83676 "
-       "staleness=0x0p+0 sim=0x1.ec3d601748c59p-5 phi=0x1.7a921ea65fca1p-1 "
-       "strategy=2 crashes=0 rejoins=0"},
+       kPsIsChunkedPin},
       {"ps.uniform chunked",
        [&] { return pin::registry_run(chunked, fx.loss, "dist.ps.asgd", spec,
                                       opt); },
-       "model=33403d5589b85717 0x0p+0/0x1.62e42fefa39eep-1 "
-       "0x1.482eb66c7b371p-6/0x1.0772e9ebe013ap-1 "
-       "0x1.482f07994047cp-5/0x1.b6b5559fc104ap-2 "
-       "0x1.ec4257d4ad612p-5/0x1.80bea40b391f2p-2 | messages=1200 bytes=85932 "
-       "staleness=0x0p+0 sim=0x1.ec4257d4ad612p-5 phi=0x1.6500e36d33ed8p-1 "
-       "strategy=1 crashes=0 rejoins=0"},
+       kPsUniformChunkedPin},
       {"ps.is crash+rejoin reshard",
        [&] { return pin::registry_run(whole, fx.loss, "dist.ps.is_asgd", crash,
                                       crash_opt); },
@@ -266,8 +274,8 @@ TEST(FencedPins, EveryEngineShapeReproducesItsPinnedBits) {
        [&] {
          AllreduceReport report;
          const solvers::Trace t = run_allreduce_sgd(
-             fx.data, fx.loss, ar_opt, spec, /*use_importance=*/true,
-             fx.evaluator.as_fn(), &report);
+             data::InMemorySource(fx.data), fx.loss, ar_opt, spec,
+             /*use_importance=*/true, fx.evaluator.as_fn(), &report);
          return pin::of(t, report);
        },
        "model=922334dcd85b021f 0x0p+0/0x1.62e42fefa39fcp-1 "
@@ -281,6 +289,42 @@ TEST(FencedPins, EveryEngineShapeReproducesItsPinnedBits) {
     EXPECT_EQ(row.run(), row.pin) << row.name;
   }
 }
+
+/// A pin's model hash and fence objectives: what a process run shares with
+/// the simulator's pin (its times are wall-clock, not simulated).
+std::string model_and_objectives(const std::string& pin) {
+  std::istringstream points(pin.substr(0, pin.find(" | ")));
+  std::string out, point;
+  points >> out;  // model=...
+  while (points >> point) out += " " + point.substr(point.find('/') + 1);
+  return out;
+}
+
+class ProcessGroupPins : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ProcessGroupPins, RegistryRunOnTheChunkedSourceHitsThePins) {
+  // Through the registry, a forked group deals the chunked source's whole
+  // shards to its nodes as the simulator does, so it reproduces the
+  // simulator's chunked pins, not the in-memory rows.
+  const Fixture fx;
+  const data::InMemorySource chunked(fx.data, /*shard_rows=*/64);
+  ClusterSpec spec = fenced_spec();
+  spec.backend = Backend::kProcess;
+  spec.transport = GetParam();
+  auto opt = base_options();
+  opt.epochs = 3;
+  EXPECT_EQ(model_and_objectives(pin::registry_run(
+                chunked, fx.loss, "dist.ps.is_asgd", spec, opt)),
+            model_and_objectives(kPsIsChunkedPin));
+  EXPECT_EQ(model_and_objectives(pin::registry_run(chunked, fx.loss,
+                                                   "dist.ps.asgd", spec, opt)),
+            model_and_objectives(kPsUniformChunkedPin));
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, ProcessGroupPins,
+                         ::testing::Values(std::string("shm"),
+                                           std::string("tcp")),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace isasgd::distributed

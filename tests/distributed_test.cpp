@@ -341,7 +341,8 @@ TEST(Allreduce, ConvergesOnClassification) {
   auto opt = base_options(10, 1.0);
   opt.batch_size = 2;
   const solvers::Trace t =
-      run_allreduce_sgd(f.data, f.loss, opt, spec, false, f.evaluator.as_fn());
+      run_allreduce_sgd(data::InMemorySource(f.data), f.loss, opt, spec, false,
+                        f.evaluator.as_fn());
   EXPECT_LT(t.points.back().rmse, 0.75 * t.points.front().rmse);
   EXPECT_EQ(t.algorithm, "allreduce_sgd");
 }
@@ -353,8 +354,8 @@ TEST(Allreduce, RoundCountMatchesQuota) {
   auto opt = base_options(3);
   opt.batch_size = 5;  // 4 nodes × 5 = 20 samples/round → 30 rounds/epoch
   AllreduceReport report;
-  (void)run_allreduce_sgd(f.data, f.loss, opt, spec, false,
-                          f.evaluator.as_fn(), &report);
+  (void)run_allreduce_sgd(data::InMemorySource(f.data), f.loss, opt, spec,
+                          false, f.evaluator.as_fn(), &report);
   EXPECT_EQ(report.rounds, 3u * 30u);
   EXPECT_GT(report.comm_fraction, 0.0);
   EXPECT_LT(report.comm_fraction, 1.0);
@@ -369,8 +370,9 @@ TEST(Allreduce, CommunicationShareGrowsWithDimension) {
   for (std::size_t dim : {200u, 20000u}) {
     Fixture f(400, dim, 8);
     AllreduceReport report;
-    (void)run_allreduce_sgd(f.data, f.loss, base_options(1), spec, false,
-                            f.evaluator.as_fn(), &report);
+    (void)run_allreduce_sgd(data::InMemorySource(f.data), f.loss,
+                            base_options(1), spec, false, f.evaluator.as_fn(),
+                            &report);
     frac.push_back(report.comm_fraction);
   }
   EXPECT_GT(frac[1], frac[0]);
@@ -445,10 +447,10 @@ TEST(Straggler, ComputeBoundRegimeIsStragglerBoundInBothSolvers) {
   auto opt = base_options(2);
   opt.batch_size = 4;
   AllreduceReport ar_uniform, ar_straggler;
-  (void)run_allreduce_sgd(f.data, f.loss, opt, uniform, false,
-                          f.evaluator.as_fn(), &ar_uniform);
-  (void)run_allreduce_sgd(f.data, f.loss, opt, straggler, false,
-                          f.evaluator.as_fn(), &ar_straggler);
+  (void)run_allreduce_sgd(data::InMemorySource(f.data), f.loss, opt, uniform,
+                          false, f.evaluator.as_fn(), &ar_uniform);
+  (void)run_allreduce_sgd(data::InMemorySource(f.data), f.loss, opt, straggler,
+                          false, f.evaluator.as_fn(), &ar_straggler);
   EXPECT_GT(ar_straggler.simulated_seconds,
             2.0 * ar_uniform.simulated_seconds);
 }
@@ -526,8 +528,9 @@ TEST(DistRegistry, TrainerPathReproducesEngineBitForBit) {
   // Same contract for the synchronous baseline.
   auto ar_opt = opt;
   ar_opt.batch_size = 2;
-  const solvers::Trace direct = run_allreduce_sgd(f.data, f.loss, ar_opt, spec,
-                                                  false, engine_eval.as_fn());
+  const solvers::Trace direct = run_allreduce_sgd(data::InMemorySource(f.data),
+                                                  f.loss, ar_opt, spec, false,
+                                                  engine_eval.as_fn());
   const solvers::Trace via_registry =
       trainer.train("dist.allreduce.sgd", ar_opt);
   ASSERT_EQ(via_registry.final_model.size(), direct.final_model.size());
@@ -752,8 +755,8 @@ TEST(Allreduce, AsyncSparsePushBeatsDenseAllreduceOnSparseHighDim) {
   AllreduceReport ar;
   (void)run_param_server(data::InMemorySource(f.data), f.loss, base_options(2),
                          spec, true, f.evaluator.as_fn(), &ps);
-  (void)run_allreduce_sgd(f.data, f.loss, base_options(2), spec, false,
-                          f.evaluator.as_fn(), &ar);
+  (void)run_allreduce_sgd(data::InMemorySource(f.data), f.loss, base_options(2),
+                          spec, false, f.evaluator.as_fn(), &ar);
   EXPECT_LT(ps.simulated_seconds * 5, ar.simulated_seconds);
 }
 
@@ -869,8 +872,8 @@ TEST(EventClockPins, EveryEngineShapeReproducesItsPinnedBits) {
                                objectives::Regularization::none(), 1);
          AllreduceReport report;
          const solvers::Trace t = run_allreduce_sgd(
-             f.data, f.loss, ar_opt, spec, /*use_importance=*/true, ev.as_fn(),
-             &report);
+             data::InMemorySource(f.data), f.loss, ar_opt, spec,
+             /*use_importance=*/true, ev.as_fn(), &report);
          return pin::of(t, report);
        },
        "model=200246cdccb3f5d4 0x0p+0/0x1.62e42fefa39fdp-1 "

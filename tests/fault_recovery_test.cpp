@@ -19,7 +19,6 @@
 #include "distributed/allreduce.hpp"
 #include "distributed/cluster.hpp"
 #include "distributed/param_server.hpp"
-#include "distributed/real_runtime.hpp"
 #include "distributed/recovery.hpp"
 #include "metrics/evaluator.hpp"
 #include "objectives/least_squares.hpp"
@@ -124,15 +123,15 @@ TEST(ClusterSpecFaults, AllreduceEnginesRejectFaultInjection) {
   for (const Schedule schedule :
        {Schedule::kEventClock, Schedule::kFencedRoundRobin}) {
     spec.schedule = schedule;
-    EXPECT_THROW((void)run_allreduce_sgd(data, loss, opt, spec, false,
-                                         evaluator.as_fn()),
+    EXPECT_THROW((void)run_allreduce_sgd(data::InMemorySource(data), loss, opt,
+                                         spec, false, evaluator.as_fn()),
                  std::invalid_argument)
         << schedule_name(schedule);
   }
   spec.backend = Backend::kProcess;
   spec.schedule = Schedule::kFencedRoundRobin;
-  EXPECT_THROW((void)run_allreduce_process(data, loss, opt, spec, false,
-                                           evaluator.as_fn()),
+  EXPECT_THROW((void)run_allreduce_sgd(data::InMemorySource(data), loss, opt,
+                                       spec, false, evaluator.as_fn()),
                std::invalid_argument);
 }
 
@@ -239,9 +238,9 @@ TEST_P(FaultRecoverySuite, WireFaultsRetryToTheFaultFreeBits) {
     spec.wire_faults.reset_rate = 0.01;
     spec.wire_faults.max_delay_ms = 2;
     ParamServerReport report;
-    const solvers::Trace real = run_param_server_process(
-        fx.data, fx.loss, opt, spec, /*use_importance=*/true,
-        fx.evaluator.as_fn(), &report);
+    const solvers::Trace real = run_param_server(
+        data::InMemorySource(fx.data), fx.loss, opt, spec,
+        /*use_importance=*/true, fx.evaluator.as_fn(), &report);
     const solvers::Trace sim = run_param_server(
         data::InMemorySource(fx.data), fx.loss, opt, sim_twin(spec),
         /*use_importance=*/true, fx.evaluator.as_fn());
@@ -260,9 +259,9 @@ TEST_P(FaultRecoverySuite, CleanCrashWithReshardMatchesTheSimMirror) {
   spec.fault.crash_fraction = 0.5;
   spec.recovery.policy = RecoveryPolicy::kReshard;
   ParamServerReport real_report;
-  const solvers::Trace real = run_param_server_process(
-      fx.data, fx.loss, opt, spec, /*use_importance=*/true,
-      fx.evaluator.as_fn(), &real_report);
+  const solvers::Trace real = run_param_server(
+      data::InMemorySource(fx.data), fx.loss, opt, spec,
+      /*use_importance=*/true, fx.evaluator.as_fn(), &real_report);
   ParamServerReport sim_report;
   const solvers::Trace sim = run_param_server(
       data::InMemorySource(fx.data), fx.loss, opt, sim_twin(spec),
@@ -283,9 +282,9 @@ TEST_P(FaultRecoverySuite, CrashThenRejoinMatchesTheSimMirror) {
   spec.fault.rejoin_epoch = 4;
   spec.recovery.policy = RecoveryPolicy::kReshard;
   ParamServerReport real_report;
-  const solvers::Trace real = run_param_server_process(
-      fx.data, fx.loss, opt, spec, /*use_importance=*/true,
-      fx.evaluator.as_fn(), &real_report);
+  const solvers::Trace real = run_param_server(
+      data::InMemorySource(fx.data), fx.loss, opt, spec,
+      /*use_importance=*/true, fx.evaluator.as_fn(), &real_report);
   ParamServerReport sim_report;
   const solvers::Trace sim = run_param_server(
       data::InMemorySource(fx.data), fx.loss, opt, sim_twin(spec),
@@ -305,9 +304,9 @@ TEST_P(FaultRecoverySuite, PolicyNoneAlsoMatchesItsSimMirror) {
   spec.fault.crash_node = 0;
   spec.fault.crash_epoch = 2;
   spec.recovery.policy = RecoveryPolicy::kNone;
-  const solvers::Trace real = run_param_server_process(
-      fx.data, fx.loss, opt, spec, /*use_importance=*/true,
-      fx.evaluator.as_fn());
+  const solvers::Trace real = run_param_server(
+      data::InMemorySource(fx.data), fx.loss, opt, spec,
+      /*use_importance=*/true, fx.evaluator.as_fn());
   const solvers::Trace sim = run_param_server(
       data::InMemorySource(fx.data), fx.loss, opt, sim_twin(spec),
       /*use_importance=*/true, fx.evaluator.as_fn());
@@ -343,8 +342,9 @@ TEST_P(FaultRecoverySuite, CrashedGroupStillReachesClosedFormOptimum) {
   spec.fault.crash_node = 1;
   spec.fault.crash_epoch = 3;
   spec.recovery.policy = RecoveryPolicy::kReshard;
-  const solvers::Trace trace = run_param_server_process(
-      data, loss, opt, spec, /*use_importance=*/false, evaluator.as_fn());
+  const solvers::Trace trace = run_param_server(
+      data::InMemorySource(data), loss, opt, spec, /*use_importance=*/false,
+      evaluator.as_fn());
   ASSERT_EQ(trace.final_model.size(), d);
   for (std::size_t c = 0; c < d; ++c) {
     EXPECT_NEAR(trace.final_model[c], target[c], 1e-2) << "coordinate " << c;

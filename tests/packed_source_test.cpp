@@ -23,6 +23,7 @@
 #include "io/binary.hpp"
 #include "io/shardpack.hpp"
 #include "objectives/logistic.hpp"
+#include "reopen_contract.hpp"
 #include "solvers/is_sgd.hpp"
 #include "solvers/solver.hpp"
 #include "sparse/csr_builder.hpp"
@@ -204,6 +205,15 @@ TEST(PackedSource, CorruptBlockFailsEveryMaterialize) {
   EXPECT_THROW((void)packed.materialize(), io::ShardPackError);
   EXPECT_FALSE(packed.resident());
   std::remove(path.c_str());
+}
+
+TEST(PackedSource, ReopenKeepsTheContract) {
+  const Fixture f;
+  util::ThreadPool pool;
+  data::PackedOptions opt;
+  opt.memory_budget_bytes = 1;  // one shard resident
+  test::expect_reopen_contract(
+      std::make_unique<data::PackedSource>(f.pack_path, opt, &pool), pool);
 }
 
 TEST(PackedSource, RowStatsServesExactSquaredNorms) {

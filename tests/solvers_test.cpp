@@ -409,6 +409,9 @@ class SlowMaterializeSource final : public data::DataSource {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     return inner_.materialize();
   }
+  std::unique_ptr<data::DataSource> reopen() const override {
+    return nullptr;
+  }
 
  private:
   data::InMemorySource inner_;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -282,6 +283,43 @@ TEST_P(TransportSuite, ConnectToNobodyTimesOut) {
     FAIL() << "connect with no listener must time out";
   } catch (const TransportError& e) {
     EXPECT_EQ(e.kind(), TransportError::Kind::kTimeout);
+  }
+}
+
+TEST_P(TransportSuite, KilledPeerIsKClosedEvenToAZeroTimeoutRecv) {
+  // A zero-timeout recv is a poll. It must still tell a quiet peer
+  // (kTimeout) from a dead one (kClosed), as a poll of a closed socket
+  // does: a parameter server polls its controller this way.
+  auto listener = listen(listen_address(GetParam(), "killed_peer"));
+  const std::string address = listener->address();
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    try {
+      const auto ep = connect(address, 5000);
+      while (true) ::pause();
+    } catch (...) {
+    }
+    ::_exit(1);
+  }
+  listener->set_accept_timeout(5000);
+  const auto server = listener->accept();
+  server->set_io_timeout(0);
+  char byte = 0;
+  try {
+    server->recv_bytes(&byte, 1);
+    FAIL() << "a live peer that sent nothing must time out";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.kind(), TransportError::Kind::kTimeout) << e.what();
+  }
+  ::kill(pid, SIGKILL);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  try {
+    server->recv_bytes(&byte, 1);
+    FAIL() << "a killed peer must read as closed";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.kind(), TransportError::Kind::kClosed) << e.what();
   }
 }
 

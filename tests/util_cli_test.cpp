@@ -84,14 +84,18 @@ TEST(CliParser, IntListDefault) {
   EXPECT_EQ(cli.get_int_list("threads"), (std::vector<int>{4, 8, 16}));
 }
 
-TEST(CliParser, UnknownFlagThrows) {
+// A mistyped command line exits 2 with the error and the usage on stderr,
+// in every program that parses through CliParser.
+TEST(CliParser, UnknownFlagExitsTwoWithUsage) {
   CliParser cli = make_parser();
-  EXPECT_THROW(parse(cli, {"--bogus", "1"}), std::invalid_argument);
+  EXPECT_EXIT(parse(cli, {"--bogus", "1"}), ::testing::ExitedWithCode(2),
+              "prog: unknown flag --bogus\nprog .*--epochs");
 }
 
-TEST(CliParser, PositionalArgumentThrows) {
+TEST(CliParser, PositionalArgumentExitsTwoWithUsage) {
   CliParser cli = make_parser();
-  EXPECT_THROW(parse(cli, {"positional"}), std::invalid_argument);
+  EXPECT_EXIT(parse(cli, {"positional"}), ::testing::ExitedWithCode(2),
+              "prog: positional argument 'positional' not supported\nprog ");
 }
 
 TEST(CliParser, NonNumericValueThrows) {
