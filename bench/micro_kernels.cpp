@@ -8,7 +8,10 @@
 //   * alias vs CDF vs uniform sampling — "IS adds no per-iteration cost",
 //   * SharedModel wild vs atomic add under a single writer,
 //   * io::crc32's table loop vs its folded carry-less-multiply body, over
-//     one packed-ooc shard's bytes — the check every cold shard fault runs.
+//     one packed-ooc shard's bytes — the check every cold shard fault runs,
+//   * the Φ balancers' row order (partition::detail::value_order's radix
+//     sort) vs the iota + std::stable_sort it replaced, on 30,000
+//     tie-heavy importances — the bulk of IS-ASGD's offline phase.
 //
 // Self-contained timing harness (no google-benchmark): every entry reports
 // ns/op and Mitems/s, one row each of the bench record (BENCH_kernels.json
@@ -32,8 +35,9 @@
 //               fused kernels should simply win) — or (b) any available
 //               vector backend produces results that are not bit-identical
 //               to the scalar backend on randomized inputs, or (c) the two
-//               CRC-32 bodies disagree. A scalar-pinned run has no folded
-//               CRC body to time or compare, and skips its row.
+//               CRC-32 bodies disagree, or (d) the radix balance order is
+//               not the stable sort's permutation. A scalar-pinned run has
+//               no folded CRC body to time or compare, and skips its row.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -41,6 +45,8 @@
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -49,6 +55,7 @@
 #include "bench_common.hpp"
 #include "io/crc32.hpp"
 #include "objectives/objective.hpp"
+#include "partition/balancer.hpp"
 #include "sampling/alias_table.hpp"
 #include "sampling/cdf_sampler.hpp"
 #include "sampling/sequence.hpp"
@@ -560,6 +567,54 @@ void bench_crc32() {
 }
 
 // ---------------------------------------------------------------------------
+// Balance order: the sort inside IS-ASGD's offline phase
+// ---------------------------------------------------------------------------
+
+/// 30,000 tie-heavy importances, as rows of binary features give: L is
+/// β·nnz plus a regulariser term, so a few dozen distinct values repeat
+/// across the rows.
+std::vector<double> balance_importances() {
+  util::Rng rng(31);
+  std::vector<double> lip(30000);
+  for (auto& l : lip) {
+    l = 0.25 * static_cast<double>(1 + util::uniform_index(rng, 24)) + 1e-4;
+  }
+  return lip;
+}
+
+/// The balancers' row order before the radix sort: iota plus an indirect
+/// std::stable_sort, `<` for head-tail and `>` for the descending deals,
+/// frozen as the baseline.
+std::vector<std::uint32_t> stable_sort_order(std::span<const double> lip,
+                                             bool descending) {
+  std::vector<std::uint32_t> order(lip.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return descending ? lip[a] > lip[b] : lip[a] < lip[b];
+                   });
+  return order;
+}
+
+void bench_balance_order() {
+  // Gated: the radix order must hold the floor against the stable sort
+  // it replaced, on the same values.
+  const std::vector<double> lip = balance_importances();
+  const auto items = static_cast<double>(lip.size());
+  bench("balance_order_stable_sort", "", items, [&](std::size_t it) {
+    for (std::size_t i = 0; i < it; ++i) {
+      g_sink += stable_sort_order(lip, false)[i % 7];
+    }
+  });
+  bench("balance_order", "balance_order_stable_sort", items,
+        [&](std::size_t it) {
+          for (std::size_t i = 0; i < it; ++i) {
+            g_sink += partition::detail::value_order(lip, false)[i % 7];
+          }
+        });
+}
+
+// ---------------------------------------------------------------------------
 // Regression gate
 // ---------------------------------------------------------------------------
 
@@ -665,6 +720,20 @@ void check_crc_paths(util::BenchRecord& rec) {
             spans.size(), " (offset, length) spans differ from the table loop");
 }
 
+/// Under --check: the radix order is the stable sort's permutation on the
+/// bench's importances, ascending and descending.
+void check_balance_order(util::BenchRecord& rec) {
+  const std::vector<double> lip = balance_importances();
+  const bool ascending = partition::detail::value_order(lip, false) ==
+                         stable_sort_order(lip, false);
+  const bool descending = partition::detail::value_order(lip, true) ==
+                          stable_sort_order(lip, true);
+  rec.check("balance_order == stable_sort", ascending && descending,
+            "ascending ", ascending ? "equal" : "DIFFERS", ", descending ",
+            descending ? "equal" : "DIFFERS", " over ", lip.size(),
+            " importances");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -675,7 +744,8 @@ int main(int argc, char** argv) {
   cli.add_flag("check", "false",
                "regression gate: fused kernels >= 0.75x their scalar "
                "baselines, every backend bit-identical to scalar, folded "
-               "CRC == table loop (exit 1 on violation)");
+               "CRC == table loop, radix balance order == stable sort "
+               "(exit 1 on violation)");
   cli.add_flag("min-time", "0.05", "measurement window per entry (seconds)");
   cli.add_flag("backend", "",
                "pin the kernel backend (scalar|avx2|avx512; default: runtime "
@@ -705,6 +775,7 @@ int main(int argc, char** argv) {
   bench_backend_ladder();
   bench_shared_model();
   bench_crc32();
+  bench_balance_order();
   if (g_sink == 12345.6789) std::printf(" ");  // keep the sink observable
 
   for (const BenchResult& r : g_results) {
@@ -719,6 +790,7 @@ int main(int argc, char** argv) {
     check_regressions(rec);
     check_backend_parity(rec);
     check_crc_paths(rec);
+    check_balance_order(rec);
   }
   return bench::finish(rec, cli.get("out"));
 }

@@ -1,22 +1,100 @@
 #include "partition/balancer.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
 #include <numeric>
 #include <queue>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
 namespace isasgd::partition {
 
+namespace {
+
+/// Order-preserving map of a double onto an unsigned key. −0.0 becomes
+/// +0.0 first, since `<` holds them equal; then a negative flips every bit
+/// and a non-negative sets the sign bit, so unsigned key order is `<`'s
+/// order for every non-NaN double, denormals and ±inf included.
+std::uint64_t order_key(double v) {
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+  if (bits == kSign) bits = 0;
+  return (bits & kSign) ? ~bits : bits | kSign;
+}
+
+}  // namespace
+
+std::vector<std::uint32_t> detail::value_order(std::span<const double> values,
+                                               bool descending) {
+  // Six 11-bit digits cover the 64-bit key, and each digit's 2,048-bucket
+  // histogram fits in L1. Descending order is the ascending order of the
+  // complemented key, so equal values keep row order either way.
+  constexpr unsigned kDigitBits = 11;
+  constexpr unsigned kPasses = (64 + kDigitBits - 1) / kDigitBits;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  constexpr std::uint64_t kMask = kBuckets - 1;
+  const std::size_t n = values.size();
+  const std::uint64_t flip = descending ? ~std::uint64_t{0} : 0;
+
+  std::vector<std::uint64_t> keys(n), keys_next(n);
+  std::vector<std::uint32_t> rows(n), rows_next(n);
+  std::iota(rows.begin(), rows.end(), 0u);
+  std::vector<std::array<std::uint32_t, kBuckets>> counts(kPasses);
+  for (auto& c : counts) c.fill(0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t key = order_key(values[i]) ^ flip;
+    keys[i] = key;
+    for (unsigned p = 0; p < kPasses; ++p) {
+      ++counts[p][(key >> (p * kDigitBits)) & kMask];
+    }
+  }
+
+  // Each pass is a stable counting scatter on one digit; a digit every key
+  // shares would move nothing, so its pass is skipped.
+  for (unsigned p = 0; p < kPasses; ++p) {
+    auto& count = counts[p];
+    const unsigned shift = p * kDigitBits;
+    if (n == 0 || count[(keys[0] >> shift) & kMask] == n) continue;
+    std::uint32_t offset = 0;
+    for (std::uint32_t& c : count) {
+      const std::uint32_t here = c;
+      c = offset;
+      offset += here;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t slot = count[(keys[i] >> shift) & kMask]++;
+      keys_next[slot] = keys[i];
+      rows_next[slot] = rows[i];
+    }
+    keys.swap(keys_next);
+    rows.swap(rows_next);
+  }
+  return rows;
+}
+
+void detail::reject_nan(std::span<const double> lipschitz, const char* who) {
+  for (std::size_t i = 0; i < lipschitz.size(); ++i) {
+    if (std::isnan(lipschitz[i])) {
+      throw std::invalid_argument(std::string(who) +
+                                  ": NaN importance at row " +
+                                  std::to_string(i));
+    }
+  }
+}
+
 std::vector<std::uint32_t> head_tail_balance(std::span<const double> lipschitz) {
-  const std::size_t n = lipschitz.size();
-  std::vector<std::uint32_t> sorted(n);
-  std::iota(sorted.begin(), sorted.end(), 0u);
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return lipschitz[a] < lipschitz[b];
-                   });
+  detail::reject_nan(lipschitz, "head_tail_balance");
+  return detail::head_tail_deal(
+      detail::value_order(lipschitz, /*descending=*/false));
+}
+
+std::vector<std::uint32_t> detail::head_tail_deal(
+    std::span<const std::uint32_t> sorted) {
+  const std::size_t n = sorted.size();
   // Algorithm 3 lines 4–8: pair Ds[i] with Ds[n-1-i].
   std::vector<std::uint32_t> out;
   out.reserve(n);
@@ -56,17 +134,19 @@ std::vector<std::size_t> detail::split_capacities(std::size_t n,
 
 std::vector<std::uint32_t> greedy_lpt_balance(std::span<const double> lipschitz,
                                               std::size_t num_partitions) {
-  const std::size_t n = lipschitz.size();
   if (num_partitions == 0) {
     throw std::invalid_argument("greedy_lpt_balance: zero partitions");
   }
-  std::vector<std::uint32_t> sorted(n);
-  std::iota(sorted.begin(), sorted.end(), 0u);
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return lipschitz[a] > lipschitz[b];
-                   });
+  detail::reject_nan(lipschitz, "greedy_lpt_balance");
+  return detail::greedy_lpt_deal(
+      lipschitz, detail::value_order(lipschitz, /*descending=*/true),
+      num_partitions);
+}
 
+std::vector<std::uint32_t> detail::greedy_lpt_deal(
+    std::span<const double> lipschitz, std::span<const std::uint32_t> sorted,
+    std::size_t num_partitions) {
+  const std::size_t n = lipschitz.size();
   // Deal each sample (heaviest first) to the partition with smallest Φ,
   // subject to the partition not being full: the contiguous split gives
   // partition a exactly n·(a+1)/k − n·a/k samples, so capacities must match
@@ -139,15 +219,17 @@ std::vector<std::uint32_t> karmarkar_karp_balance(
   if (k == 0) {
     throw std::invalid_argument("karmarkar_karp_balance: zero partitions");
   }
+  detail::reject_nan(lipschitz, "karmarkar_karp_balance");
   if (k == 1 || n == 0) return identity_order(n);
+  return detail::karmarkar_karp_deal(
+      lipschitz, detail::value_order(lipschitz, /*descending=*/true), k);
+}
 
-  std::vector<std::uint32_t> sorted(n);
-  std::iota(sorted.begin(), sorted.end(), 0u);
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return lipschitz[a] > lipschitz[b];
-                   });
-
+std::vector<std::uint32_t> detail::karmarkar_karp_deal(
+    std::span<const double> lipschitz, std::span<const std::uint32_t> sorted,
+    std::size_t num_partitions) {
+  const std::size_t n = lipschitz.size();
+  const std::size_t k = num_partitions;
   // Seed tuples: each chunk of k consecutive items (heaviest first) becomes
   // one tuple with one item per bucket; the final short chunk is padded with
   // zero-weight dummy slots so all buckets stay cardinality-equal (the

@@ -4,6 +4,12 @@
 // All balancers return a permutation `order` of row indices; the partitioner
 // then assigns order[tid·n/numT .. (tid+1)·n/numT) to thread tid, exactly as
 // Algorithm 4 line 9 does.
+//
+// The importance balancers order rows by value with ties in row order —
+// the permutation iota + std::stable_sort yields — through one stable LSD
+// radix order (detail::value_order). They reject a NaN importance with
+// std::invalid_argument naming its row; every other double (±0.0,
+// denormals, ±inf, negatives) is ordered as `<` orders it.
 #pragma once
 
 #include <cstdint>
@@ -14,8 +20,8 @@ namespace isasgd::partition {
 
 /// Algorithm 3: sort rows by L_i, then interleave head and tail
 /// (Ds[0], Ds[n−1], Ds[1], Ds[n−2], …) so that every contiguous block mixes
-/// heavy and light samples. Fast O(n log n) approximation to the NP-hard
-/// equal-importance partition problem.
+/// heavy and light samples. Fast O(n) approximation (a radix order) to the
+/// NP-hard equal-importance partition problem.
 std::vector<std::uint32_t> head_tail_balance(std::span<const double> lipschitz);
 
 /// Uniform random permutation (Algorithm 4's alternative branch).
@@ -48,6 +54,31 @@ std::vector<std::uint32_t> karmarkar_karp_balance(
     std::span<const double> lipschitz, std::size_t num_partitions);
 
 namespace detail {
+/// The stable row order of `values`: ascending, or descending when
+/// `descending`, with equal values (−0.0 equals +0.0) in row order. For
+/// every NaN-free input it is the permutation iota + std::stable_sort with
+/// `<` (or `>`) yields, computed as an LSD radix sort over an
+/// order-preserving map of each double's bits in O(n) time and scratch.
+/// A NaN gets a well-defined but meaningless place; callers reject it.
+std::vector<std::uint32_t> value_order(std::span<const double> values,
+                                       bool descending);
+
+/// The balancers' deals from a sorted row order: Algorithm 3's head-tail
+/// interleave of an ascending order, and the greedy-LPT and differencing
+/// assignments of a descending one (differencing needs n ≥ 1 and
+/// num_partitions ≥ 2; its balancer returns the identity otherwise).
+std::vector<std::uint32_t> head_tail_deal(std::span<const std::uint32_t> sorted);
+std::vector<std::uint32_t> greedy_lpt_deal(std::span<const double> lipschitz,
+                                           std::span<const std::uint32_t> sorted,
+                                           std::size_t num_partitions);
+std::vector<std::uint32_t> karmarkar_karp_deal(
+    std::span<const double> lipschitz, std::span<const std::uint32_t> sorted,
+    std::size_t num_partitions);
+
+/// Throws std::invalid_argument("<who>: NaN importance at row <i>") for the
+/// first NaN in `lipschitz`: no order or Φ sum is defined over it.
+void reject_nan(std::span<const double> lipschitz, const char* who);
+
 /// Per-partition sample counts that exactly match PartitionPlan's contiguous
 /// boundaries (shard a = [n·a/k, n·(a+1)/k)). Balancers that assign samples
 /// to explicit buckets must respect these capacities or the block split will

@@ -40,6 +40,9 @@ PartitionPlan::PartitionPlan(std::span<const double> lipschitz,
         "PartitionPlan: need 1 <= partitions <= rows, got " +
         std::to_string(num_partitions) + " over " + std::to_string(n));
   }
+  // A NaN would poison ρ (and with it the adaptive choice), every Φ, and
+  // the balancers' order: reject it before any of them.
+  detail::reject_nan(lipschitz, "PartitionPlan");
 
   rho_ = importance_variance(lipschitz);
   Strategy chosen = options.strategy;

@@ -52,7 +52,9 @@ class PartitionPlan {
  public:
   /// Builds the plan: chooses/applies the ordering strategy, splits into
   /// `num_partitions` contiguous shards, computes Φ and local distributions.
-  /// `lipschitz` is indexed by *global* row id.
+  /// `lipschitz` is indexed by *global* row id. Throws
+  /// std::invalid_argument on an empty dataset, a partition count outside
+  /// [1, rows], or a NaN importance (the message names its row).
   PartitionPlan(std::span<const double> lipschitz, std::size_t num_partitions,
                 const PartitionOptions& options = {});
 

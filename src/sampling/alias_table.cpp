@@ -22,34 +22,39 @@ AliasTable::AliasTable(std::span<const double> weights) {
 
   // Vose's stable construction: partition outcomes into under-full and
   // over-full buckets relative to the uniform level 1/n, then pair them.
-  prob_.assign(n, 1.0);
+  // prob_ holds each bucket's scaled mass n·p_i while the pairing runs, and
+  // one n-slot array holds both work lists — `small` grows up from the
+  // front, `large` down from the back; no outcome is on both at once.
+  prob_.resize(n);
   alias_.resize(n);
-  std::vector<double> scaled(n);
   for (std::size_t i = 0; i < n; ++i) {
-    scaled[i] = normalized_[i] * static_cast<double>(n);
+    prob_[i] = normalized_[i] * static_cast<double>(n);
     alias_[i] = static_cast<std::uint32_t>(i);
   }
-  std::vector<std::uint32_t> small, large;
-  small.reserve(n);
-  large.reserve(n);
+  std::vector<std::uint32_t> work(n);
+  std::size_t small = 0, large = n;  // work[0, small) and work[large, n)
   for (std::size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(i));
+    if (prob_[i] < 1.0) {
+      work[small++] = static_cast<std::uint32_t>(i);
+    } else {
+      work[--large] = static_cast<std::uint32_t>(i);
+    }
   }
-  while (!small.empty() && !large.empty()) {
-    const std::uint32_t s = small.back();
-    small.pop_back();
-    const std::uint32_t l = large.back();
-    prob_[s] = scaled[s];
+  // Both lists pop from their last push: small at work[small - 1], large at
+  // work[large], the order two separate stacks would give.
+  while (small > 0 && large < n) {
+    const std::uint32_t s = work[--small];
+    const std::uint32_t l = work[large];
     alias_[s] = l;
-    scaled[l] -= 1.0 - scaled[s];
-    if (scaled[l] < 1.0) {
-      large.pop_back();
-      small.push_back(l);
+    prob_[l] -= 1.0 - prob_[s];
+    if (prob_[l] < 1.0) {
+      ++large;
+      work[small++] = l;
     }
   }
   // Leftovers (floating-point residue): saturate to probability 1.
-  for (std::uint32_t s : small) prob_[s] = 1.0;
-  for (std::uint32_t l : large) prob_[l] = 1.0;
+  for (std::size_t k = 0; k < small; ++k) prob_[work[k]] = 1.0;
+  for (std::size_t k = large; k < n; ++k) prob_[work[k]] = 1.0;
 }
 
 }  // namespace isasgd::sampling

@@ -43,6 +43,15 @@ class AliasTable {
     return normalized_;
   }
 
+  /// Per-bucket acceptance thresholds and fallback outcomes: the table
+  /// sample() reads (tests pin them bit for bit).
+  [[nodiscard]] std::span<const double> thresholds() const noexcept {
+    return prob_;
+  }
+  [[nodiscard]] std::span<const std::uint32_t> aliases() const noexcept {
+    return alias_;
+  }
+
  private:
   std::vector<double> prob_;        // acceptance threshold per bucket
   std::vector<std::uint32_t> alias_;  // fallback outcome per bucket

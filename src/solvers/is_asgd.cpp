@@ -26,18 +26,23 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
                          options.step_size, eval, observer);
 
   // ---- Offline phase (Algorithm 4 lines 2–12), timed as setup ----
+  // The pooled parts run on the run's own team (options.threads), so setup
+  // never grows the pool past what the epochs use.
   util::Stopwatch setup;
-  // Sidecar-fed setup when a pack carries row stats and the configured
-  // importance is a function of ‖x_i‖² alone — same numbers, no data pass.
-  const bool use_stats =
-      stats != nullptr && detail::stats_feed_importance(options);
-  const std::vector<double> importance =
-      use_stats ? detail::importance_weights_from_stats(*stats, 0, data.rows(),
-                                                        objective, options)
-                : detail::importance_weights(data, objective, options);
+  util::ThreadPool& team_pool = detail::pool_or_default(pool);
   partition::PartitionOptions popt = options.partition;
   popt.shuffle_seed = options.seed ^ 0x1517;
-  const partition::PartitionPlan plan(importance, threads, popt);
+  // Importance as a row-split map, from the sidecar when a pack carries row
+  // stats and the configured importance is a function of ‖x_i‖² alone —
+  // same numbers, no data pass. Only the plan keeps it past this point.
+  const partition::PartitionPlan plan = [&] {
+    const bool use_stats =
+        stats != nullptr && detail::stats_feed_importance(options);
+    const std::vector<double> importance = detail::importance_weights(
+        data, objective, options, use_stats ? stats : nullptr, team_pool,
+        threads);
+    return partition::PartitionPlan(importance, threads, popt);
+  }();
   {
     IsAsgdReport diagnostics;
     diagnostics.applied_strategy = plan.applied_strategy();
@@ -57,8 +62,7 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
       core::plan_placement(numa, plan.phis(), data.dim());
   SharedModel model(data.dim(), placement);
   if (placement.active) {
-    detail::pool_or_default(pool).set_worker_cpus(
-        core::worker_cpu_plan(placement, threads));
+    team_pool.set_worker_cpus(core::worker_cpu_plan(placement, threads));
   }
 
   // Per-worker: step weight per local slot = 1/(N_tid·p_i) and a streamed
@@ -82,7 +86,10 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
   const auto mode = options.sequence_mode;
   const std::size_t b = std::max<std::size_t>(1, options.batch_size);
   std::vector<WorkerState> workers(threads);
-  for (std::size_t tid = 0; tid < threads; ++tid) {
+  // Each worker builds its own state on its own pool thread, after the pin
+  // plan above, so its pages are first touched where it will run. A worker
+  // reads only the plan and writes only its own slot.
+  team_pool.run(threads, [&](std::size_t tid) {
     const partition::Shard shard = plan.shard(tid);
     const std::size_t local_n = shard.rows.size();
     WorkerState& ws = workers[tid];
@@ -117,7 +124,7 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
       ws.seq = std::make_unique<sampling::BlockSequence>(
           detail::block_mode(options), shard.probabilities, local_n, ws.seed);
     }
-  }
+  });
   recorder.add_setup_seconds(setup.seconds());
 
   // Wild-policy fast lane: under kWild (and in serial runs) the margin dot
@@ -171,7 +178,7 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
 
   // ---- Training (Algorithm 4 lines 13–15): the ASGD kernel ----
   const double train_seconds = detail::run_epoch_fenced(
-      detail::pool_or_default(pool), model, recorder, options.epochs, threads,
+      team_pool, model, recorder, options.epochs, threads,
       [&](std::size_t tid, std::size_t epoch) {
         const partition::Shard shard = plan.shard(tid);
         WorkerState& ws = workers[tid];

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <vector>
@@ -94,6 +96,81 @@ TEST(AliasTable, UniformWeightsSampleUniformly) {
 }
 
 // ---------- CdfSampler ----------
+
+/// The alias construction before its scratch shrank (a scaled-mass vector
+/// and two work stacks), frozen as the reference the table must equal.
+struct FrozenAliasTable {
+  std::vector<double> prob;
+  std::vector<std::uint32_t> alias;
+
+  explicit FrozenAliasTable(const std::vector<double>& weights) {
+    const std::size_t n = weights.size();
+    double total = 0;
+    for (double w : weights) total += w;
+    std::vector<double> normalized(n);
+    for (std::size_t i = 0; i < n; ++i) normalized[i] = weights[i] / total;
+    prob.assign(n, 1.0);
+    alias.resize(n);
+    std::vector<double> scaled(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      scaled[i] = normalized[i] * static_cast<double>(n);
+      alias[i] = static_cast<std::uint32_t>(i);
+    }
+    std::vector<std::uint32_t> small, large;
+    for (std::size_t i = 0; i < n; ++i) {
+      (scaled[i] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(i));
+    }
+    while (!small.empty() && !large.empty()) {
+      const std::uint32_t s = small.back();
+      small.pop_back();
+      const std::uint32_t l = large.back();
+      prob[s] = scaled[s];
+      alias[s] = l;
+      scaled[l] -= 1.0 - scaled[s];
+      if (scaled[l] < 1.0) {
+        large.pop_back();
+        small.push_back(l);
+      }
+    }
+    for (std::uint32_t s : small) prob[s] = 1.0;
+    for (std::uint32_t l : large) prob[l] = 1.0;
+  }
+
+  template <class Gen>
+  std::size_t sample(Gen& gen) const {
+    const std::size_t k =
+        static_cast<std::size_t>(util::uniform_index(gen, prob.size()));
+    return util::uniform_double(gen) < prob[k] ? k : alias[k];
+  }
+};
+
+TEST(AliasTable, EqualsTheFrozenConstructorBitForBit) {
+  util::Rng rng(77);
+  std::vector<double> skewed(4000);
+  for (auto& w : skewed) w = std::pow(util::uniform_double(rng) + 1e-9, -1.5);
+  std::vector<double> tied(999);
+  for (std::size_t i = 0; i < tied.size(); ++i) tied[i] = 1.0 + (i % 3 == 0);
+  std::vector<double> zeros(513, 0.0);
+  for (std::size_t i = 0; i < zeros.size(); i += 4) {
+    zeros[i] = util::uniform_double(rng);
+  }
+  for (const auto& weights : {skewed, tied, zeros, std::vector<double>{2.5}}) {
+    SCOPED_TRACE("n = " + std::to_string(weights.size()));
+    const AliasTable table(weights);
+    const FrozenAliasTable frozen(weights);
+    ASSERT_EQ(table.thresholds().size(), frozen.prob.size());
+    for (std::size_t i = 0; i < frozen.prob.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(table.thresholds()[i]),
+                std::bit_cast<std::uint64_t>(frozen.prob[i]))
+          << "bucket " << i;
+      ASSERT_EQ(table.aliases()[i], frozen.alias[i]) << "bucket " << i;
+    }
+    util::Rng a(5), b(5);
+    for (int draw = 0; draw < 10000; ++draw) {
+      ASSERT_EQ(table.sample(a), frozen.sample(b)) << "draw " << draw;
+    }
+  }
+}
 
 TEST(CdfSampler, IndexOfMapsQuantilesCorrectly) {
   CdfSampler sampler(std::vector<double>{1.0, 2.0, 1.0});  // cdf: .25 .75 1
