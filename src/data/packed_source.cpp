@@ -51,7 +51,6 @@ PackedSource::PackedSource(std::string path, PackedOptions options,
   ShardCache::Options cache_options;
   cache_options.memory_budget_bytes = options_.memory_budget_bytes;
   cache_options.prefetch = options_.prefetch;
-  cache_options.autotune = options_.autotune;
   cache_ = std::make_unique<ShardCache>(
       reader_.shard_count(), std::move(cache_options),
       [this](std::size_t s) { return load_shard(s); }, pool_);

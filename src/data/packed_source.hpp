@@ -52,7 +52,6 @@ struct PackedOptions {
   std::size_t memory_budget_bytes = std::size_t{64} << 20;
   /// Allow prefetch() to schedule background decodes (needs a ThreadPool).
   bool prefetch = true;
-  PrefetchAutotuner::Options autotune;
 };
 
 /// File-backed DataSource over a shardpack. Thread-safe; see file comment.

@@ -28,9 +28,8 @@ double mean(std::uint64_t total, std::uint64_t count) {
          static_cast<double>(std::max<std::uint64_t>(1, count));
 }
 
-/// Default resident-footprint estimate of one shard, matching what
-/// StreamingSource has always charged the budget: the four CSR arrays plus
-/// a small fixed overhead for the control blocks.
+/// Resident-footprint estimate of one shard, what the budget is charged:
+/// the four CSR arrays plus a small fixed overhead for the control blocks.
 std::size_t default_shard_bytes(const Shard& shard) {
   const sparse::CsrMatrix& m = *shard.matrix;
   return m.nnz() * (sizeof(sparse::index_t) + sizeof(sparse::value_t)) +
@@ -39,9 +38,6 @@ std::size_t default_shard_bytes(const Shard& shard) {
 
 }  // namespace
 
-PrefetchAutotuner::PrefetchAutotuner(Options options)
-    : options_(options), depth_(std::max<std::size_t>(1, options.initial_depth)) {}
-
 std::size_t PrefetchAutotuner::update(const CacheStats& delta,
                                       std::size_t capacity_shards) {
   if (disabled_) return depth_;  // futility latch: prefetch stays off
@@ -49,7 +45,7 @@ std::size_t PrefetchAutotuner::update(const CacheStats& delta,
   // once minus the shard being consumed; a capacity-1 cache cannot benefit
   // from any lookahead.
   const std::size_t cap =
-      std::min(options_.max_depth,
+      std::min(kMaxDepth,
                capacity_shards > 1 ? capacity_shards - 1 : std::size_t{1});
   const std::size_t before = depth_;
   if (delta.hits + delta.misses == 0) {
@@ -63,7 +59,7 @@ std::size_t PrefetchAutotuner::update(const CacheStats& delta,
       static_cast<double>(std::max<std::uint64_t>(1, delta.prefetch_issued));
   const double waste_rate = static_cast<double>(delta.prefetch_wasted) / issued;
   const double race_rate = static_cast<double>(delta.prefetch_races) / issued;
-  if (delta.prefetch_issued > 0 && race_rate > options_.severe_race_rate &&
+  if (delta.prefetch_issued > 0 && race_rate > kSevereRaceRate &&
       mean(delta.race_wait_ns, delta.prefetch_races) >=
           mean(delta.load_ns, delta.loads)) {
     // The consumer blocked on nearly every prefetch, each time for at least
@@ -73,7 +69,7 @@ std::size_t PrefetchAutotuner::update(const CacheStats& delta,
     // deepening cannot help; turn prefetch off for good so demand loads
     // decode inline on the consumer. A consumer that got faster than the
     // decode also races, but waits less than a load: it deepens below.
-    if (++severe_epochs_ >= options_.futility_epochs) {
+    if (++severe_epochs_ >= kFutilityEpochs) {
       depth_ = 0;
       disabled_ = true;
       ++adjustments_;
@@ -82,10 +78,10 @@ std::size_t PrefetchAutotuner::update(const CacheStats& delta,
   } else {
     severe_epochs_ = 0;
   }
-  if (delta.prefetch_issued > 0 && waste_rate > options_.waste_tolerance) {
+  if (delta.prefetch_issued > 0 && waste_rate > kWasteTolerance) {
     // Lookahead overruns the budget: prefetched shards die unused.
     depth_ = depth_ > 1 ? depth_ - 1 : 1;
-  } else if (delta.misses > 0 || race_rate > options_.race_tolerance) {
+  } else if (delta.misses > 0 || race_rate > kRaceTolerance) {
     // I/O is not hidden — demand fetches still fault (or block on reads
     // already in flight). Look further ahead.
     depth_ = depth_ + 1;
@@ -100,8 +96,7 @@ ShardCache::ShardCache(std::size_t shard_count, Options options, Loader loader,
     : shard_count_(shard_count),
       options_(std::move(options)),
       loader_(std::move(loader)),
-      pool_(pool),
-      tuner_(options_.autotune) {}
+      pool_(pool) {}
 
 ShardCache::~ShardCache() {
   // Prefetch tasks capture `this`; wait for every in-flight load before the
@@ -121,9 +116,7 @@ std::size_t ShardCache::capacity_shards_locked() const {
 
 void ShardCache::install_locked(std::size_t s, ShardPtr shard,
                                 bool prefetched, std::uint64_t load_ns) {
-  const std::size_t bytes = options_.shard_bytes
-                                ? options_.shard_bytes(*shard)
-                                : default_shard_bytes(*shard);
+  const std::size_t bytes = default_shard_bytes(*shard);
   Entry& entry = cache_[s];
   entry.bytes = bytes;
   entry.shard = std::move(shard);

@@ -41,30 +41,25 @@ namespace isasgd::data {
 /// sequence is a function of the observed counter sequence only.
 class PrefetchAutotuner {
  public:
-  struct Options {
-    std::size_t initial_depth = 1;
-    std::size_t max_depth = 8;
-    /// Fraction of an epoch's prefetches that may race a demand fetch
-    /// before the tuner deepens the lookahead.
-    double race_tolerance = 0.10;
-    /// Fraction of an epoch's prefetches that may be evicted unused before
-    /// the tuner backs off.
-    double waste_tolerance = 0.25;
-    /// Race rate above which an epoch counts as *severely* racing, when
-    /// also its mean race wait is at least its mean load time: the
-    /// consumer blocked on nearly every prefetch for as long as a load of
-    /// its own would have taken, so lookahead hid nothing. Races whose
-    /// waits are shorter than a load still hide part of it; they deepen.
-    double severe_race_rate = 0.5;
-    /// After this many consecutive severely-racing epochs (deepening had
-    /// its chance and changed nothing — e.g. no spare core to decode on),
-    /// prefetch is futile: depth drops to 0 and stays there, so demand
-    /// loads run inline on the consumer and stop paying wake-up latency.
-    std::size_t futility_epochs = 2;
-  };
-
-  PrefetchAutotuner() : PrefetchAutotuner(Options{}) {}
-  explicit PrefetchAutotuner(Options options);
+  static constexpr std::size_t kInitialDepth = 1;
+  static constexpr std::size_t kMaxDepth = 8;
+  /// Fraction of an epoch's prefetches that may race a demand fetch before
+  /// the tuner deepens the lookahead.
+  static constexpr double kRaceTolerance = 0.10;
+  /// Fraction of an epoch's prefetches that may be evicted unused before
+  /// the tuner backs off.
+  static constexpr double kWasteTolerance = 0.25;
+  /// Race rate above which an epoch counts as *severely* racing, when also
+  /// its mean race wait is at least its mean load time: the consumer
+  /// blocked on nearly every prefetch for as long as a load of its own
+  /// would have taken, so lookahead hid nothing. Races whose waits are
+  /// shorter than a load still hide part of it; they deepen.
+  static constexpr double kSevereRaceRate = 0.5;
+  /// After this many consecutive severely-racing epochs (deepening had its
+  /// chance and changed nothing — e.g. no spare core to decode on),
+  /// prefetch is futile: depth drops to 0 and stays there, so demand loads
+  /// run inline on the consumer and stop paying wake-up latency.
+  static constexpr std::size_t kFutilityEpochs = 2;
 
   [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
 
@@ -73,8 +68,8 @@ class PrefetchAutotuner {
   /// how many shards the budget holds resident (caps useful lookahead at
   /// capacity − 1 — the current shard needs a slot too). Returns the new
   /// depth. Windows with no demand traffic leave the depth unchanged.
-  /// Depth 0 means prefetch was declared futile (see
-  /// Options::futility_epochs) and is permanently off for this tuner.
+  /// Depth 0 means prefetch was declared futile (see kFutilityEpochs) and
+  /// is permanently off for this tuner.
   std::size_t update(const CacheStats& delta, std::size_t capacity_shards);
 
   /// Tuning steps that changed the depth (observability for --stats).
@@ -83,8 +78,7 @@ class PrefetchAutotuner {
   }
 
  private:
-  Options options_;
-  std::size_t depth_;
+  std::size_t depth_ = kInitialDepth;
   std::uint64_t adjustments_ = 0;
   std::size_t severe_epochs_ = 0;
   bool disabled_ = false;
@@ -101,9 +95,6 @@ class ShardCache {
     std::size_t memory_budget_bytes = std::size_t{64} << 20;
     /// Allow prefetch() to schedule background loads (needs a pool).
     bool prefetch = true;
-    /// Estimated resident footprint of one loaded shard, for the budget.
-    std::function<std::size_t(const Shard&)> shard_bytes;
-    PrefetchAutotuner::Options autotune;
     /// Times a *failed* background load is retried in place before the
     /// prefetch claim is dropped (0 = legacy behaviour: first failure drops
     /// the claim and the blocking get() reloads). Retries ride the same

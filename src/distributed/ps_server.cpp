@@ -205,7 +205,7 @@ class PsServer {
   /// reply, so a duplicate of the request (seq == last_seq) can be answered
   /// again without re-executing. The swap hands reply_ the rank's previous
   /// buffer, so replies reuse capacity instead of allocating. A send
-  /// failure just drops the connection — the worker reconnects and
+  /// failure drops the connection (see drop) — a reconnecting worker
   /// retransmits, hitting the cache.
   void reply_cached(RankState& rs, std::uint32_t type) {
     rs.cached_type = type;
@@ -222,15 +222,30 @@ class PsServer {
           e.kind() == net::TransportError::Kind::kIo) {
         throw;
       }
-      rs.ep.reset();
+      drop(static_cast<std::size_t>(&rs - ranks_.data()));
     }
+  }
+
+  /// Drops rank r's closed connection, for await_rank to wait out. Only a
+  /// fault-tolerant group reconnects: in a fault-free one a live worker
+  /// closes only after its last kEpochGo, which no read or send follows,
+  /// so a close means the worker died and the run ends at once instead of
+  /// at the group's I/O deadline.
+  void drop(std::size_t r) {
+    if (!ft_) {
+      throw net::TransportError(
+          net::TransportError::Kind::kClosed,
+          "ps server: worker rank " + std::to_string(r) +
+              " closed its connection in a fault-free group");
+    }
+    ranks_[r].ep.reset();
   }
 
   /// Reads rank r's next frame into frame_; false once `deadline` passes.
   /// Whenever the rank's connection is down it waits for a reconnect
-  /// instead (each such wait capped at `reconnect_ms` when positive); a
-  /// closed connection just means the worker died or is reconnecting, and
-  /// await_rank decides which.
+  /// instead (each such wait capped at `reconnect_ms` when positive); in a
+  /// fault-tolerant group a closed connection means the worker died or is
+  /// reconnecting, and await_rank decides which.
   bool next_frame(std::size_t r, Clock::time_point deadline,
                   int reconnect_ms = 0) {
     RankState& rs = ranks_[r];
@@ -254,7 +269,7 @@ class PsServer {
           return false;
         }
         if (e.kind() != net::TransportError::Kind::kClosed) throw;
-        rs.ep.reset();
+        drop(r);
       }
     }
   }

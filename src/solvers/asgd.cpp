@@ -43,9 +43,9 @@ Trace run_asgd(const sparse::CsrMatrix& data,
   const core::NumaPlacement placement =
       core::plan_placement(numa, shard_mass, data.dim());
   SharedModel model(data.dim(), placement);
+  util::ThreadPool& team_pool = detail::pool_or_default(pool);
   if (placement.active) {
-    detail::pool_or_default(pool).set_worker_cpus(
-        core::worker_cpu_plan(placement, threads));
+    team_pool.set_worker_cpus(core::worker_cpu_plan(placement, threads));
   }
 
   // Per-worker RNG streams, padded to avoid false sharing.
@@ -64,34 +64,38 @@ Trace run_asgd(const sparse::CsrMatrix& data,
     draws[tid].resize(sampling::BlockSequence::kDefaultBlockSize);
   }
 
-  const double train_seconds = detail::run_epoch_fenced(
-      detail::pool_or_default(pool), model, recorder, options.epochs, threads,
-      [&](std::size_t tid, std::size_t epoch) {
-        const std::size_t begin = boundary[tid], end = boundary[tid + 1];
-        const std::size_t local_n = end - begin;
-        if (local_n == 0) return;
-        util::Rng& rng = rngs[tid].value;
-        std::vector<std::uint32_t>& ids = draws[tid];
-        // ⌈local_n/b⌉ full batches of uniform draws from the worker's shard,
-        // drawn at most a block early and never past the epoch's last batch,
-        // so the next epoch's stream does not shift.
-        std::size_t left = (local_n + b - 1) / b * b;
-        // The schedule is a pure function of the epoch, so every worker
-        // derives the same λ locally — no shared decay state to race on.
-        detail::hogwild_epoch(
-            data, model, objective, options.reg, options.update_policy,
-            epoch_step(options, epoch), batches[tid],
-            [&]() -> std::span<const std::uint32_t> {
-              const std::size_t m = std::min(ids.size(), left);
-              for (std::size_t k = 0; k < m; ++k) {
-                ids[k] = order[begin + util::uniform_index(rng, local_n)];
-              }
-              left -= m;
-              return {ids.data(), m};
-            },
-            [](std::uint32_t i) { return i; },
-            [](std::uint32_t, double) { return 1.0; });
-      });
+  const double train_seconds = detail::run_epochs(
+      team_pool, threads, model.wild_view(), recorder, /*first_epoch=*/1,
+      options.epochs,
+      [&](std::size_t epoch) {
+        team_pool.run(threads, [&](std::size_t tid) {
+          const std::size_t begin = boundary[tid], end = boundary[tid + 1];
+          const std::size_t local_n = end - begin;
+          if (local_n == 0) return;
+          util::Rng& rng = rngs[tid].value;
+          std::vector<std::uint32_t>& ids = draws[tid];
+          // ⌈local_n/b⌉ full batches of uniform draws from the worker's
+          // shard, drawn at most a block early and never past the epoch's
+          // last batch, so the next epoch's stream does not shift.
+          std::size_t left = (local_n + b - 1) / b * b;
+          // The schedule is a pure function of the epoch, so every worker
+          // derives the same λ locally — no shared decay state to race on.
+          detail::hogwild_epoch(
+              data, model, objective, options.reg, options.update_policy,
+              epoch_step(options, epoch), batches[tid],
+              [&]() -> std::span<const std::uint32_t> {
+                const std::size_t m = std::min(ids.size(), left);
+                for (std::size_t k = 0; k < m; ++k) {
+                  ids[k] = order[begin + util::uniform_index(rng, local_n)];
+                }
+                left -= m;
+                return {ids.data(), m};
+              },
+              [](std::uint32_t i) { return i; },
+              [](std::uint32_t, double) { return 1.0; });
+        });
+      },
+      detail::no_fence);
   if (options.keep_final_model) recorder.set_final_model(model.snapshot());
   return std::move(recorder).finish(train_seconds);
 }
@@ -112,30 +116,35 @@ Trace run_asgd_streaming(const data::DataSource& source,
   std::vector<std::vector<detail::Gathered>> batches(threads);
   for (auto& scratch : batches) scratch.resize(b);
 
-  const double train_seconds = detail::run_epoch_fenced_sharded(
-      detail::pool_or_default(pool), source, schedule, model, recorder,
-      /*first_epoch=*/1, options.epochs, threads,
-      [&](std::size_t tid, const data::Shard& shard,
-          std::span<const std::uint32_t> row_order, std::size_t epoch) {
-        // Worker tid owns the contiguous slice [begin, end) of this shard's
-        // row order — a without-replacement split, the shard-local analog of
-        // run_asgd's per-worker dataset shards.
-        const std::size_t local_n = row_order.size();
-        const std::size_t begin = local_n * tid / threads;
-        const std::size_t end = local_n * (tid + 1) / threads;
-        if (begin == end) return;
-        // The slice is the worker's one block of draws; its last batch is
-        // whatever remains of it.
-        std::span<const std::uint32_t> slice =
-            row_order.subspan(begin, end - begin);
-        detail::hogwild_epoch(
-            *shard.matrix, model, objective, options.reg,
-            options.update_policy, epoch_step(options, epoch), batches[tid],
-            [&] { return std::exchange(slice, {}); },
-            [](std::uint32_t i) { return i; },
-            [](std::uint32_t, double) { return 1.0; });
+  util::ThreadPool& team_pool = detail::pool_or_default(pool);
+  const double train_seconds = detail::run_epochs(
+      team_pool, threads, model.wild_view(), recorder, /*first_epoch=*/1,
+      options.epochs,
+      [&](std::size_t epoch) {
+        detail::shard_epoch(
+            team_pool, threads, source, schedule, epoch,
+            [&](std::size_t tid, const data::Shard& shard,
+                std::span<const std::uint32_t> row_order) {
+              // Worker tid owns the contiguous slice [begin, end) of this
+              // shard's row order — a without-replacement split, the
+              // shard-local analog of run_asgd's per-worker dataset shards.
+              const std::size_t local_n = row_order.size();
+              const std::size_t begin = local_n * tid / threads;
+              const std::size_t end = local_n * (tid + 1) / threads;
+              if (begin == end) return;
+              // The slice is the worker's one block of draws; its last
+              // batch is whatever remains of it.
+              std::span<const std::uint32_t> slice =
+                  row_order.subspan(begin, end - begin);
+              detail::hogwild_epoch(
+                  *shard.matrix, model, objective, options.reg,
+                  options.update_policy, epoch_step(options, epoch),
+                  batches[tid], [&] { return std::exchange(slice, {}); },
+                  [](std::uint32_t i) { return i; },
+                  [](std::uint32_t, double) { return 1.0; });
+            });
       },
-      [](std::size_t) {});
+      [&](std::size_t) { source.end_epoch(); });
   if (options.keep_final_model) recorder.set_final_model(model.snapshot());
   return std::move(recorder).finish(train_seconds);
 }

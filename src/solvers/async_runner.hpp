@@ -1,10 +1,11 @@
-// Epoch-fenced execution drivers shared by the asynchronous solvers.
+// The step driver and the epoch loop shared by the wall-clock solvers.
 //
 // Within an epoch the workers are fully lock-free (that is the algorithm
 // under study); at epoch boundaries the pool quiesces so the model can be
 // scored against a stable snapshot, with the training clock paused —
 // evaluation cost never pollutes the wall-clock traces the paper's Figures
-// 4–5 are built from.
+// 4–5 are built from. run_epochs below is that loop, for serial and
+// parallel solvers alike.
 //
 // Workers come from a persistent util::ThreadPool (normally the one owned
 // by the caller's core::ExecutionContext) instead of being spawned per
@@ -204,63 +205,43 @@ inline sampling::BlockSequence::Mode block_mode(const SolverOptions& options) {
   return sampling::BlockSequence::Mode::kIid;
 }
 
-/// Runs `threads` logical workers for `epochs` epochs on `pool`.
-/// `worker_epoch(tid, epoch)` is called once per worker per epoch (epoch is
-/// 1-based) and must perform that worker's share of update iterations on
-/// the shared model. Records one trace point per epoch (plus the initial
-/// point at epoch 0) and returns the total training seconds. If the
-/// recorder's observer requests a stop, the remaining epochs are simply not
-/// dispatched — the pool has already drained at the fence.
-template <class WorkerEpochFn>
-double run_epoch_fenced(util::ThreadPool& pool, SharedModel& model,
-                        TraceRecorder& recorder, std::size_t epochs,
-                        std::size_t threads, WorkerEpochFn&& worker_epoch) {
-  // Every record() below happens at a fence (pool quiescent), so the raw
-  // wild_view is an exact snapshot and the scoring pass is allocation-free
-  // — no per-epoch snapshot vector, no copy.
-  recorder.record(0, 0.0, model.wild_view());
+/// A fence hook that does nothing, for runs with no fence-time work.
+inline constexpr auto no_fence = [](std::size_t) noexcept {};
+
+/// The ONE epoch loop of every wall-clock solver. `epoch_body(epoch)` runs
+/// epoch `epoch` (1-based) to completion on `w`'s model: a parallel body
+/// dispatches pool.run(team, …), whose return is the fence; a serial caller
+/// passes team 1 and steps inline. `fence(epoch)` then runs with the clock
+/// paused, before the epoch's point is recorded: checkpoint capture and a
+/// source's end_epoch() go there, off the traces the paper's Figures 4–5
+/// are built from. Every record() happens at a fence, so the raw model view
+/// is an exact snapshot. Returns the total training seconds.
+///
+/// A resumed run (snapshot.hpp) starts at `first_epoch` = fence + 1 and
+/// records the restored model as epoch first_epoch − 1, so the bodies see
+/// the uninterrupted run's epoch indices (per-epoch seeds and refresh
+/// cadences stay bit-compatible); first_epoch > epochs runs no epoch. A
+/// stop requested at the initial point runs no body and no fence.
+template <class EpochBodyFn, class FenceFn>
+double run_epochs(util::ThreadPool& pool, std::size_t team,
+                  std::span<const double> w, TraceRecorder& recorder,
+                  std::size_t first_epoch, std::size_t epochs,
+                  EpochBodyFn&& epoch_body, FenceFn&& fence) {
+  recorder.record(first_epoch - 1, 0.0, w);
   if (recorder.stop_requested()) return 0.0;
 
   // Warm the pool before the clock starts: on a cold context the one-time
-  // worker spawn must not land inside epoch 1's timed window.
-  pool.reserve(threads);
+  // worker spawn must not land inside the first epoch's timed window.
+  pool.reserve(team);
 
   util::AccumulatingTimer clock;
-  for (std::size_t epoch = 1; epoch <= epochs; ++epoch) {
-    clock.start();
-    pool.run(threads,
-             [&](std::size_t tid) { worker_epoch(tid, epoch); });
-    clock.stop();  // fence: all workers arrived, clock paused for scoring
-    recorder.record(epoch, clock.seconds(), model.wild_view());
-    if (recorder.stop_requested()) break;
-  }
-  return clock.seconds();
-}
-
-/// Serial counterpart: `epoch_body(epoch)` performs one epoch's iterations
-/// on `w`; the driver manages clock pausing and recording symmetrically to
-/// the async version so serial and async traces are directly comparable.
-/// The range form exists for checkpoint resume (snapshot.hpp): a restored
-/// run starts its fence loop at `first_epoch` = fence + 1, records the
-/// restored model as its initial point (epoch first_epoch − 1), and runs the
-/// remaining epochs — the epoch indices the bodies see are identical to the
-/// uninterrupted run's, which is what keeps per-epoch seed derivations and
-/// refresh cadences bit-compatible. first_epoch > epochs runs zero epochs
-/// (a checkpoint taken at the final fence restores to a finished run).
-template <class EpochBodyFn>
-double run_epoch_fenced_serial_range(std::span<const double> w,
-                                     TraceRecorder& recorder,
-                                     std::size_t first_epoch,
-                                     std::size_t epochs,
-                                     EpochBodyFn&& epoch_body) {
-  recorder.record(first_epoch - 1, 0.0, w);
-  util::AccumulatingTimer clock;
-  for (std::size_t epoch = first_epoch;
-       epoch <= epochs && !recorder.stop_requested(); ++epoch) {
+  for (std::size_t epoch = first_epoch; epoch <= epochs; ++epoch) {
     clock.start();
     epoch_body(epoch);
     clock.stop();
+    fence(epoch);
     recorder.record(epoch, clock.seconds(), w);
+    if (recorder.stop_requested()) break;
   }
   return clock.seconds();
 }

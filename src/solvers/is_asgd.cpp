@@ -177,38 +177,42 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
   };
 
   // ---- Training (Algorithm 4 lines 13–15): the ASGD kernel ----
-  const double train_seconds = detail::run_epoch_fenced(
-      team_pool, model, recorder, options.epochs, threads,
-      [&](std::size_t tid, std::size_t epoch) {
-        const partition::Shard shard = plan.shard(tid);
-        WorkerState& ws = workers[tid];
-        if (shard.rows.empty()) return;
-        if (adaptive) {
-          const std::size_t interval =
-              std::max<std::size_t>(1, options.adaptive_interval);
-          if ((epoch - 1) % interval == 0 || !ws.seq) {
-            refresh_adaptive(tid, epoch);
+  const double train_seconds = detail::run_epochs(
+      team_pool, threads, model.wild_view(), recorder, /*first_epoch=*/1,
+      options.epochs,
+      [&](std::size_t epoch) {
+        team_pool.run(threads, [&](std::size_t tid) {
+          const partition::Shard shard = plan.shard(tid);
+          WorkerState& ws = workers[tid];
+          if (shard.rows.empty()) return;
+          if (adaptive) {
+            const std::size_t interval =
+                std::max<std::size_t>(1, options.adaptive_interval);
+            if ((epoch - 1) % interval == 0 || !ws.seq) {
+              refresh_adaptive(tid, epoch);
+            }
+            // Between refreshes the same stream seed replays the same
+            // i.i.d. sequence — exactly the pre-streaming replay semantics.
+            ws.seq->begin_epoch(epoch, ws.stream_seed);
+          } else if (mode == SolverOptions::SequenceMode::kPregenerate) {
+            ws.seq->begin_epoch(epoch, util::derive_seed(ws.seed, epoch - 1));
+          } else {
+            ws.seq->begin_epoch(epoch);
           }
-          // Between refreshes the same stream seed replays the same i.i.d.
-          // sequence — exactly the pre-streaming replay semantics.
-          ws.seq->begin_epoch(epoch, ws.stream_seed);
-        } else if (mode == SolverOptions::SequenceMode::kPregenerate) {
-          ws.seq->begin_epoch(epoch, util::derive_seed(ws.seed, epoch - 1));
-        } else {
-          ws.seq->begin_epoch(epoch);
-        }
-        // The epoch's draws are the sequence's blocks of local slots; a
-        // slot's step weight is 1/(N_tid·p_slot).
-        detail::hogwild_epoch(
-            data, model, objective, options.reg, options.update_policy,
-            epoch_step(options, epoch), ws.batch,
-            [&] { return ws.seq->next_block(); },
-            [&](std::uint32_t slot) { return shard.rows[slot]; },
-            [&](std::uint32_t slot, double g) {
-              if (adaptive) ws.last_g[slot] = std::abs(g);
-              return ws.weight[slot];
-            });
-      });
+          // The epoch's draws are the sequence's blocks of local slots; a
+          // slot's step weight is 1/(N_tid·p_slot).
+          detail::hogwild_epoch(
+              data, model, objective, options.reg, options.update_policy,
+              epoch_step(options, epoch), ws.batch,
+              [&] { return ws.seq->next_block(); },
+              [&](std::uint32_t slot) { return shard.rows[slot]; },
+              [&](std::uint32_t slot, double g) {
+                if (adaptive) ws.last_g[slot] = std::abs(g);
+                return ws.weight[slot];
+              });
+        });
+      },
+      detail::no_fence);
   if (options.keep_final_model) recorder.set_final_model(model.snapshot());
   return std::move(recorder).finish(train_seconds);
 }

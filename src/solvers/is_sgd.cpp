@@ -125,8 +125,9 @@ Trace run_is_sgd(const sparse::CsrMatrix& data,
   // ---- Training: SGD's step loop, only the index source + weight differ ----
   const bool adaptive = options.adaptive_importance;
   std::vector<detail::Gathered> batch(b);
-  const double train_seconds = detail::run_epoch_fenced_serial_range(
-      w, recorder, hooks.first_epoch(), options.epochs,
+  const double train_seconds = detail::run_epochs(
+      util::default_thread_pool(), /*team=*/1, w, recorder,
+      hooks.first_epoch(), options.epochs,
       [&](std::size_t epoch) {
         if (adaptive) {
           // Eq. 11 extension: refresh P from the live gradient norms,
@@ -176,6 +177,8 @@ Trace run_is_sgd(const sparse::CsrMatrix& data,
               if (adaptive) last_g[i] = std::abs(g);
               return weight[i];
             });
+      },
+      [&](std::size_t epoch) {
         detail::maybe_capture(
             hooks, "IS-SGD", epoch, options.seed, options.epochs, w,
             [&](SnapshotState& state) {

@@ -70,52 +70,56 @@ Trace run_prox_asgd(const sparse::CsrMatrix& data,
   // atomic_ref calls (see model.hpp's wild_view contract).
   const bool wild = policy == UpdatePolicy::kWild;
   const std::span<double> wv = model.wild_view();
-  const double train_seconds = detail::run_epoch_fenced(
-      detail::pool_or_default(pool), model, recorder, options.epochs, threads,
-      [&](std::size_t tid, std::size_t epoch) {
-        const partition::Shard shard = plan.shard(tid);
-        const std::size_t local_n = shard.rows.size();
-        if (local_n == 0) return;
-        WorkerState& ws = workers[tid];
-        const double lambda = epoch_step(options, epoch);
-        if (use_importance) {
-          ws.seq->begin_epoch(
-              epoch,
-              util::derive_seed(options.seed, 300 + tid * 1000 + (epoch - 1)));
-        }
-        for (std::size_t t = 0; t < local_n; ++t) {
-          const std::size_t slot =
-              use_importance
-                  ? ws.seq->next()
-                  : static_cast<std::size_t>(
-                        util::uniform_index(ws.rng, local_n));
-          const std::size_t i = shard.rows[slot];
-          const auto x = data.row(i);
-          const double margin = detail::gather_margin(model, x, wild);
-          const double g =
-              objective.gradient_scale(margin, data.label(i)) *
-              ws.weight[slot];
-          const auto idx = x.indices();
-          const auto val = x.values();
-          if (wild) {
-            for (std::size_t k = 0; k < idx.size(); ++k) {
-              double& wj = wv[idx[k]];
-              wj = objectives::prox(options.reg, wj - lambda * g * val[k],
-                                    lambda);
-            }
-          } else {
-            for (std::size_t k = 0; k < idx.size(); ++k) {
-              const double gstep = lambda * g * val[k];
-              model.update(
-                  idx[k],
-                  [&](double v) {
-                    return objectives::prox(options.reg, v - gstep, lambda);
-                  },
-                  policy);
+  util::ThreadPool& team_pool = detail::pool_or_default(pool);
+  const double train_seconds = detail::run_epochs(
+      team_pool, threads, wv, recorder, /*first_epoch=*/1, options.epochs,
+      [&](std::size_t epoch) {
+        team_pool.run(threads, [&](std::size_t tid) {
+          const partition::Shard shard = plan.shard(tid);
+          const std::size_t local_n = shard.rows.size();
+          if (local_n == 0) return;
+          WorkerState& ws = workers[tid];
+          const double lambda = epoch_step(options, epoch);
+          if (use_importance) {
+            ws.seq->begin_epoch(
+                epoch, util::derive_seed(options.seed,
+                                         300 + tid * 1000 + (epoch - 1)));
+          }
+          for (std::size_t t = 0; t < local_n; ++t) {
+            const std::size_t slot =
+                use_importance
+                    ? ws.seq->next()
+                    : static_cast<std::size_t>(
+                          util::uniform_index(ws.rng, local_n));
+            const std::size_t i = shard.rows[slot];
+            const auto x = data.row(i);
+            const double margin = detail::gather_margin(model, x, wild);
+            const double g =
+                objective.gradient_scale(margin, data.label(i)) *
+                ws.weight[slot];
+            const auto idx = x.indices();
+            const auto val = x.values();
+            if (wild) {
+              for (std::size_t k = 0; k < idx.size(); ++k) {
+                double& wj = wv[idx[k]];
+                wj = objectives::prox(options.reg, wj - lambda * g * val[k],
+                                      lambda);
+              }
+            } else {
+              for (std::size_t k = 0; k < idx.size(); ++k) {
+                const double gstep = lambda * g * val[k];
+                model.update(
+                    idx[k],
+                    [&](double v) {
+                      return objectives::prox(options.reg, v - gstep, lambda);
+                    },
+                    policy);
+              }
             }
           }
-        }
-      });
+        });
+      },
+      detail::no_fence);
 
   const std::vector<double> w = model.snapshot();
   {

@@ -70,8 +70,9 @@ Trace run_prox_sgd(const sparse::CsrMatrix& data,
 
   const std::string_view trace_name = use_importance ? "IS-PROX-SGD"
                                                      : "PROX-SGD";
-  const double train_seconds = detail::run_epoch_fenced_serial_range(
-      w, recorder, hooks.first_epoch(), options.epochs,
+  const double train_seconds = detail::run_epochs(
+      util::default_thread_pool(), /*team=*/1, w, recorder,
+      hooks.first_epoch(), options.epochs,
       [&](std::size_t epoch) {
         const double step = epoch_step(options, epoch);
         const double l1_shrink = step * options.reg.eta;
@@ -123,6 +124,8 @@ Trace run_prox_sgd(const sparse::CsrMatrix& data,
           catch_up(j, static_cast<std::uint32_t>(n) - last[j]);
           last[j] = 0;
         }
+      },
+      [&](std::size_t epoch) {
         detail::maybe_capture(hooks, trace_name, epoch, options.seed,
                               options.epochs, w, [&](SnapshotState& state) {
                                 state.put_rng("rng", rng);

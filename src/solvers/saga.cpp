@@ -34,8 +34,9 @@ Trace run_saga(const sparse::CsrMatrix& data,
   }
   const double eta_l1 = options.reg.eta_l1();
   const double eta_l2 = options.reg.eta_l2();
-  const double train_seconds = detail::run_epoch_fenced_serial_range(
-      w, recorder, hooks.first_epoch(), options.epochs,
+  const double train_seconds = detail::run_epochs(
+      util::default_thread_pool(), /*team=*/1, w, recorder,
+      hooks.first_epoch(), options.epochs,
       [&](std::size_t epoch) {
         const double step = epoch_step(options, epoch);
         for (std::size_t t = 0; t < n; ++t) {
@@ -62,6 +63,8 @@ Trace run_saga(const sparse::CsrMatrix& data,
           }
           alpha[i] = g;
         }
+      },
+      [&](std::size_t epoch) {
         detail::maybe_capture(hooks, "SAGA", epoch, options.seed,
                               options.epochs, w, [&](SnapshotState& state) {
                                 state.put_rng("rng", rng);

@@ -37,8 +37,9 @@ Trace run_sgd(const sparse::CsrMatrix& data,
   std::vector<detail::Gathered> batch(b);
   std::vector<std::uint32_t> ids(sampling::BlockSequence::kDefaultBlockSize);
 
-  const double train_seconds = detail::run_epoch_fenced_serial_range(
-      w, recorder, hooks.first_epoch(), options.epochs,
+  const double train_seconds = detail::run_epochs(
+      util::default_thread_pool(), /*team=*/1, w, recorder,
+      hooks.first_epoch(), options.epochs,
       [&](std::size_t epoch) {
         // ⌈n/b⌉ full batches of uniform draws, drawn at most a block early
         // and never past the epoch's last batch, so the RNG words a
@@ -59,6 +60,8 @@ Trace run_sgd(const sparse::CsrMatrix& data,
             },
             [](std::uint32_t i) { return i; },
             [](std::uint32_t, double) { return 1.0; });
+      },
+      [&](std::size_t epoch) {
         detail::maybe_capture(hooks, "SGD", epoch, options.seed,
                               options.epochs, w, [&](SnapshotState& state) {
                                 state.put_rng("rng", rng);
@@ -85,21 +88,28 @@ Trace run_sgd_streaming(const data::DataSource& source,
   std::vector<detail::Gathered> batch(b);
   // One worker: the pool runs a team of 1 inline on this thread, so the
   // default pool spawns nothing.
-  const double train_seconds = detail::run_epoch_fenced_sharded(
-      util::default_thread_pool(), source, schedule, model, recorder,
-      hooks.first_epoch(), options.epochs, /*threads=*/1,
-      [&](std::size_t, const data::Shard& shard,
-          std::span<const std::uint32_t> row_order, std::size_t epoch) {
-        // The shard's row order is the one block of draws; its last batch
-        // is whatever remains of it, so batches never span shards.
-        detail::hogwild_epoch(
-            *shard.matrix, model, objective, options.reg, UpdatePolicy::kWild,
-            epoch_step(options, epoch), batch,
-            [&] { return std::exchange(row_order, {}); },
-            [](std::uint32_t i) { return i; },
-            [](std::uint32_t, double) { return 1.0; });
+  util::ThreadPool& pool = util::default_thread_pool();
+  const double train_seconds = detail::run_epochs(
+      pool, /*team=*/1, model.wild_view(), recorder, hooks.first_epoch(),
+      options.epochs,
+      [&](std::size_t epoch) {
+        detail::shard_epoch(
+            pool, /*team=*/1, source, schedule, epoch,
+            [&](std::size_t, const data::Shard& shard,
+                std::span<const std::uint32_t> row_order) {
+              // The shard's row order is the one block of draws; its last
+              // batch is whatever remains of it, so batches never span
+              // shards.
+              detail::hogwild_epoch(
+                  *shard.matrix, model, objective, options.reg,
+                  UpdatePolicy::kWild, epoch_step(options, epoch), batch,
+                  [&] { return std::exchange(row_order, {}); },
+                  [](std::uint32_t i) { return i; },
+                  [](std::uint32_t, double) { return 1.0; });
+            });
       },
       [&](std::size_t epoch) {
+        source.end_epoch();
         detail::maybe_capture(hooks, "SGD", epoch, options.seed,
                               options.epochs, model.wild_view(),
                               [](SnapshotState&) {});

@@ -1,11 +1,11 @@
 #include "solvers/svrg_asgd.hpp"
 
+#include "solvers/async_runner.hpp"
 #include "solvers/model.hpp"
 #include "solvers/solver.hpp"
 #include "sparse/kernels.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 namespace isasgd::solvers {
 
@@ -49,15 +49,13 @@ Trace run_svrg_asgd(const sparse::CsrMatrix& data,
                     const objectives::Objective& objective,
                     const SolverOptions& options, const EvalFn& eval,
                     TrainingObserver* observer, util::ThreadPool* pool_ptr) {
-  util::ThreadPool& pool =
-      pool_ptr ? *pool_ptr : util::default_thread_pool();
+  util::ThreadPool& pool = detail::pool_or_default(pool_ptr);
   const std::size_t n = data.rows();
   const std::size_t d = data.dim();
   const std::size_t threads = std::max<std::size_t>(1, options.threads);
   SharedModel model(d);
   TraceRecorder recorder("SVRG-ASGD", threads,
                          options.step_size, eval, observer);
-  recorder.record(0, 0.0, model.wild_view());
 
   std::vector<double> s(d, 0.0);
   std::vector<double> mu(d, 0.0);
@@ -74,80 +72,73 @@ Trace run_svrg_asgd(const sparse::CsrMatrix& data,
   const double eta_l1 = options.reg.eta_l1();
   const double eta_l2 = options.reg.eta_l2();
 
-  // Warm the pool before the clock starts (one-time worker spawn must not
-  // pollute epoch 1's timed window).
-  pool.reserve(threads);
+  const double train_seconds = detail::run_epochs(
+      pool, threads, wv, recorder, /*first_epoch=*/1, options.epochs,
+      [&](std::size_t epoch) {
+        const double step = epoch_step(options, epoch);
+        if ((epoch - 1) % interval == 0) {
+          // Algorithm 1 lines 4–6: sync point — snapshot + full gradient.
+          // Quiesced here (between pool.run fences), so the snapshot is
+          // exact and reuses s's storage — no per-refresh allocation.
+          model.snapshot_into(s);
+          full_loss_gradient_parallel(pool, data, objective, s, mu, threads);
+        }
 
-  util::AccumulatingTimer clock;
-  for (std::size_t epoch = 1;
-       epoch <= options.epochs && !recorder.stop_requested(); ++epoch) {
-    const double step = epoch_step(options, epoch);
-    clock.start();
-    if ((epoch - 1) % interval == 0) {
-      // Algorithm 1 lines 4–6: sync point — snapshot + full gradient.
-      // Quiesced here (between pool.run fences), so the snapshot is exact
-      // and reuses s's storage — no per-refresh allocation.
-      model.snapshot_into(s);
-      full_loss_gradient_parallel(pool, data, objective, s, mu, threads);
-    }
+        pool.run(threads, [&](std::size_t tid) {
+          util::Rng rng(util::derive_seed(options.seed, epoch * 1000 + tid));
+          const std::size_t iters = n * (tid + 1) / threads - n * tid / threads;
+          for (std::size_t t = 0; t < iters; ++t) {
+            const std::size_t i = util::uniform_index(rng, n);
+            const auto x = data.row(i);
+            const double y = data.label(i);
+            if (wild && !options.svrg_skip_mu) {
+              double margin_w = 0, margin_s = 0;
+              sparse::sparse_dot_pair(wv, s, x, margin_w, margin_s);
+              const double correction = objective.gradient_scale(margin_w, y) -
+                                        objective.gradient_scale(margin_s, y);
+              sparse::scale_then_sparse_axpy(wv, mu, step, eta_l1, eta_l2,
+                                             step * correction, x);
+              continue;
+            }
+            const auto idx = x.indices();
+            const auto val = x.values();
+            double margin_w = 0, margin_s = 0;
+            for (std::size_t k = 0; k < idx.size(); ++k) {
+              margin_w += model.load(idx[k]) * val[k];
+              margin_s += s[idx[k]] * val[k];
+            }
+            const double correction = objective.gradient_scale(margin_w, y) -
+                                      objective.gradient_scale(margin_s, y);
+            for (std::size_t k = 0; k < idx.size(); ++k) {
+              model.add(idx[k], -step * correction * val[k], policy);
+            }
+            if (!options.svrg_skip_mu) {
+              // Algorithm 1 line 7's dense term: full-length pass every
+              // iteration, performed lock-free like the rest of the update.
+              for (std::size_t j = 0; j < d; ++j) {
+                const double wj = model.load(j);
+                model.add(j, -step * (mu[j] + options.reg.subgradient(wj)),
+                          policy);
+              }
+            } else {
+              for (std::size_t k = 0; k < idx.size(); ++k) {
+                const std::size_t j = idx[k];
+                model.add(j, -step * options.reg.subgradient(model.load(j)),
+                          policy);
+              }
+            }
+          }
+        });
 
-    pool.run(threads, [&](std::size_t tid) {
-      util::Rng rng(util::derive_seed(options.seed, epoch * 1000 + tid));
-      const std::size_t iters = n * (tid + 1) / threads - n * tid / threads;
-      for (std::size_t t = 0; t < iters; ++t) {
-        const std::size_t i = util::uniform_index(rng, n);
-        const auto x = data.row(i);
-        const double y = data.label(i);
-        if (wild && !options.svrg_skip_mu) {
-          double margin_w = 0, margin_s = 0;
-          sparse::sparse_dot_pair(wv, s, x, margin_w, margin_s);
-          const double correction = objective.gradient_scale(margin_w, y) -
-                                    objective.gradient_scale(margin_s, y);
-          sparse::scale_then_sparse_axpy(wv, mu, step, eta_l1, eta_l2,
-                                         step * correction, x);
-          continue;
-        }
-        const auto idx = x.indices();
-        const auto val = x.values();
-        double margin_w = 0, margin_s = 0;
-        for (std::size_t k = 0; k < idx.size(); ++k) {
-          margin_w += model.load(idx[k]) * val[k];
-          margin_s += s[idx[k]] * val[k];
-        }
-        const double correction = objective.gradient_scale(margin_w, y) -
-                                  objective.gradient_scale(margin_s, y);
-        for (std::size_t k = 0; k < idx.size(); ++k) {
-          model.add(idx[k], -step * correction * val[k], policy);
-        }
-        if (!options.svrg_skip_mu) {
-          // Algorithm 1 line 7's dense term: full-length pass every
-          // iteration, performed lock-free like the rest of the update.
+        if (options.svrg_skip_mu) {
           for (std::size_t j = 0; j < d; ++j) {
-            const double wj = model.load(j);
-            model.add(j, -step * (mu[j] + options.reg.subgradient(wj)),
-                      policy);
-          }
-        } else {
-          for (std::size_t k = 0; k < idx.size(); ++k) {
-            const std::size_t j = idx[k];
-            model.add(j, -step * options.reg.subgradient(model.load(j)),
-                      policy);
+            model.add(j, -step * static_cast<double>(n) * mu[j], policy);
           }
         }
-      }
-    });
-
-    if (options.svrg_skip_mu) {
-      for (std::size_t j = 0; j < d; ++j) {
-        model.add(j, -step * static_cast<double>(n) * mu[j], policy);
-      }
-    }
-    clock.stop();
-    // Fence: workers quiesced, the raw view is an exact snapshot.
-    recorder.record(epoch, clock.seconds(), wv);
-  }
+      },
+      detail::no_fence);
   if (options.keep_final_model) recorder.set_final_model(model.snapshot());
-  return std::move(recorder).finish(clock.seconds());
+  return std::move(recorder).finish(train_seconds);
 }
 
 namespace {

@@ -64,8 +64,9 @@ Trace run_svrg_sgd_lazy(const sparse::CsrMatrix& data,
     mu = hooks.resume->real_section("svrg.mu");
   }
 
-  const double train_seconds = detail::run_epoch_fenced_serial_range(
-      w, recorder, hooks.first_epoch(), options.epochs,
+  const double train_seconds = detail::run_epochs(
+      util::default_thread_pool(), /*team=*/1, w, recorder,
+      hooks.first_epoch(), options.epochs,
       [&](std::size_t epoch) {
         const double step = epoch_step(options, epoch);
         const double a = 1.0 - step * options.reg.eta;  // L2 decay per step
@@ -121,6 +122,8 @@ Trace run_svrg_sgd_lazy(const sparse::CsrMatrix& data,
           catch_up(j, static_cast<std::uint32_t>(n) - last[j]);
           last[j] = 0;
         }
+      },
+      [&](std::size_t epoch) {
         detail::maybe_capture(hooks, "SVRG-LAZY", epoch, options.seed,
                               options.epochs, w, [&](SnapshotState& state) {
                                 state.put_rng("rng", rng);

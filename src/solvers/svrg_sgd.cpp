@@ -53,8 +53,9 @@ Trace run_svrg_sgd(const sparse::CsrMatrix& data,
     mu = hooks.resume->real_section("svrg.mu");
   }
 
-  const double train_seconds = detail::run_epoch_fenced_serial_range(
-      w, recorder, hooks.first_epoch(), options.epochs,
+  const double train_seconds = detail::run_epochs(
+      util::default_thread_pool(), /*team=*/1, w, recorder,
+      hooks.first_epoch(), options.epochs,
       [&](std::size_t epoch) {
         const double step = epoch_step(options, epoch);
         if ((epoch - 1) % interval == 0) {
@@ -87,6 +88,8 @@ Trace run_svrg_sgd(const sparse::CsrMatrix& data,
           // One aggregate μ correction at epoch end ("multiplying µ with n").
           sparse::dense_axpy(w, -(step * static_cast<double>(n)), mu);
         }
+      },
+      [&](std::size_t epoch) {
         detail::maybe_capture(hooks, "SVRG-SGD", epoch, options.seed,
                               options.epochs, w, [&](SnapshotState& state) {
                                 state.put_rng("rng", rng);

@@ -11,12 +11,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/trainer.hpp"
@@ -207,6 +210,43 @@ TEST(CheckpointParity, AdaptiveImportanceSgd) {
   // importance, rebuilt sampler) — kill around a refresh boundary.
   Fixture f;
   expect_bit_parity(f.trainer, "IS-SGD", 3, options_for(/*adaptive=*/true));
+}
+
+/// Wants every fence and sleeps 40 ms in each capture, as a slow disk write
+/// of the daemon's io::save_checkpoint would.
+class SlowSink final : public solvers::SnapshotSink {
+ public:
+  [[nodiscard]] bool wants(std::size_t) const override { return true; }
+  void capture(solvers::SnapshotState) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    ++captures_;
+  }
+  [[nodiscard]] std::size_t captures() const { return captures_; }
+
+ private:
+  std::size_t captures_ = 0;
+};
+
+TEST(CheckpointClock, CaptureStaysOffTheTrainingClock) {
+  // Capture runs at the fence, with the training clock paused: four 40 ms
+  // captures must not reach train_seconds, whatever the solver, in memory
+  // or shard-major.
+  Fixture f;
+  const data::InMemorySource shards(f.data, 50);
+  const core::Trainer shard_major(shards, f.loss,
+                                  objectives::Regularization::l2(1e-4), 1);
+  std::vector<std::pair<const core::Trainer*, std::string>> runs;
+  for (const char* name : kCheckpointable) runs.emplace_back(&f.trainer, name);
+  runs.emplace_back(&shard_major, "SGD");
+  solvers::SolverOptions opt = options_for();
+  opt.epochs = 4;
+  for (const auto& [trainer, solver] : runs) {
+    SCOPED_TRACE(solver + (trainer == &shard_major ? " shard-major" : ""));
+    SlowSink sink;
+    const auto trace = trainer->train(solver, opt, nullptr, {.sink = &sink});
+    EXPECT_EQ(sink.captures(), opt.epochs);
+    EXPECT_LT(trace.train_seconds, 0.04);
+  }
 }
 
 TEST(CheckpointParity, RegistryAgreesWithThisList) {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "distributed/cluster.hpp"
@@ -38,11 +39,13 @@ std::string listen_address(const std::string& transport) {
          "_" + std::to_string(groups++);
 }
 
-/// A parameter server on a thread, serving a fault-free group of k workers
-/// on a zero model of kDim coordinates, and the test's connections to it.
+/// A parameter server on a thread, serving a group of k workers under
+/// `spec` (fault-free by default) on a zero model of kDim coordinates, and
+/// the test's connections to it.
 class Server {
  public:
-  Server(const std::string& transport, std::size_t k) {
+  Server(const std::string& transport, std::size_t k, ClusterSpec spec = {})
+      : spec_(std::move(spec)) {
     std::unique_ptr<net::Listener> listener =
         net::listen(listen_address(transport));
     address_ = listener->address();
@@ -300,9 +303,13 @@ TEST_P(PsServerTest, ADuplicateOrOutOfRangeRankAtAcceptIsAProtocolError) {
 
 TEST_P(PsServerTest, AClosedControllerEndsTheRunWhileAWorkerIsAwaited) {
   // The worker's connection closes after one answered step, so the server
-  // waits for it to reconnect; the controller's close must end that wait
-  // at once, not after the group's 120 s I/O deadline.
-  Server server(GetParam(), /*k=*/1);
+  // of a fault-tolerant group (a scripted crash past the run: nothing
+  // crashes) waits up to a minute for it to reconnect; the controller's
+  // close must end that wait at once.
+  ClusterSpec spec;
+  spec.fault.crash_epoch = 1000;
+  spec.recovery.liveness_timeout_ms = 60'000;
+  Server server(GetParam(), /*k=*/1, spec);
   net::Endpoint& controller = server.join(wire::kRoleController);
   net::Endpoint& worker = server.join(wire::kRoleWorker, 0);
   send(worker, wire::kStep, step_frame(1, {0, 3}));
@@ -310,6 +317,21 @@ TEST_P(PsServerTest, AClosedControllerEndsTheRunWhileAWorkerIsAwaited) {
   worker.close();
   controller.close();
   server.expect_error(net::TransportError::Kind::kClosed, "peer closed",
+                      std::chrono::seconds(2));
+}
+
+TEST_P(PsServerTest, AWorkerThatClosesEndsAFaultFreeRunAtOnce) {
+  // No worker of a fault-free group reconnects, so a close after one
+  // answered step means the worker died: with the controller still open,
+  // the server must end the run naming the rank, not wait out the group's
+  // 120 s I/O deadline.
+  Server server(GetParam(), /*k=*/1);
+  server.join(wire::kRoleController);
+  net::Endpoint& worker = server.join(wire::kRoleWorker, 0);
+  send(worker, wire::kStep, step_frame(1, {0, 3}));
+  EXPECT_EQ(step_reply(worker, 1, 2), (std::vector<double>{0.0, 0.0}));
+  worker.close();
+  server.expect_error(net::TransportError::Kind::kClosed, "worker rank 0",
                       std::chrono::seconds(2));
 }
 

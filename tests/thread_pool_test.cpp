@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <set>
@@ -147,7 +148,7 @@ TEST(ThreadPool, DefaultPoolIsSingleton) {
 }
 
 // ---------------------------------------------------------------------------
-// Epoch-fence driver on the pool
+// The epoch loop (solvers::detail::run_epochs) on the pool
 // ---------------------------------------------------------------------------
 
 /// Observer that counts epochs and optionally stops after `stop_after`.
@@ -175,6 +176,31 @@ class FenceProbe : public solvers::TrainingObserver {
   std::size_t epochs_seen_ = 0;
 };
 
+/// Observer that hands every recorded point to `fn`; false stops the run.
+class PointProbe : public solvers::TrainingObserver {
+ public:
+  explicit PointProbe(std::function<bool(const solvers::TracePoint&)> fn)
+      : fn_(std::move(fn)) {}
+
+  bool on_epoch(const solvers::TracePoint& p) override { return fn_(p); }
+
+ private:
+  std::function<bool(const solvers::TracePoint&)> fn_;
+};
+
+/// `epochs` epochs of `threads` workers, each calling `worker(tid, epoch)`.
+template <class WorkerFn>
+double run_team(ThreadPool& pool, solvers::SharedModel& model,
+                solvers::TraceRecorder& recorder, std::size_t epochs,
+                std::size_t threads, WorkerFn&& worker) {
+  return solvers::detail::run_epochs(
+      pool, threads, model.wild_view(), recorder, /*first_epoch=*/1, epochs,
+      [&](std::size_t epoch) {
+        pool.run(threads, [&](std::size_t tid) { worker(tid, epoch); });
+      },
+      solvers::detail::no_fence);
+}
+
 TEST(EpochFence, OrderingAllWorkersQuiescentAtEveryFence) {
   ThreadPool pool;
   const std::size_t threads = 3, epochs = 6;
@@ -183,7 +209,7 @@ TEST(EpochFence, OrderingAllWorkersQuiescentAtEveryFence) {
   FenceProbe probe(&progress);
   solvers::TraceRecorder recorder("fence-test", threads, 0.1, null_eval(),
                                   &probe);
-  const double seconds = solvers::detail::run_epoch_fenced(
+  const double seconds = run_team(
       pool, model, recorder, epochs, threads,
       [&](std::size_t tid, std::size_t epoch) {
         EXPECT_EQ(progress[tid].load(), epoch - 1);  // release ordering
@@ -203,7 +229,7 @@ TEST(EpochFence, EarlyStopDrainsMidRunAndPoolStaysUsable) {
   FenceProbe probe(&progress, stop_after);
   solvers::TraceRecorder recorder("stop-test", threads, 0.1, null_eval(),
                                   &probe);
-  (void)solvers::detail::run_epoch_fenced(
+  (void)run_team(
       pool, model, recorder, epochs, threads,
       [&](std::size_t tid, std::size_t) { progress[tid].fetch_add(1); });
   // Drained exactly at the stop fence: no worker ran a single extra epoch.
@@ -216,6 +242,80 @@ TEST(EpochFence, EarlyStopDrainsMidRunAndPoolStaysUsable) {
   EXPECT_EQ(count.load(), static_cast<int>(threads));
 }
 
+TEST(EpochFence, ASleepingFenceIsNotCountedOnTheClock) {
+  // Fence work (checkpoint capture, a source's end_epoch) runs with the
+  // clock paused: three 40 ms fences around three empty dispatches must
+  // leave the returned clock, and every point's, far below one fence.
+  ThreadPool pool;
+  const std::size_t threads = 2, epochs = 3;
+  solvers::SharedModel model(4);
+  solvers::TraceRecorder recorder("clock-test", threads, 0.1, null_eval());
+  std::size_t fences = 0;
+  const double seconds = solvers::detail::run_epochs(
+      pool, threads, model.wild_view(), recorder, /*first_epoch=*/1, epochs,
+      [&](std::size_t) { pool.run(threads, [](std::size_t) {}); },
+      [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(40));
+        ++fences;
+      });
+  EXPECT_EQ(fences, epochs);
+  EXPECT_LT(seconds, 0.04);
+  const auto trace = std::move(recorder).finish(seconds);
+  ASSERT_EQ(trace.points.size(), epochs + 1);
+  for (const auto& p : trace.points) EXPECT_LT(p.seconds, 0.04);
+}
+
+TEST(EpochFence, TheFenceRunsBeforeTheObserverSeesTheEpochsPoint) {
+  // A resumed run (first_epoch 3): the restored model is recorded as epoch
+  // 2, then each epoch runs its body, its fence, and only then its record.
+  ThreadPool pool;
+  const std::size_t first = 3, epochs = 5;
+  solvers::SharedModel model(4);
+  std::vector<std::size_t> bodies, fences, seen;
+  PointProbe probe([&](const solvers::TracePoint& p) {
+    EXPECT_EQ(fences.empty() ? first - 1 : fences.back(), p.epoch);
+    EXPECT_EQ(bodies.size(), fences.size());
+    seen.push_back(p.epoch);
+    return true;
+  });
+  solvers::TraceRecorder recorder("order-test", 2, 0.1, null_eval(), &probe);
+  (void)solvers::detail::run_epochs(
+      pool, 2, model.wild_view(), recorder, first, epochs,
+      [&](std::size_t epoch) {
+        EXPECT_EQ(bodies.size(), fences.size());
+        bodies.push_back(epoch);
+      },
+      [&](std::size_t epoch) {
+        ASSERT_FALSE(bodies.empty());
+        EXPECT_EQ(bodies.back(), epoch);
+        fences.push_back(epoch);
+      });
+  EXPECT_EQ(bodies, (std::vector<std::size_t>{3, 4, 5}));
+  EXPECT_EQ(fences, bodies);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{2, 3, 4, 5}));
+}
+
+TEST(EpochFence, AStopAtTheInitialPointRunsNothingAndSpawnsNoWorker) {
+  ThreadPool pool;
+  const std::size_t threads = 4;
+  solvers::SharedModel model(4);
+  PointProbe probe([](const solvers::TracePoint&) { return false; });
+  solvers::TraceRecorder recorder("stop-at-0", threads, 0.1, null_eval(),
+                                  &probe);
+  std::size_t bodies = 0, fences = 0;
+  const double seconds = solvers::detail::run_epochs(
+      pool, threads, model.wild_view(), recorder, /*first_epoch=*/1, 5,
+      [&](std::size_t) {
+        ++bodies;
+        pool.run(threads, [](std::size_t) {});
+      },
+      [&](std::size_t) { ++fences; });
+  EXPECT_EQ(seconds, 0.0);
+  EXPECT_EQ(bodies, 0u);
+  EXPECT_EQ(fences, 0u);
+  EXPECT_EQ(pool.threads_spawned(), 0u);
+  EXPECT_EQ(std::move(recorder).finish(seconds).points.size(), 1u);
+}
 
 TEST(ThreadPoolBackground, SubmitRunsTasksOffTheCallingThread) {
   ThreadPool pool;
